@@ -3,7 +3,8 @@
 The encoder stacks two very different routing mechanisms:
 
   1. bottom-up EM routing turns a bag of noisy primary capsules into one
-     patch capsule whose pose is an agreement-weighted consensus, and
+     patch capsule whose pose is the activation-weighted mean of the votes
+     (with a single parent every EM round gives this same result), and
   2. top-down inverted dot-product attention routing lets semantic parent
      capsules compete for the patch capsules that explain them.
 

@@ -57,5 +57,6 @@ for axis in ("k_td", "k_em"):
         print(f"  {row['value']:5d}  {row['tr']:.3f}  {row['ts']:.3f}"
               f"  {row['h']:.3f}")
     print()
+print("single-parent EM is closed form, so the k_em rows repeat one result.")
 print("a short sweep on a toy task: expect noise at this scale, but every")
 print("setting must produce finite, sane metrics -- that is the contract.")

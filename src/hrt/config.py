@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .losses import gamma_profile
 from .model import ModelConfig
 
 GAMMA_PROFILES = {
@@ -23,8 +24,6 @@ DEFAULTS: dict = {
         "n_primary": 128,
         "k_em": 5,
         "k_td": 2,
-        "em_lambda": 1.0,
-        "sigma_floor": 1e-6,
         "layer_norm_eps": 1e-5,
         "pose_mode": "matrix",
         "compaction": "factor-analysis",
@@ -106,7 +105,4 @@ def gamma_offsets(config: dict, num_classes: int, seen_classes,
             raise ConfigError("gamma profile null requires explicit "
                               "seen_offset and unseen_offset")
         offsets = {"seen_offset": seen, "unseen_offset": unseen}
-    gamma = np.zeros(num_classes)
-    gamma[list(seen_classes)] = offsets["seen_offset"]
-    gamma[list(unseen_classes)] = offsets["unseen_offset"]
-    return gamma
+    return gamma_profile(num_classes, seen_classes, unseen_classes, **offsets)

@@ -59,7 +59,7 @@ def encode(patch_features: Tensor, semantics: SemanticSpace,
 
     poses, acts = batched_primary_capsules(patch_features, params.proj,
                                            params.act_proj)
-    g_poses, _g_acts = batched_em_routing(poses, acts, params.em)   # [R, d]
+    g_poses = batched_em_routing(poses, acts, params.em)            # [R, d]
     _parents, agreement, _route = inverted_routing(
         g_poses, Tensor(compact), params.inverted)
     # each attribute picks where to look: softmax over the patch axis

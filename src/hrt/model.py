@@ -27,10 +27,8 @@ class ModelConfig:
     tau: int = 32
     d_cap: int = 16
     n_primary: int = 128
-    k_em: int = 5
+    k_em: int = 5    # EM iterations; no effect, single-parent EM is closed form
     k_td: int = 2
-    em_lambda: float = 1.0
-    sigma_floor: float = 1e-6
     layer_norm_eps: float = 1e-5
     pose_mode: str = "matrix"          # "matrix" or "vector"
     compaction: str = "factor-analysis"  # or "pca" / "precomputed"
@@ -96,8 +94,6 @@ class HrtModel:
             "enc.proj": uniform((c.d_feat, c.n_primary * c.d_cap), c.d_feat),
             "enc.act_proj": uniform((c.d_feat, c.n_primary), c.d_feat),
             "enc.transforms": uniform((c.n_primary, p, p), p),
-            "enc.beta": Tensor(np.zeros(()), requires_grad=True),
-            "enc.gamma": Tensor(np.zeros(()), requires_grad=True),
             "enc.vote_transforms": uniform((c.num_attributes, c.d_cap, c.d_cap),
                                            c.d_cap),
             "dec.w_beta": uniform((c.tau, c.d_feat), c.tau),
@@ -125,11 +121,6 @@ class HrtModel:
             proj=self.params["enc.proj"],
             act_proj=self.params["enc.act_proj"],
             em=EmRoutingParams(transforms=self.params["enc.transforms"],
-                               beta=self.params["enc.beta"],
-                               gamma=self.params["enc.gamma"],
-                               lam=c.em_lambda,
-                               iterations=c.k_em,
-                               sigma_floor=c.sigma_floor,
                                pose_mode=c.pose_mode),
             inverted=InvertedRoutingParams(
                 vote_transforms=self.params["enc.vote_transforms"],

@@ -3,7 +3,9 @@
 Two routing mechanisms drive the encoder:
 
   * bottom-up EM routing, compressing the primary capsules of one image patch
-    into a single patch capsule via Gaussian vote agreement;
+    into a single patch capsule. With one parent every responsibility is 1,
+    so each EM round repeats the same M-step and the iteration count
+    (``k_em``) does not change the model; the encoder reads only the pose;
   * top-down inverted dot-product attention routing between patch capsules and
     attribute capsules, where agreement is the dot product between a parent's
     current state and a child's vote, normalized over parents.
@@ -15,7 +17,7 @@ the autograd tensors in ``tensor.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +52,15 @@ class CapsuleSet:
 
 @dataclass
 class EmRoutingParams:
-    """Learnables and hyper-parameters of the bottom-up EM routing step."""
+    """Learnables and hyper-parameters of the bottom-up EM routing step.
+
+    Only :func:`em_routing`'s activation reads beta, gamma, lam, sigma_floor.
+    """
 
     transforms: Tensor   # [N_child, p, p]; p = d_cap (vector mode) or sqrt(d_cap) (matrix mode)
-    beta: Tensor         # scalar, learnable
-    gamma: Tensor        # scalar, learnable
-    lam: float = 1.0     # fixed per run
+    beta: Tensor = field(default_factory=lambda: Tensor(0.0))   # scalar
+    gamma: Tensor = field(default_factory=lambda: Tensor(0.0))  # scalar
+    lam: float = 1.0
     iterations: int = 5
     sigma_floor: float = 1e-6
     pose_mode: str = "matrix"  # "matrix": votes by pose-matrix product; "vector": row-vector transform
@@ -142,47 +147,37 @@ def _em_votes(poses: Tensor, params: EmRoutingParams) -> Tensor:
     return T.einsum("rnd,nde->rne", poses, params.transforms)
 
 
+def _vote_mean(w: Tensor, x: Tensor) -> Tensor:
+    """Weighted mean over the child axis: w [R, N], x [R, N, H] -> [R, H]."""
+    return T.einsum("rn,rnh->rh", w, x) / T.tsum(w, axis=1, keepdims=True)
+
+
 def batched_em_routing(poses: Tensor, activations: Tensor,
-                       params: EmRoutingParams):
-    """EM routing of N child capsules onto one parent, for R patches at once.
-
-    Returns (parent_poses [R, d_cap], parent_activations [R]).
-
-    With a single parent the E-step normalization pins every responsibility at
-    exactly 1, so responsibilities are treated as the constant 1 (their true
-    value, with genuinely zero gradient) and each round repeats the same
-    M-step. The loop is still run ``iterations`` times to honor the declared
-    update schedule.
-    """
-    r, n, d_cap = poses.data.shape
-    votes = _em_votes(poses, params)
-    log2pi = math.log(2.0 * math.pi)
-    mu = act = None
-    for _ in range(params.iterations):
-        # M-step; weights are activation * responsibility, responsibility == 1
-        w = activations                                   # [R, N]
-        denom = T.tsum(w, axis=1, keepdims=True)          # [R, 1]
-        mu = T.einsum("rn,rnh->rh", w, votes) / denom     # [R, H]
-        dev2 = T.square(votes - T.reshape(mu, (r, 1, d_cap)))
-        var = T.einsum("rn,rnh->rh", w, dev2) / denom     # [R, H]
-        var = T.clamp_min(var, params.sigma_floor)
-        # cost_h = -sum_i r_i ln P_{i|h}
-        log_p = (-0.5 * (log2pi + T.log(T.reshape(var, (r, 1, d_cap))))
-                 - dev2 / (2.0 * T.reshape(var, (r, 1, d_cap))))
-        cost = -T.tsum(log_p, axis=1)                      # [R, H]
-        assigned = float(n)                                # sum_i r_i
-        act = T.sigmoid(params.lam * (params.beta - params.gamma * assigned
-                                      - T.tsum(cost, axis=1)))
-        # E-step: one parent => responsibilities renormalize to exactly 1
-    return mu, act
+                       params: EmRoutingParams) -> Tensor:
+    """Parent poses [R, d_cap] of EM routing onto one parent per patch: the
+    activation-weighted mean of the votes, the fixed point of every round."""
+    return _vote_mean(activations, _em_votes(poses, params))
 
 
 def em_routing(children: CapsuleSet, params: EmRoutingParams) -> CapsuleSet:
-    """Route a set of child capsules onto a single parent capsule."""
-    poses = T.reshape(children.poses, (1,) + children.poses.data.shape)
-    acts = T.reshape(children.activations, (1, -1))
-    mu, act = batched_em_routing(poses, acts, params)
-    return CapsuleSet(poses=mu, activations=T.reshape(act, (1,)))
+    """Route a set of child capsules onto a single parent capsule.
+
+    Pose and activation are computed once, in closed form: with a single
+    parent every EM round would repeat them.
+    """
+    n, d_cap = children.poses.data.shape
+    w = T.reshape(children.activations, (1, n))
+    votes = _em_votes(T.reshape(children.poses, (1, n, d_cap)), params)
+    mu = _vote_mean(w, votes)                                  # [1, H]
+    dev2 = T.square(votes - T.reshape(mu, (1, 1, d_cap)))
+    var = T.reshape(T.clamp_min(_vote_mean(w, dev2), params.sigma_floor),
+                    (1, 1, d_cap))
+    log_p = (-0.5 * (math.log(2.0 * math.pi) + T.log(var))
+             - dev2 / (2.0 * var))
+    cost = -T.tsum(log_p, axis=1)         # [1, H]; -sum_i r_i ln P_{i|h}
+    act = T.sigmoid(params.lam * (params.beta - params.gamma * float(n)
+                                  - T.tsum(cost, axis=1)))       # [1]
+    return CapsuleSet(poses=mu, activations=act)
 
 
 def inverted_routing(children: Tensor, parent_init: Tensor,

@@ -179,10 +179,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -291,12 +287,6 @@ def reshape(a: Tensor, shape) -> Tensor:
                            lambda g: (g.reshape(a.data.shape),), "reshape")
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    inv = None if axes is None else np.argsort(axes)
-    return Tensor._from_op(np.transpose(a.data, axes), (a,),
-                           lambda g: (np.transpose(g, inv),), "transpose")
-
-
 def take(a: Tensor, idx) -> Tensor:
     out_data = a.data[idx]
 
@@ -306,17 +296,6 @@ def take(a: Tensor, idx) -> Tensor:
         return (full,)
 
     return Tensor._from_op(out_data, (a,), backward, "take")
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    splits = np.cumsum([d.shape[axis] for d in datas])[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._from_op(np.concatenate(datas, axis=axis), tuple(tensors),
-                           backward, "concat")
 
 
 # -- linear algebra ---------------------------------------------------------

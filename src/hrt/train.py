@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
 from .optim import OptimizerConfig, RmsPropState, optimizer_step
 
 CHECKPOINT_MAGIC = b"HRTC"
+CHECKPOINT_VERSION = 2
 HISTORY_HEADER = "epoch,L_ce,L_cal,L_reg,total,train_acc"
 
 
@@ -102,8 +104,11 @@ def write_history(history: list[EpochStats], path) -> None:
 # [4-byte magic "HRTC"][8-byte little-endian header length][UTF-8 JSON header]
 # [float64 little-endian payload]
 #
-# The header declares tensor names/shapes in payload order, the model config,
-# the init seed, and a hash of the resolved experiment config.
+# The header declares the format version, tensor names/shapes in payload
+# order, the model config, the init seed, and a hash of the resolved
+# experiment config. Version 2 dropped the encoder's EM ``beta``/``gamma``
+# parameters and the ``em_lambda``/``sigma_floor`` model config keys; any
+# other version is rejected.
 
 
 def config_hash(config: dict) -> str:
@@ -120,7 +125,7 @@ def save_checkpoint(model: HrtModel, path, experiment_config: dict | None = None
               ("sem.class_attr", sem.class_attr)]
     arrays += [(n, model.params[n].data) for n in names]
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "dtype": "f64",
         "endianness": "little",
         "seed": model.seed,
@@ -139,36 +144,67 @@ def save_checkpoint(model: HrtModel, path, experiment_config: dict | None = None
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _field(header, name: str, kind: type):
+    """Header entry ``name``; a DataFormatError names it unless it is a ``kind``."""
+    value = header.get(name) if isinstance(header, dict) else None
+    if not isinstance(value, kind):
+        raise DataFormatError(f"checkpoint header field {name!r} is missing "
+                              f"or not of type {kind.__name__}")
+    return value
+
+
 def load_checkpoint(path) -> HrtModel:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError("not a model checkpoint (bad magic)")
+    if len(raw) < 12:
+        raise DataFormatError("checkpoint ends inside its header length")
     (hlen,) = struct.unpack("<Q", raw[4:12])
+    if 12 + hlen > len(raw):
+        raise DataFormatError(f"checkpoint header length {hlen} runs past "
+                              f"the end of the {len(raw)}-byte file")
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataFormatError(f"corrupt checkpoint header: {e}") from e
+    version = _field(header, "version", int)
+    if version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"unsupported checkpoint version {version} "
+                              f"(expected {CHECKPOINT_VERSION})")
+    model_config = _field(header, "model_config", dict)
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    # a float field may hold an int, as a JSON config can write 1 for 1.0
+    if model_config.keys() != defaults.keys() or any(
+            not isinstance(model_config[k],
+                           (int, float) if type(v) is float else type(v))
+            for k, v in defaults.items()):
+        raise DataFormatError("checkpoint header field 'model_config' does "
+                              f"not match ModelConfig: {model_config}")
+    seed = _field(header, "seed", int)
     offset = 12 + hlen
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + count * 8
+    for entry in _field(header, "tensors", list):
+        name, shape = _field(entry, "name", str), _field(entry, "shape", list)
+        if not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise DataFormatError(f"tensor {name!r} has bad shape {shape}")
+        end = offset + math.prod(shape) * 8
         if end > len(raw):
-            raise DataFormatError(
-                f"checkpoint truncated in tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(raw[offset:end],
-                                               dtype="<f8").reshape(shape)
+            raise DataFormatError(f"checkpoint truncated in tensor {name!r}")
+        tensors[name] = np.frombuffer(raw[offset:end],
+                                      dtype="<f8").reshape(shape)
         offset = end
     if offset != len(raw):
         raise DataFormatError(
             f"checkpoint has {len(raw) - offset} trailing bytes")
+    for name in ("sem.attr_vectors", "sem.compact_vectors", "sem.class_attr"):
+        if name not in tensors:
+            raise DataFormatError(f"checkpoint missing tensor {name!r}")
 
-    config = ModelConfig(**header["model_config"])
+    config = ModelConfig(**model_config)
     semantics = SemanticSpace(attr_vectors=tensors["sem.attr_vectors"],
                               compact_vectors=tensors["sem.compact_vectors"],
                               class_attr=tensors["sem.class_attr"])
-    model = HrtModel(config, semantics, seed=header["seed"])
+    model = HrtModel(config, semantics, seed=seed)
     for name, p in model.params.items():
         if name not in tensors:
             raise DataFormatError(f"checkpoint missing parameter {name!r}")

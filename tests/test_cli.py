@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -99,6 +100,24 @@ class TestExitCodes:
         rc = main(["gen", "--out", str(tmp_path / "d"), "--config", str(cfg)])
         assert rc == 1
         assert "optimiser" in capsys.readouterr().err
+
+    def test_eval_rejects_version_1_checkpoint(self, workspace, tmp_path,
+                                               capsys):
+        raw = (workspace / "run" / "model.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[4:12])
+        header = json.loads(raw[12:12 + hlen])
+        header["version"] = 1
+        blob = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob
+                         + raw[12 + hlen:])
+        rc = main(["eval", "--checkpoint", str(ckpt),
+                   "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "version 1" in err
+        assert "Traceback" not in err
 
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):
         # keep this quick: a coarse tolerance still exercises the full path

@@ -138,6 +138,16 @@ class TestTotalLoss:
         recomposed = parts["ce"] + 0.7 * parts["cal"] + 0.3 * parts["reg"]
         assert total.item() == pytest.approx(recomposed, abs=1e-10)
 
+    def test_every_parameter_gets_a_gradient_at_default_config(self):
+        ds = generate_synthetic(SyntheticSpec(samples_per_class=2), seed=0)
+        model = HrtModel.build(ModelConfig(), ds.semantics.attr_vectors,
+                               ds.semantics.class_attr, seed=0)
+        feats, labels = ds.split_samples("train")
+        total, _ = total_loss(model, feats[0], int(labels[0]), LossConfig())
+        total.backward()
+        missing = [n for n, p in model.params.items() if p.grad is None]
+        assert missing == []
+
 
 class TestPredict:
     def test_plain_argmax(self):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,66 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(DataFormatError, match="trailing"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def read_header(path):
+        """(JSON header, payload bytes) of a checkpoint file."""
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[4:12])
+        return json.loads(raw[12:12 + hlen]), raw[12 + hlen:]
+
+    def rewrite_header(self, path, edit):
+        """Re-serialize a checkpoint's JSON header as ``edit(header)``."""
+        header, payload = self.read_header(path)
+        blob = json.dumps(edit(header)).encode("utf-8")
+        path.write_bytes(b"HRTC" + struct.pack("<Q", len(blob)) + blob
+                         + payload)
+
+    def test_header_declares_version_2(self, tmp_path):
+        ds, model = tiny_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        header, _ = self.read_header(path)
+        assert header["version"] == 2
+        assert "em_lambda" not in header["model_config"]
+
+    def test_shorter_than_header_length(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"HRTC\0\0\0")
+        with pytest.raises(DataFormatError, match="header length"):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_of_file(self, tmp_path):
+        ds, model = tiny_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<Q", len(raw)) + raw[12:])
+        with pytest.raises(DataFormatError, match="header length"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: {**h, "version": 1}, "version"),
+        (lambda h: {k: v for k, v in h.items() if k != "version"}, "version"),
+        (lambda h: {k: v for k, v in h.items() if k != "tensors"}, "tensors"),
+        (lambda h: {**h, "tensors": [{"name": "x"}]}, "shape"),
+        (lambda h: {**h, "model_config": [1, 2]}, "model_config"),
+        (lambda h: {**h, "model_config": {**h["model_config"],
+                                          "em_lambda": 1.0}}, "model_config"),
+        (lambda h: {**h, "model_config": {**h["model_config"],
+                                          "d_cap": "8"}}, "model_config"),
+        (lambda h: {k: v for k, v in h.items() if k != "seed"}, "seed"),
+        (lambda h: [h], "version"),
+    ], ids=["v1", "no-version", "no-tensors", "bad-tensor-entry",
+            "model-config-not-object", "model-config-unknown-key",
+            "model-config-mistyped", "no-seed", "header-not-object"])
+    def test_malformed_header_names_the_field(self, tmp_path, edit, field):
+        ds, model = tiny_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        self.rewrite_header(path, edit)
+        with pytest.raises(DataFormatError, match=field):
             load_checkpoint(path)
 
     def test_corrupt_header_json(self, tmp_path):
