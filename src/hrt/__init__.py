@@ -19,10 +19,10 @@ from .decoder import (DecoderParams, adjust_class_attributes, class_scores,
                       content_attribute_scores)
 from .model import HrtModel, ModelConfig
 from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
-                     cross_entropy, gamma_profile, predict, total_loss)
+                     cross_entropy, gamma_profile, predict)
 from .optim import OptimizerConfig, RmsPropState, optimizer_step
-from .train import (config_hash, load_checkpoint, save_checkpoint, train,
-                    write_history)
+from .train import (config_hash, load_checkpoint, save_checkpoint,
+                    total_loss, train, write_history)
 from .data import (SyntheticSpec, ZslDataset, generate_synthetic,
                    load_features, save_dataset)
 from .metrics import Metrics, evaluate, harmonic_mean

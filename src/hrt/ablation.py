@@ -5,15 +5,16 @@ from __future__ import annotations
 import copy
 
 from .errors import ConfigError
-from .config import gamma_offsets, model_config_for
+from .config import loss_config_for, model_config_for
 from .data import ZslDataset
-from .losses import LossConfig
 from .metrics import evaluate
 from .model import HrtModel
 from .optim import OptimizerConfig
 from .train import train
 
-ABLATION_AXES = {"k_td", "k_em"}
+# not k_em: single-parent EM routing is closed form, so k_em changes nothing
+# and a sweep over it would train the same model once per value
+ABLATION_AXES = {"k_td"}
 ABLATION_HEADER = "axis,value,tr,ts,h"
 
 
@@ -22,8 +23,7 @@ def run_ablation(dataset: ZslDataset, config: dict, axis: str,
     """Train and evaluate once per routing-iteration value; returns GZSL rows."""
     if axis not in ABLATION_AXES:
         raise ConfigError(f"ablation axis must be one of {sorted(ABLATION_AXES)}")
-    gamma = gamma_offsets(config, dataset.semantics.class_attr.shape[0],
-                          dataset.seen_classes, dataset.unseen_classes)
+    loss_config = loss_config_for(config, dataset)
     rows = []
     for value in values:
         cfg = copy.deepcopy(config)
@@ -31,13 +31,11 @@ def run_ablation(dataset: ZslDataset, config: dict, axis: str,
         model = HrtModel.build(model_config_for(cfg, dataset),
                                dataset.semantics.attr_vectors,
                                dataset.semantics.class_attr, seed=seed)
-        loss_config = LossConfig(lambda1=cfg["loss"]["lambda1"],
-                                 lambda2=cfg["loss"]["lambda2"],
-                                 gamma_per_class=gamma)
         train(dataset, model, loss_config, OptimizerConfig(**cfg["optimizer"]),
               epochs=cfg["train"]["epochs"], seed=cfg["train"]["seed"],
               batch_size=cfg["train"]["batch_size"])
-        metrics = evaluate(model, dataset, mode="gzsl", gamma=gamma)
+        metrics = evaluate(model, dataset, mode="gzsl",
+                           gamma=loss_config.gamma_per_class)
         rows.append({"axis": axis, "value": int(value), "tr": metrics.tr,
                      "ts": metrics.ts, "h": metrics.h})
     return rows

@@ -12,16 +12,17 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
-from .config import (echo_config, gamma_offsets, load_config, model_config_for)
+from .config import (echo_config, gamma_offsets, load_config,
+                     loss_config_for, model_config_for)
 from .data import SyntheticSpec, generate_synthetic, load_features, save_dataset
-from .ablation import ablation_csv, run_ablation
+from .ablation import ABLATION_AXES, ablation_csv, run_ablation
 from .gradcheck import grad_check
-from .losses import LossConfig, total_loss
 from .metrics import evaluate
 from .model import HrtModel, ModelConfig
 from .optim import OptimizerConfig
 from .tensor import Tensor, no_grad
-from .train import load_checkpoint, save_checkpoint, train, write_history
+from .train import (load_checkpoint, save_checkpoint, total_loss, train,
+                    write_history)
 
 # tiny verification setup: small enough that a full finite-difference sweep of
 # every parameter finishes in seconds
@@ -55,12 +56,7 @@ def cmd_train(args) -> int:
     model = HrtModel.build(model_config_for(config, dataset),
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=seed)
-    gamma = gamma_offsets(config, model.config.num_classes,
-                          dataset.seen_classes, dataset.unseen_classes)
-    loss_config = LossConfig(lambda1=config["loss"]["lambda1"],
-                             lambda2=config["loss"]["lambda2"],
-                             gamma_per_class=gamma)
-    history = train(dataset, model, loss_config,
+    history = train(dataset, model, loss_config_for(config, dataset),
                     OptimizerConfig(**config["optimizer"]),
                     epochs=config["train"]["epochs"], seed=seed,
                     batch_size=config["train"]["batch_size"])
@@ -100,11 +96,7 @@ def cmd_gradcheck(args) -> int:
     model = HrtModel.build(ModelConfig(**TINY_MODEL),
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=args.seed)
-    gamma = gamma_offsets(config, model.config.num_classes,
-                          dataset.seen_classes, dataset.unseen_classes)
-    loss_config = LossConfig(lambda1=config["loss"]["lambda1"],
-                             lambda2=config["loss"]["lambda2"],
-                             gamma_per_class=gamma)
+    loss_config = loss_config_for(config, dataset)
     feats, labels = dataset.split_samples("train")
     x, label = feats[0], int(labels[0])
     report = grad_check(lambda: total_loss(model, x, label, loss_config)[0],
@@ -183,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="sweep a routing iteration count")
-    p.add_argument("--axis", choices=["k_td", "k_em"], required=True)
+    p.add_argument("--axis", choices=sorted(ABLATION_AXES), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--data", default=None,
                    help="dataset directory; defaults to the configured synthetic task")
@@ -203,7 +195,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, DimensionError, IndexError) as e:
+    except (ConfigError, DataFormatError, DimensionError, IndexError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericError as e:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .losses import gamma_profile
+from .losses import LossConfig, gamma_profile
 from .model import ModelConfig
 
 GAMMA_PROFILES = {
@@ -89,6 +89,15 @@ def model_config_for(config: dict, dataset) -> ModelConfig:
                        num_classes=dataset.semantics.class_attr.shape[0],
                        tau=dataset.semantics.attr_vectors.shape[1],
                        **m)
+
+
+def loss_config_for(config: dict, dataset) -> LossConfig:
+    """The configured loss weights with the dataset's calibration offsets."""
+    gamma = gamma_offsets(config, dataset.semantics.class_attr.shape[0],
+                          dataset.seen_classes, dataset.unseen_classes)
+    return LossConfig(lambda1=config["loss"]["lambda1"],
+                      lambda2=config["loss"]["lambda2"],
+                      gamma_per_class=gamma)
 
 
 def gamma_offsets(config: dict, num_classes: int, seen_classes,

@@ -22,8 +22,7 @@ class DecoderParams:
     w_d: Tensor     # [D_feat, tau]
 
 
-def _check_dims(h: Tensor, semantics: SemanticSpace, w: Tensor, name: str,
-                rows: int, cols: int) -> None:
+def _check_dims(w: Tensor, name: str, rows: int, cols: int) -> None:
     if w.data.shape != (rows, cols):
         raise DimensionError(f"{name} has shape {w.data.shape}, expected {(rows, cols)}")
 
@@ -36,7 +35,7 @@ def attribute_gates(h: AlignedFeatures, semantics: SemanticSpace,
     if a != semantics.num_attributes:
         raise DimensionError(
             f"{a} aligned features for {semantics.num_attributes} attributes")
-    _check_dims(h.h, semantics, params.w_beta, "w_beta", tau, d_feat)
+    _check_dims(params.w_beta, "w_beta", tau, d_feat)
     lam = Tensor(semantics.attr_vectors.T)            # [tau, A], columns v_a
     m = T.einsum("ta,tf->af", lam, params.w_beta)     # v_a^T W_beta rows
     return T.sigmoid(T.einsum("af,fa->a", m, h.h))
@@ -58,7 +57,7 @@ def content_attribute_scores(h: AlignedFeatures, semantics: SemanticSpace,
     if a != semantics.num_attributes:
         raise DimensionError(
             f"{a} aligned features for {semantics.num_attributes} attributes")
-    _check_dims(h.h, semantics, params.w_d, "w_d", d_feat, tau)
+    _check_dims(params.w_d, "w_d", d_feat, tau)
     lam = Tensor(semantics.attr_vectors.T)            # [tau, A]
     proj = T.einsum("ft,fa->ta", params.w_d, h.h)     # W_d^T h_a columns
     return T.einsum("ta,ta->a", proj, lam)

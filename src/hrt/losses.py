@@ -1,4 +1,4 @@
-"""The three-part training loss and calibrated prediction."""
+"""The three loss terms, calibration offsets, and calibrated prediction."""
 
 from __future__ import annotations
 
@@ -61,26 +61,6 @@ def attribute_regression_loss(psi: Tensor, z_true) -> Tensor:
         raise DimensionError(
             f"attribute vectors disagree: {psi.shape} vs {z_true.shape}")
     return T.tsum(T.square(psi - z_true))
-
-
-def total_loss(model, patch_features, label: int, loss_config: LossConfig):
-    """L_ce + lambda1 * L_cal + lambda2 * L_reg through the full forward pass.
-
-    Returns (total, parts) where parts maps component names to detached floats.
-    """
-    result = model.forward(as_tensor(patch_features))
-    s = result.scores
-    l_ce = cross_entropy(s, label)
-    gamma = loss_config.gamma_per_class
-    if gamma is None:
-        gamma = np.zeros(s.data.shape[0])
-    l_cal = calibration_loss(s, label, gamma)
-    z_true = model.semantics.class_attr[label]
-    l_reg = attribute_regression_loss(result.psi, z_true)
-    total = l_ce + loss_config.lambda1 * l_cal + loss_config.lambda2 * l_reg
-    parts = {"ce": l_ce.item(), "cal": l_cal.item(), "reg": l_reg.item(),
-             "total": total.item()}
-    return total, parts
 
 
 def predict(s, gamma=None) -> int:

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .tensor import Tensor, no_grad
-from .losses import predict
 
 
 @dataclass
@@ -66,15 +65,19 @@ def evaluate(model, dataset, mode: str = "gzsl",
         preds = unseen[np.argmax(scores[:, unseen], axis=1)]
         return Metrics(t1=_per_class_accuracy(labels, preds))
 
-    if gamma is None:
-        gamma = np.zeros(model.config.num_classes)
+    gamma = (np.zeros(model.config.num_classes) if gamma is None
+             else np.asarray(gamma, dtype=np.float64))
+    if gamma.shape != (model.config.num_classes,):
+        raise DimensionError(f"gamma shape {gamma.shape} does not match "
+                             f"{model.config.num_classes} classes")
     accs = {}
     for split in ("test_seen", "test_unseen"):
         feats, labels = dataset.split_samples(split)
         if feats.shape[0] == 0:
             raise ConfigError(f"{split} split is empty")
         scores = _score_split(model, feats)
-        preds = np.array([predict(s, gamma) for s in scores])
+        # ties resolve to the lowest class index, as in losses.predict
+        preds = np.argmax(scores + gamma, axis=1)
         accs[split] = _per_class_accuracy(labels, preds)
     tr, ts = accs["test_seen"], accs["test_unseen"]
     return Metrics(tr=tr, ts=ts, h=harmonic_mean(tr, ts))

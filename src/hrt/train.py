@@ -1,4 +1,5 @@
-"""Training loop, per-epoch history, and the flat-binary checkpoint format."""
+"""Training loss and loop, per-epoch history, and the flat-binary checkpoint
+format."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .tensor import Tensor
+from .tensor import Tensor, as_tensor
 from .rng import SeededRng
-from .model import HrtModel, ModelConfig
+from .model import ForwardResult, HrtModel, ModelConfig
 from .semantics import SemanticSpace
 from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
                      cross_entropy, predict)
@@ -39,9 +40,12 @@ class EpochStats:
                 f"{self.total!r},{self.train_acc!r}")
 
 
-def _sample_loss(model: HrtModel, x: np.ndarray, label: int,
-                 loss_config: LossConfig):
-    result = model.forward(Tensor(x))
+def result_loss(model: HrtModel, result: ForwardResult, label: int,
+                loss_config: LossConfig):
+    """L_ce + lambda1 * L_cal + lambda2 * L_reg over one forward result.
+
+    Returns (total, parts) where parts maps component names to detached floats.
+    """
     s = result.scores
     l_ce = cross_entropy(s, label)
     gamma = loss_config.gamma_per_class
@@ -51,8 +55,16 @@ def _sample_loss(model: HrtModel, x: np.ndarray, label: int,
     l_reg = attribute_regression_loss(result.psi,
                                       model.semantics.class_attr[label])
     total = l_ce + loss_config.lambda1 * l_cal + loss_config.lambda2 * l_reg
-    parts = (l_ce.item(), l_cal.item(), l_reg.item(), total.item())
-    return total, parts, predict(s)
+    parts = {"ce": l_ce.item(), "cal": l_cal.item(), "reg": l_reg.item(),
+             "total": total.item()}
+    return total, parts
+
+
+def total_loss(model: HrtModel, patch_features, label: int,
+               loss_config: LossConfig):
+    """The training loss of one sample through the full forward pass."""
+    return result_loss(model, model.forward(as_tensor(patch_features)),
+                       label, loss_config)
 
 
 def train(dataset, model: HrtModel, loss_config: LossConfig,
@@ -76,11 +88,12 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
             batch = order[start:start + batch_size]
             model.zero_grad()
             for i in batch:
-                total, parts, pred = _sample_loss(model, feats[i],
-                                                  int(labels[i]), loss_config)
+                result = model.forward(Tensor(feats[i]))
+                total, parts = result_loss(model, result, int(labels[i]),
+                                           loss_config)
+                correct += int(predict(result.scores) == labels[i])
                 total.backward()
-                sums += parts
-                correct += int(pred == labels[i])
+                sums += [parts[k] for k in ("ce", "cal", "reg", "total")]
             grads = {name: (p.grad if p.grad is not None
                             else np.zeros_like(p.data)) / batch.size
                      for name, p in model.params.items()}

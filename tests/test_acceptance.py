@@ -272,10 +272,8 @@ def test_ablation_harness(capsys):
     })
     ds = generate_synthetic(SyntheticSpec(**{
         k: v for k, v in config["synthetic"].items() if k != "seed"}), seed=0)
-    rows = []
-    for axis in ("k_td", "k_em"):
-        rows += run_ablation(ds, config, axis=axis, values=(1, 2, 3, 4, 5))
+    rows = run_ablation(ds, config, axis="k_td", values=(1, 2, 3, 4, 5))
     finite = all(np.all(np.isfinite([r["tr"], r["ts"], r["h"]]))
                  for r in rows)
-    ok = len(rows) == 10 and finite
+    ok = len(rows) == 5 and finite
     check(capsys, "ablation harness", ok, f"{len(rows)} runs, all finite")

@@ -119,6 +119,23 @@ class TestExitCodes:
         assert "error:" in err and "version 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_uncreatable_out_is_validation_error(self, workspace, tmp_path,
+                                                 capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out"
+        inputs = {
+            "eval": ["--checkpoint", str(workspace / "run" / "model.ckpt")],
+            "train": ["--config", str(workspace / "config.json")],
+        }[command]
+        rc = main([command, *inputs, "--data", str(workspace / "data"),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and str(out) in err
+        assert "Traceback" not in err
+
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):
         # keep this quick: a coarse tolerance still exercises the full path
         assert main(["gradcheck", "--seed", "1"]) == 0
@@ -139,3 +156,14 @@ class TestAblate:
         assert lines[0] == "axis,value,tr,ts,h"
         assert len(lines) == 6
         assert all(line.startswith("k_td,") for line in lines[1:])
+
+    def test_k_em_axis_rejected_before_training(self, workspace, tmp_path,
+                                                capsys):
+        out = tmp_path / "ablation.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--axis", "k_em", "--data",
+                  str(workspace / "data"), "--out", str(out),
+                  "--config", str(workspace / "config.json")])
+        assert exc.value.code == 2
+        assert "k_em" in capsys.readouterr().err
+        assert not out.exists()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hrt import ConfigError, SeededRng, Tensor, evaluate, harmonic_mean
+from hrt import (ConfigError, DimensionError, SeededRng, Tensor, evaluate,
+                 harmonic_mean)
 
 
 class ScoreTableModel:
@@ -131,6 +132,15 @@ class TestPerClassAccuracy:
                            gamma=np.array([-0.5, 1.0]))
         assert plain.ts == 0.0 and boosted.ts == 1.0
 
+    def test_gzsl_ties_go_to_lowest_class_index(self):
+        # calibrated scores tie at [1.0, 1.0, 0.5] and at [0.5, 1.0, 1.0]
+        ds = TableDataset({"test_seen": ([[1.0, 0.5, 0.5]], [0]),
+                           "test_unseen": ([[0.5, 0.5, 1.0]], [2])},
+                          unseen_classes=[2])
+        m = evaluate(ScoreTableModel(3), ds, mode="gzsl",
+                     gamma=np.array([0.0, 0.5, 0.0]))
+        assert (m.tr, m.ts) == (1.0, 0.0)
+
 
 class TestEvaluateErrors:
     def test_unknown_mode(self):
@@ -142,3 +152,13 @@ class TestEvaluateErrors:
         ds = TableDataset({}, unseen_classes=[0])
         with pytest.raises(ConfigError, match="empty"):
             evaluate(ScoreTableModel(2), ds, mode="zsl")
+
+    @pytest.mark.parametrize("gamma", [np.zeros(3), np.zeros(1),
+                                       np.zeros((2, 2))])
+    def test_gzsl_gamma_shape_mismatch(self, gamma):
+        feats = np.eye(2)
+        ds = TableDataset({"test_seen": (feats, np.array([0, 1])),
+                           "test_unseen": (feats, np.array([0, 1]))},
+                          unseen_classes=[1])
+        with pytest.raises(DimensionError, match="gamma shape"):
+            evaluate(ScoreTableModel(2), ds, mode="gzsl", gamma=gamma)

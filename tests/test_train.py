@@ -6,8 +6,8 @@ import pytest
 
 from hrt import (DataFormatError, HrtModel, LossConfig, ModelConfig,
                  OptimizerConfig, SyntheticSpec, Tensor, config_hash,
-                 generate_synthetic, load_checkpoint, no_grad,
-                 save_checkpoint, train, write_history)
+                 gamma_profile, generate_synthetic, load_checkpoint, no_grad,
+                 save_checkpoint, total_loss, train, write_history)
 from hrt.cli import TINY_MODEL
 from hrt.train import HISTORY_HEADER
 
@@ -50,6 +50,21 @@ class TestTrain:
             write_history(history, path)
             rows.append(path.read_bytes())
         assert rows[0] == rows[1]
+
+    def test_one_batch_epoch_history_is_mean_of_total_loss(self):
+        ds, model = tiny_setup(seed=3)
+        loss_config = LossConfig(gamma_per_class=gamma_profile(
+            7, ds.seen_classes, ds.unseen_classes))
+        feats, labels = ds.split_samples("train")
+        parts = [total_loss(model, x, int(y), loss_config)[1]
+                 for x, y in zip(feats, labels)]
+        # one batch holds the whole split, so every sample sees the
+        # initial parameters
+        history = train(ds, model, loss_config, OptimizerConfig(), epochs=1,
+                        batch_size=feats.shape[0])
+        for key in ("ce", "cal", "reg", "total"):
+            assert getattr(history[0], key) == pytest.approx(
+                np.mean([p[key] for p in parts]), abs=1e-12)
 
     def test_history_csv_layout(self, tmp_path):
         ds, model = tiny_setup()
