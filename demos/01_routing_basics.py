@@ -14,8 +14,9 @@ iterations actually do, so you can see the consensus forming.
 
 import numpy as np
 
-from hrt import (CapsuleSet, EmRoutingParams, InvertedRoutingParams,
-                 SeededRng, Tensor, em_routing, inverted_routing)
+from hrt import (EmRoutingParams, InvertedRoutingParams, SeededRng, Tensor,
+                 inverted_routing)
+from hrt.routing import batched_em_routing
 
 rng = SeededRng(0)
 
@@ -32,27 +33,25 @@ acts = np.array([0.9, 0.9, 0.9, 0.9, 0.1])  # the outlier barely speaks
 
 # identity transforms so votes equal poses and the consensus is visible
 transforms = np.stack([np.eye(d_cap)] * 5)
-params = EmRoutingParams(transforms=Tensor(transforms), beta=Tensor(0.5),
-                         gamma=Tensor(0.1), lam=1.0, iterations=3,
-                         pose_mode="vector")
-parent = em_routing(CapsuleSet(poses=Tensor(poses), activations=Tensor(acts)),
-                    params)
+params = EmRoutingParams(transforms=Tensor(transforms), pose_mode="vector")
+# one patch: a leading patch axis of length 1
+parent = batched_em_routing(Tensor(poses[None]), Tensor(acts[None]),
+                            params).data[0]
 
 print("EM routing: 4 agreeing children + 1 low-activation outlier")
 print("  consensus direction :", np.round(consensus, 3))
-print("  routed parent pose  :", np.round(parent.poses.data[0], 3))
-print("  parent activation   :", round(float(parent.activations.data[0]), 4))
+print("  routed parent pose  :", np.round(parent, 3))
 print("  pose error vs consensus:",
-      round(float(np.linalg.norm(parent.poses.data[0] - consensus)), 4))
+      round(float(np.linalg.norm(parent - consensus)), 4))
 print()
 
 # With the outlier silenced entirely the parent barely moves -- the
 # activation weighting already suppressed it.
 acts_hard = acts.copy()
 acts_hard[-1] = 1e-6
-parent_hard = em_routing(CapsuleSet(poses=Tensor(poses),
-                                    activations=Tensor(acts_hard)), params)
-shift = np.linalg.norm(parent.poses.data[0] - parent_hard.poses.data[0])
+parent_hard = batched_em_routing(Tensor(poses[None]), Tensor(acts_hard[None]),
+                                 params).data[0]
+shift = np.linalg.norm(parent - parent_hard)
 print("  removing the outlier shifts the pose by only", round(float(shift), 5))
 print()
 

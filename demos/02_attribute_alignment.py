@@ -35,8 +35,7 @@ params = EncoderParams(
     proj=Tensor(rng.normal((D_FEAT, N_PRIMARY * D_CAP), scale=0.3)),
     act_proj=Tensor(rng.normal((D_FEAT, N_PRIMARY), scale=0.3)),
     em=EmRoutingParams(transforms=Tensor(rng.normal((N_PRIMARY, D_CAP, D_CAP))),
-                       beta=Tensor(0.1), gamma=Tensor(0.05), lam=1.0,
-                       iterations=2, pose_mode="vector"),
+                       pose_mode="vector"),
     inverted=InvertedRoutingParams(
         vote_transforms=Tensor(rng.normal((A, D_CAP, D_CAP))), iterations=2))
 

@@ -11,8 +11,7 @@ from .errors import (ConfigError, DataFormatError, DimensionError,
 from .tensor import Tensor, no_grad
 from .rng import SeededRng
 from .gradcheck import grad_check, GradCheckReport
-from .routing import (CapsuleSet, EmRoutingParams, InvertedRoutingParams,
-                      em_routing, inverted_routing, primary_capsules)
+from .routing import EmRoutingParams, InvertedRoutingParams, inverted_routing
 from .semantics import SemanticSpace, compact_semantics, factor_analysis
 from .encoder import AlignedFeatures, EncoderParams, encode
 from .decoder import (DecoderParams, adjust_class_attributes, class_scores,
@@ -31,18 +30,17 @@ from .ablation import run_ablation
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedFeatures", "CapsuleSet", "ConfigError", "DataFormatError",
+    "AlignedFeatures", "ConfigError", "DataFormatError",
     "DecoderParams", "DimensionError", "EmRoutingParams", "EncoderParams",
     "GradCheckReport", "HrtModel", "InvertedRoutingParams", "LossConfig",
     "Metrics", "ModelConfig", "NumericError", "OptimizerConfig",
     "RmsPropState", "SeededRng", "SemanticSpace", "SyntheticSpec", "Tensor",
     "ZslDataset", "adjust_class_attributes", "attribute_regression_loss",
     "calibration_loss", "class_scores", "compact_semantics",
-    "config_hash", "content_attribute_scores", "cross_entropy", "em_routing",
-    "encode",
+    "config_hash", "content_attribute_scores", "cross_entropy", "encode",
     "evaluate", "factor_analysis", "gamma_profile", "generate_synthetic",
     "grad_check", "harmonic_mean", "inverted_routing", "load_checkpoint",
     "load_features", "no_grad", "optimizer_step", "predict",
-    "primary_capsules", "run_ablation", "save_checkpoint", "save_dataset",
+    "run_ablation", "save_checkpoint", "save_dataset",
     "total_loss", "train", "write_history",
 ]

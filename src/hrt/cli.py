@@ -37,8 +37,22 @@ def _synthetic_spec(config: dict) -> tuple[SyntheticSpec, int]:
     return SyntheticSpec(**params), seed
 
 
+def _make_out(path: str, is_file: bool = False) -> Path:
+    """Create the ``--out`` directory (or, for a file, its parent) before any
+    work is done, so an unusable path fails fast and is named as given."""
+    out = Path(path)
+    if is_file and out.is_dir():
+        raise ConfigError(f"--out {path} is a directory, not a file")
+    try:
+        (out.parent if is_file else out).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create --out {path}: {e}") from e
+    return out
+
+
 def cmd_gen(args) -> int:
     config = load_config(args.config)
+    _make_out(args.out)
     spec, seed = _synthetic_spec(config)
     if args.seed is not None:
         seed = args.seed
@@ -51,6 +65,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
+    out = _make_out(args.out)
     dataset = load_features(args.data)
     seed = config["train"]["seed"] if args.seed is None else args.seed
     model = HrtModel.build(model_config_for(config, dataset),
@@ -60,8 +75,6 @@ def cmd_train(args) -> int:
                     OptimizerConfig(**config["optimizer"]),
                     epochs=config["train"]["epochs"], seed=seed,
                     batch_size=config["train"]["batch_size"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "model.ckpt", experiment_config=config)
     write_history(history, out / "history.csv")
     echo_config(config, out)
@@ -72,13 +85,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
+    out = _make_out(args.out)
     dataset = load_features(args.data)
     model = load_checkpoint(args.checkpoint)
     gamma = gamma_offsets(config, model.config.num_classes,
                           dataset.seen_classes, dataset.unseen_classes)
     metrics = evaluate(model, dataset, mode=args.mode, gamma=gamma)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(
         json.dumps({"mode": args.mode, **metrics.to_dict()},
                    sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -107,14 +119,13 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
+    out = _make_out(args.out, is_file=True)
     if args.data:
         dataset = load_features(args.data)
     else:
         spec, seed = _synthetic_spec(config)
         dataset = generate_synthetic(spec, seed)
     rows = run_ablation(dataset, config, axis=args.axis, seed=args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(ablation_csv(rows), encoding="utf-8")
     echo_config(config, out.parent)
     print(f"wrote {len(rows)} ablation rows to {out}")
@@ -122,6 +133,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out = _make_out(args.out, is_file=True)
     dataset = load_features(args.data)
     model = load_checkpoint(args.checkpoint)
     a = model.config.num_attributes
@@ -133,8 +145,6 @@ def cmd_report(args) -> int:
             for r in range(phi.shape[0]):
                 vals = ",".join(repr(float(v)) for v in phi[r])
                 lines.append(f"{i},{r},{vals}")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote agreement maps for {dataset.features.shape[0]} samples to {out}")
     return 0

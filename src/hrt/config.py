@@ -74,9 +74,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 def echo_config(config: dict, out_dir) -> None:
     """Write the fully resolved config next to an output artifact."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
+    (Path(out_dir) / "config.json").write_text(
         json.dumps(config, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 

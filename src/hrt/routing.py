@@ -2,24 +2,22 @@
 
 Two routing mechanisms drive the encoder:
 
-  * bottom-up EM routing, compressing the primary capsules of one image patch
-    into a single patch capsule. With one parent every responsibility is 1,
-    so each EM round repeats the same M-step and the iteration count
-    (``k_em``) does not change the model; the encoder reads only the pose;
+  * bottom-up EM routing, compressing the primary capsules of each image
+    patch into a single patch capsule. With one parent every responsibility
+    is 1, so the parent pose is the activation-weighted mean of the votes,
+    computed in closed form; the encoder reads only that pose;
   * top-down inverted dot-product attention routing between patch capsules and
     attribute capsules, where agreement is the dot product between a parent's
     current state and a child's vote, normalized over parents.
 
-Both are pure functions of their inputs and are fully differentiable through
-the autograd tensors in ``tensor.py``.
+Both work on a whole patch grid at once (a leading patch axis ``R``), are
+pure functions of their inputs and are fully differentiable through the
+autograd tensors in ``tensor.py``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import DimensionError
 from . import tensor as T
@@ -27,49 +25,13 @@ from .tensor import Tensor
 
 
 @dataclass
-class CapsuleSet:
-    """Pose vectors plus activations for one layer of capsules."""
-
-    poses: Tensor       # [N, d_cap]
-    activations: Tensor  # [N], values in [0, 1]
-
-    def __post_init__(self):
-        if self.poses.data.ndim != 2 or self.poses.data.shape[0] < 1:
-            raise DimensionError(f"capsule poses must be [N, d], got {self.poses.shape}")
-        if self.activations.data.shape != (self.poses.data.shape[0],):
-            raise DimensionError(
-                f"activations shape {self.activations.shape} does not match "
-                f"{self.poses.data.shape[0]} capsules")
-
-    @property
-    def count(self) -> int:
-        return self.poses.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.poses.data.shape[1]
-
-
-@dataclass
 class EmRoutingParams:
-    """Learnables and hyper-parameters of the bottom-up EM routing step.
-
-    Only :func:`em_routing`'s activation reads beta, gamma, lam, sigma_floor.
-    """
+    """Vote transforms and pose layout of the bottom-up EM routing step."""
 
     transforms: Tensor   # [N_child, p, p]; p = d_cap (vector mode) or sqrt(d_cap) (matrix mode)
-    beta: Tensor = field(default_factory=lambda: Tensor(0.0))   # scalar
-    gamma: Tensor = field(default_factory=lambda: Tensor(0.0))  # scalar
-    lam: float = 1.0
-    iterations: int = 5
-    sigma_floor: float = 1e-6
     pose_mode: str = "matrix"  # "matrix": votes by pose-matrix product; "vector": row-vector transform
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise DimensionError("EM routing needs iterations >= 1")
-        if self.sigma_floor <= 0:
-            raise DimensionError("sigma_floor must be positive")
         if self.pose_mode not in ("matrix", "vector"):
             raise DimensionError(f"unknown pose_mode {self.pose_mode!r}")
 
@@ -88,20 +50,6 @@ class InvertedRoutingParams:
         if self.vote_transforms.data.ndim != 3:
             raise DimensionError(
                 f"vote_transforms must be [A, d, d], got {self.vote_transforms.shape}")
-
-
-def primary_capsules(f: Tensor, proj: Tensor, act_proj: Tensor) -> CapsuleSet:
-    """Project one patch feature vector into primary capsules.
-
-    ``proj`` maps the D_feat feature to N*d_cap pose scalars (the 1x1
-    convolution applied to a single spatial cell); ``act_proj`` plus a sigmoid
-    supplies the per-capsule activation.
-    """
-    poses, acts = batched_primary_capsules(T.reshape(f, (1, -1)), proj, act_proj)
-    n = act_proj.data.shape[1]
-    d_cap = proj.data.shape[1] // n
-    return CapsuleSet(poses=T.reshape(poses, (n, d_cap)),
-                      activations=T.reshape(acts, (n,)))
 
 
 def batched_primary_capsules(feats: Tensor, proj: Tensor, act_proj: Tensor):
@@ -129,8 +77,14 @@ def batched_primary_capsules(feats: Tensor, proj: Tensor, act_proj: Tensor):
     return poses, acts
 
 
-def _em_votes(poses: Tensor, params: EmRoutingParams) -> Tensor:
-    """Votes O_i for the single parent; [R, N, d_cap] from poses [R, N, d_cap]."""
+def batched_em_routing(poses: Tensor, activations: Tensor,
+                       params: EmRoutingParams) -> Tensor:
+    """Parent poses [R, d_cap] of EM routing onto one parent per patch: the
+    activation-weighted mean of the votes, the fixed point of every round.
+
+    poses [R, N, d_cap] and activations [R, N] are the primary capsules of
+    R patches.
+    """
     n, p = params.transforms.data.shape[0], params.transforms.data.shape[1]
     r, n_in, d_cap = poses.data.shape
     if n_in != n:
@@ -140,44 +94,15 @@ def _em_votes(poses: Tensor, params: EmRoutingParams) -> Tensor:
             raise DimensionError(
                 f"matrix pose_mode needs square capsules; d_cap={d_cap}, transform {p}x{p}")
         m = T.reshape(poses, (r, n, p, p))
-        votes = T.einsum("rnij,njk->rnik", m, params.transforms)
-        return T.reshape(votes, (r, n, d_cap))
-    if p != d_cap:
-        raise DimensionError(f"vector pose_mode needs {d_cap}x{d_cap} transforms, got {p}x{p}")
-    return T.einsum("rnd,nde->rne", poses, params.transforms)
-
-
-def _vote_mean(w: Tensor, x: Tensor) -> Tensor:
-    """Weighted mean over the child axis: w [R, N], x [R, N, H] -> [R, H]."""
-    return T.einsum("rn,rnh->rh", w, x) / T.tsum(w, axis=1, keepdims=True)
-
-
-def batched_em_routing(poses: Tensor, activations: Tensor,
-                       params: EmRoutingParams) -> Tensor:
-    """Parent poses [R, d_cap] of EM routing onto one parent per patch: the
-    activation-weighted mean of the votes, the fixed point of every round."""
-    return _vote_mean(activations, _em_votes(poses, params))
-
-
-def em_routing(children: CapsuleSet, params: EmRoutingParams) -> CapsuleSet:
-    """Route a set of child capsules onto a single parent capsule.
-
-    Pose and activation are computed once, in closed form: with a single
-    parent every EM round would repeat them.
-    """
-    n, d_cap = children.poses.data.shape
-    w = T.reshape(children.activations, (1, n))
-    votes = _em_votes(T.reshape(children.poses, (1, n, d_cap)), params)
-    mu = _vote_mean(w, votes)                                  # [1, H]
-    dev2 = T.square(votes - T.reshape(mu, (1, 1, d_cap)))
-    var = T.reshape(T.clamp_min(_vote_mean(w, dev2), params.sigma_floor),
-                    (1, 1, d_cap))
-    log_p = (-0.5 * (math.log(2.0 * math.pi) + T.log(var))
-             - dev2 / (2.0 * var))
-    cost = -T.tsum(log_p, axis=1)         # [1, H]; -sum_i r_i ln P_{i|h}
-    act = T.sigmoid(params.lam * (params.beta - params.gamma * float(n)
-                                  - T.tsum(cost, axis=1)))       # [1]
-    return CapsuleSet(poses=mu, activations=act)
+        votes = T.reshape(T.einsum("rnij,njk->rnik", m, params.transforms),
+                          (r, n, d_cap))
+    else:
+        if p != d_cap:
+            raise DimensionError(
+                f"vector pose_mode needs {d_cap}x{d_cap} transforms, got {p}x{p}")
+        votes = T.einsum("rnd,nde->rne", poses, params.transforms)
+    return (T.einsum("rn,rnh->rh", activations, votes)
+            / T.tsum(activations, axis=1, keepdims=True))
 
 
 def inverted_routing(children: Tensor, parent_init: Tensor,

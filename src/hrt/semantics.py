@@ -22,7 +22,6 @@ class SemanticSpace:
     attr_vectors: np.ndarray     # [A, tau]
     compact_vectors: np.ndarray  # [A, d]
     class_attr: np.ndarray       # [C, A]
-    attribute_names: list[str] | None = None
 
     def __post_init__(self):
         self.attr_vectors = np.asarray(self.attr_vectors, dtype=np.float64)

@@ -125,9 +125,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -161,9 +158,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
 
@@ -172,9 +166,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -218,38 +209,15 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                            "div")
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    return Tensor._from_op(a.data ** p, (a,),
-                           lambda g: (g * p * a.data ** (p - 1),), "power")
-
-
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out_data = np.exp(a.data)
     return Tensor._from_op(out_data, (a,), lambda g: (g * out_data,), "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-    return Tensor._from_op(out_data, (a,),
-                           lambda g: (g * 0.5 / out_data,), "sqrt")
-
-
 def square(a: Tensor) -> Tensor:
     return Tensor._from_op(a.data ** 2, (a,), lambda g: (g * 2.0 * a.data,),
                            "square")
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); subgradient 0 where the clamp is active."""
-    mask = a.data > floor
-    return Tensor._from_op(np.maximum(a.data, floor), (a,),
-                           lambda g: (g * mask,), "clamp_min")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -275,11 +243,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return Tensor._from_op(out_data, (a,), backward, "sum")
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

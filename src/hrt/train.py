@@ -120,8 +120,8 @@ def write_history(history: list[EpochStats], path) -> None:
 # The header declares the format version, tensor names/shapes in payload
 # order, the model config, the init seed, and a hash of the resolved
 # experiment config. Version 2 dropped the encoder's EM ``beta``/``gamma``
-# parameters and the ``em_lambda``/``sigma_floor`` model config keys; any
-# other version is rejected.
+# parameters and the ``em_lambda`` and EM variance-floor model config keys;
+# any other version is rejected.
 
 
 def config_hash(config: dict) -> str:

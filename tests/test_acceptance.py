@@ -12,12 +12,12 @@ import numpy as np
 from hrt import (EmRoutingParams, EncoderParams, HrtModel,
                  InvertedRoutingParams, LossConfig, ModelConfig,
                  OptimizerConfig, SeededRng, SemanticSpace, SyntheticSpec,
-                 Tensor, calibration_loss, cross_entropy, em_routing,
-                 encode, evaluate, gamma_profile, generate_synthetic,
-                 grad_check, harmonic_mean, inverted_routing, predict,
-                 run_ablation, total_loss, train)
+                 Tensor, calibration_loss, cross_entropy, encode, evaluate,
+                 gamma_profile, generate_synthetic, grad_check,
+                 harmonic_mean, inverted_routing, predict, run_ablation,
+                 total_loss, train)
 from hrt.cli import TINY_MODEL, main
-from hrt.routing import CapsuleSet
+from hrt.routing import batched_em_routing
 
 from oracles import em_routing_oracle, inverted_routing_oracle
 
@@ -79,15 +79,12 @@ def test_routing_oracle_equivalence(capsys):
         lam = float(rng.uniform((), low=0.5, high=2.0))
         k = int(rng.integers(1, 5))
         params = EmRoutingParams(transforms=Tensor(transforms),
-                                 beta=Tensor(beta), gamma=Tensor(gamma),
-                                 lam=lam, iterations=k, pose_mode=mode)
-        parent = em_routing(CapsuleSet(poses=Tensor(poses),
-                                       activations=Tensor(acts)), params)
-        mu_o, act_o = em_routing_oracle(poses, acts, transforms, beta, gamma,
-                                        lam, k, params.sigma_floor, mode)
-        worst = max(worst,
-                    float(np.max(np.abs(parent.poses.data[0] - mu_o))),
-                    abs(float(parent.activations.data[0]) - act_o))
+                                 pose_mode=mode)
+        parent = batched_em_routing(Tensor(poses[None]), Tensor(acts[None]),
+                                    params)
+        mu_o, _ = em_routing_oracle(poses, acts, transforms, beta, gamma,
+                                    lam, k, 1e-6, mode)
+        worst = max(worst, float(np.max(np.abs(parent.data[0] - mu_o))))
 
         # inverted routing instance
         r_n, a_n, d = (int(rng.integers(2, 6)), int(rng.integers(2, 5)),
@@ -127,7 +124,6 @@ def test_simplex_convexity_invariants(capsys):
             act_proj=Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
             em=EmRoutingParams(
                 transforms=Tensor(rng.normal((n_primary, d_cap, d_cap))),
-                beta=Tensor(0.1), gamma=Tensor(0.05), lam=1.0, iterations=2,
                 pose_mode="vector"),
             inverted=InvertedRoutingParams(
                 vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),

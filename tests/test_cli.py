@@ -119,21 +119,39 @@ class TestExitCodes:
         assert "error:" in err and "version 1" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("command,out_name", [
+        *(pytest.param(c, "blocker/out", id=c)
+          for c in ("eval", "train", "gen", "report", "ablate")),
+        *(pytest.param(c, "a_dir", id=f"{c}-directory")
+          for c in ("report", "ablate"))])
     def test_uncreatable_out_is_validation_error(self, workspace, tmp_path,
-                                                 capsys, command):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        out = blocker / "out"
+                                                 monkeypatch, capsys,
+                                                 command, out_name):
+        # the --out location is checked and made before any work: no command
+        # may reach the step whose result it would store
+        def no_work(*args, **kwargs):
+            pytest.fail(f"{command} did work although --out is unusable")
+
+        for name in ("generate_synthetic", "load_checkpoint", "train",
+                     "evaluate", "run_ablation"):
+            monkeypatch.setattr(f"hrt.cli.{name}", no_work)
+        (tmp_path / "blocker").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / out_name
+        data = ["--data", str(workspace / "data")]
+        config = ["--config", str(workspace / "config.json")]
+        checkpoint = ["--checkpoint", str(workspace / "run" / "model.ckpt")]
         inputs = {
-            "eval": ["--checkpoint", str(workspace / "run" / "model.ckpt")],
-            "train": ["--config", str(workspace / "config.json")],
+            "eval": checkpoint + data,
+            "train": config + data,
+            "gen": config,
+            "report": checkpoint + data,
+            "ablate": ["--axis", "k_td"] + config + data,
         }[command]
-        rc = main([command, *inputs, "--data", str(workspace / "data"),
-                   "--out", str(out)])
+        rc = main([command, *inputs, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "error:" in err and str(out) in err
+        assert err.startswith("error:") and str(out) in err
         assert "Traceback" not in err
 
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from oracles import encoder_oracle
 
 
 def build_setup(seed, r_patches=4, d_feat=8, n_attr=3, n_classes=4,
-                tau=5, n_primary=3, d_cap=4, k_em=2, k_td=2):
+                tau=5, n_primary=3, d_cap=4, k_td=2):
     rng = SeededRng(seed)
     semantics = SemanticSpace(attr_vectors=rng.normal((n_attr, tau)),
                               compact_vectors=rng.normal((n_attr, d_cap)),
@@ -18,8 +18,7 @@ def build_setup(seed, r_patches=4, d_feat=8, n_attr=3, n_classes=4,
         proj=Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
         act_proj=Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
         em=EmRoutingParams(transforms=Tensor(rng.normal((n_primary, d_cap, d_cap))),
-                           beta=Tensor(0.1), gamma=Tensor(0.05), lam=1.0,
-                           iterations=k_em, pose_mode="vector"),
+                           pose_mode="vector"),
         inverted=InvertedRoutingParams(
             vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),
             iterations=k_td))
@@ -51,12 +50,13 @@ class TestEncode:
     def test_matches_composed_oracle(self):
         features, semantics, params = build_setup(21)
         out = encode(Tensor(features), semantics, params)
+        # beta, gamma, lam and sigma_floor feed only the oracle's activation,
+        # which the encoder does not compute; its pose is the same for any k_em
         h, attention, agreement = encoder_oracle(
             features, semantics.compact_vectors,
             params.proj.data, params.act_proj.data,
-            params.em.transforms.data, params.em.beta.item(),
-            params.em.gamma.item(), params.em.lam, params.em.iterations,
-            params.inverted.iterations, params.em.sigma_floor,
+            params.em.transforms.data, 0.1, 0.05, 1.0, 2,
+            params.inverted.iterations, 1e-6,
             params.inverted.vote_transforms.data)
         assert np.allclose(out.agreement.data, agreement, atol=1e-9)
         assert np.allclose(out.attention.data, attention, atol=1e-9)

@@ -1,19 +1,31 @@
 import numpy as np
 import pytest
 
-from hrt import (CapsuleSet, DimensionError, EmRoutingParams,
-                 InvertedRoutingParams, SeededRng, Tensor, em_routing,
-                 inverted_routing, primary_capsules)
+from hrt import (DimensionError, EmRoutingParams, InvertedRoutingParams,
+                 SeededRng, Tensor, inverted_routing)
+from hrt.routing import batched_em_routing, batched_primary_capsules
 
 from oracles import em_routing_oracle, inverted_routing_oracle, \
     primary_capsules_oracle
 
+# the oracle's activation constants; the parent pose does not depend on them
+BETA, GAMMA, LAM, FLOOR = 0.4, 0.2, 0.7, 1e-6
 
-def make_em_params(transforms, beta=0.0, gamma=0.0, lam=1.0, iterations=3,
-                   floor=1e-6, mode="vector"):
-    return EmRoutingParams(transforms=Tensor(transforms), beta=Tensor(beta),
-                           gamma=Tensor(gamma), lam=lam, iterations=iterations,
-                           sigma_floor=floor, pose_mode=mode)
+
+def make_em_params(transforms, mode="vector"):
+    return EmRoutingParams(transforms=Tensor(transforms), pose_mode=mode)
+
+
+def route_one(poses, acts, params):
+    """Parent pose of a single patch: [N, d_cap] children -> [d_cap]."""
+    return batched_em_routing(Tensor(poses[None]), Tensor(acts[None]),
+                              params).data[0]
+
+
+def oracle_pose(poses, acts, transforms, iterations=3, mode="vector"):
+    mu, _ = em_routing_oracle(poses, acts, transforms, BETA, GAMMA, LAM,
+                              iterations, FLOOR, pose_mode=mode)
+    return mu
 
 
 class TestPrimaryCapsules:
@@ -24,87 +36,74 @@ class TestPrimaryCapsules:
         proj[:16, :16] = np.eye(16)
         act_proj = np.zeros((d_feat, n))
         rng = SeededRng(0)
-        f = rng.normal((d_feat,))
-        caps = primary_capsules(Tensor(f), Tensor(proj), Tensor(act_proj))
-        assert np.allclose(caps.poses.data[0], f[:16])
-        assert np.allclose(caps.poses.data[1:], 0.0)
+        f = rng.normal((1, d_feat))
+        poses, _ = batched_primary_capsules(Tensor(f), Tensor(proj),
+                                            Tensor(act_proj))
+        assert np.allclose(poses.data[0, 0], f[0, :16])
+        assert np.allclose(poses.data[0, 1:], 0.0)
 
     def test_zero_input(self):
-        caps = primary_capsules(Tensor(np.zeros(8)),
-                                Tensor(np.zeros((8, 3 * 4))),
-                                Tensor(np.zeros((8, 3))))
-        assert np.allclose(caps.poses.data, 0.0)
-        assert np.allclose(caps.activations.data, 0.5)
+        poses, acts = batched_primary_capsules(Tensor(np.zeros((1, 8))),
+                                               Tensor(np.zeros((8, 3 * 4))),
+                                               Tensor(np.zeros((8, 3))))
+        assert poses.data.shape == (1, 3, 4)
+        assert np.allclose(poses.data, 0.0)
+        assert np.allclose(acts.data, 0.5)
 
     def test_matches_loop_oracle(self):
         rng = SeededRng(3)
-        f = rng.normal((10,))
+        feats = rng.normal((3, 10))
         proj = rng.normal((10, 5 * 4))
         act_proj = rng.normal((10, 5))
-        caps = primary_capsules(Tensor(f), Tensor(proj), Tensor(act_proj))
-        poses, acts = primary_capsules_oracle(f, proj, act_proj)
-        assert np.allclose(caps.poses.data, poses, atol=1e-12)
-        assert np.allclose(caps.activations.data, acts, atol=1e-12)
+        poses, acts = batched_primary_capsules(Tensor(feats), Tensor(proj),
+                                               Tensor(act_proj))
+        for r in range(3):
+            o_poses, o_acts = primary_capsules_oracle(feats[r], proj, act_proj)
+            assert np.allclose(poses.data[r], o_poses, atol=1e-12)
+            assert np.allclose(acts.data[r], o_acts, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            primary_capsules(Tensor(np.zeros(8)), Tensor(np.zeros((9, 12))),
-                             Tensor(np.zeros((8, 3))))
+            batched_primary_capsules(Tensor(np.zeros((1, 8))),
+                                     Tensor(np.zeros((9, 12))),
+                                     Tensor(np.zeros((8, 3))))
 
 
 class TestEmRouting:
     def test_single_child_identity_transform(self):
         pose = np.array([[0.3, -1.2, 0.7, 0.1]])
-        for iterations in (1, 2, 5):
-            params = make_em_params(np.eye(4)[None], iterations=iterations)
-            out = em_routing(CapsuleSet(Tensor(pose), Tensor([0.9])), params)
-            assert np.allclose(out.poses.data[0], pose[0], atol=1e-12)
+        out = route_one(pose, np.array([0.9]), make_em_params(np.eye(4)[None]))
+        assert np.allclose(out, pose[0], atol=1e-12)
 
     def test_identical_votes_variance_floor(self):
-        # two children casting the same vote: mean is the vote, sigma^2 clamps
+        # two children casting the same vote: the parent pose is that vote.
+        # The oracle's vote variance is 0 here and only its floor keeps its
+        # log-likelihood finite; its pose must still agree.
         pose = np.array([[1.0, 2.0], [1.0, 2.0]])
         transforms = np.stack([np.eye(2), np.eye(2)])
-        params = make_em_params(transforms, iterations=2, floor=1e-6)
-        out = em_routing(CapsuleSet(Tensor(pose), Tensor([0.5, 0.5])), params)
-        assert np.allclose(out.poses.data[0], [1.0, 2.0], atol=1e-12)
-        mu, act = em_routing_oracle(pose, np.array([0.5, 0.5]), transforms,
-                                    0.0, 0.0, 1.0, 2, 1e-6)
-        assert out.activations.data[0] == pytest.approx(act, abs=1e-12)
+        acts = np.array([0.5, 0.5])
+        out = route_one(pose, acts, make_em_params(transforms))
+        assert np.allclose(out, [1.0, 2.0], atol=1e-12)
+        assert np.allclose(out, oracle_pose(pose, acts, transforms, 2),
+                           atol=1e-12)
 
     def test_seeded_instance_matches_oracle(self):
         rng = SeededRng(11)
         poses = rng.normal((4, 4))
         acts = rng.uniform((4,), 0.1, 0.9)
         transforms = rng.normal((4, 4, 4))
-        params = make_em_params(transforms, beta=0.4, gamma=0.2, lam=0.7,
-                                iterations=3)
-        out = em_routing(CapsuleSet(Tensor(poses), Tensor(acts)), params)
-        mu, act = em_routing_oracle(poses, acts, transforms, 0.4, 0.2, 0.7,
-                                    3, 1e-6)
-        assert np.allclose(out.poses.data[0], mu, atol=1e-9)
-        assert out.activations.data[0] == pytest.approx(act, abs=1e-9)
+        out = route_one(poses, acts, make_em_params(transforms))
+        assert np.allclose(out, oracle_pose(poses, acts, transforms),
+                           atol=1e-9)
 
     def test_matrix_pose_mode_matches_oracle(self):
         rng = SeededRng(12)
         poses = rng.normal((3, 16))
         acts = rng.uniform((3,), 0.2, 0.8)
         transforms = rng.normal((3, 4, 4))
-        params = make_em_params(transforms, iterations=2, mode="matrix")
-        out = em_routing(CapsuleSet(Tensor(poses), Tensor(acts)), params)
-        mu, _ = em_routing_oracle(poses, acts, transforms, 0.0, 0.0, 1.0, 2,
-                                  1e-6, pose_mode="matrix")
-        assert np.allclose(out.poses.data[0], mu, atol=1e-9)
-
-    def test_activation_in_unit_interval(self):
-        rng = SeededRng(8)
-        for seed in range(20):
-            r = rng.spawn(seed)
-            poses = r.normal((5, 4))
-            acts = r.uniform((5,), 0.05, 0.95)
-            params = make_em_params(r.normal((5, 4, 4)), beta=r.normal(()),
-                                    gamma=r.normal(()))
-            out = em_routing(CapsuleSet(Tensor(poses), Tensor(acts)), params)
-            assert 0.0 < out.activations.data[0] < 1.0
+        out = route_one(poses, acts, make_em_params(transforms, mode="matrix"))
+        assert np.allclose(out, oracle_pose(poses, acts, transforms, 2,
+                                            mode="matrix"), atol=1e-9)
 
     def test_parent_pose_within_vote_hull(self):
         rng = SeededRng(9)
@@ -113,45 +112,48 @@ class TestEmRouting:
             poses = r.normal((6, 3))
             acts = r.uniform((6,), 0.1, 1.0)
             transforms = r.normal((6, 3, 3))
-            params = make_em_params(transforms)
-            out = em_routing(CapsuleSet(Tensor(poses), Tensor(acts)), params)
+            out = route_one(poses, acts, make_em_params(transforms))
             votes = np.einsum("nd,nde->ne", poses, transforms)
-            assert np.all(out.poses.data[0] >= votes.min(axis=0) - 1e-9)
-            assert np.all(out.poses.data[0] <= votes.max(axis=0) + 1e-9)
+            assert np.all(out >= votes.min(axis=0) - 1e-9)
+            assert np.all(out <= votes.max(axis=0) + 1e-9)
 
     def test_child_permutation_invariance(self):
         rng = SeededRng(10)
         poses = rng.normal((5, 4))
         acts = rng.uniform((5,), 0.1, 0.9)
         transforms = rng.normal((5, 4, 4))
-        params = make_em_params(transforms)
-        out = em_routing(CapsuleSet(Tensor(poses), Tensor(acts)), params)
+        out = route_one(poses, acts, make_em_params(transforms))
         perm = SeededRng(99).permutation(5)
-        params_p = make_em_params(transforms[perm])
-        out_p = em_routing(CapsuleSet(Tensor(poses[perm]), Tensor(acts[perm])),
-                           params_p)
-        assert np.allclose(out.poses.data, out_p.poses.data, atol=1e-9)
-        assert np.allclose(out.activations.data, out_p.activations.data,
-                           atol=1e-9)
+        out_p = route_one(poses[perm], acts[perm],
+                          make_em_params(transforms[perm]))
+        assert np.allclose(out, out_p, atol=1e-9)
 
-    def test_iteration_compositionality(self):
-        # k rounds in one call equal k one-round calls with state threaded
+    def test_closed_form_matches_iterated_oracle(self):
+        # the closed form is the pose after any number of EM rounds
         rng = SeededRng(13)
-        poses = rng.normal((4, 4))
-        acts = rng.uniform((4,), 0.1, 0.9)
+        poses = rng.normal((3, 4, 4))
+        acts = rng.uniform((3, 4), 0.1, 0.9)
         transforms = rng.normal((4, 4, 4))
-        k3 = make_em_params(transforms, iterations=3)
-        out3 = em_routing(CapsuleSet(Tensor(poses), Tensor(acts)), k3)
-        caps = CapsuleSet(Tensor(poses), Tensor(acts))
-        one = make_em_params(transforms, iterations=1)
-        out = None
-        for _ in range(3):
-            out = em_routing(caps, one)  # responsibilities reset to E-step value
-        assert np.allclose(out.poses.data, out3.poses.data, atol=1e-12)
+        out = batched_em_routing(Tensor(poses), Tensor(acts),
+                                 make_em_params(transforms)).data
+        for k in range(1, 6):
+            for r in range(3):
+                assert np.allclose(out[r], oracle_pose(poses[r], acts[r],
+                                                       transforms, k),
+                                   atol=1e-9)
 
-    def test_iterations_validation(self):
-        with pytest.raises(DimensionError):
-            make_em_params(np.eye(2)[None], iterations=0)
+    @pytest.mark.parametrize("mode,d_cap,p", [("vector", 4, 4),
+                                              ("matrix", 9, 3)],
+                             ids=["vector", "matrix"])
+    def test_stacked_patches_equal_row_calls(self, mode, d_cap, p):
+        rng = SeededRng(14)
+        poses = rng.normal((5, 6, d_cap))
+        acts = rng.uniform((5, 6), 0.1, 0.9)
+        params = make_em_params(rng.normal((6, p, p)), mode=mode)
+        out = batched_em_routing(Tensor(poses), Tensor(acts), params).data
+        assert out.shape == (5, d_cap)
+        for r in range(5):
+            assert np.array_equal(out[r], route_one(poses[r], acts[r], params))
 
 
 class TestInvertedRouting:
