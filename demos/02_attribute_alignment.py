@@ -37,7 +37,8 @@ params = EncoderParams(
     em=EmRoutingParams(transforms=Tensor(rng.normal((N_PRIMARY, D_CAP, D_CAP))),
                        pose_mode="vector"),
     inverted=InvertedRoutingParams(
-        vote_transforms=Tensor(rng.normal((A, D_CAP, D_CAP))), iterations=2))
+        vote_transforms=Tensor(rng.normal((A, D_CAP, D_CAP))), iterations=2,
+        layer_norm_eps=1e-5))
 
 features = rng.normal((R, D_FEAT))
 out = encode(Tensor(features), semantics, params)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
-from .config import (echo_config, gamma_offsets, load_config,
+from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
                      loss_config_for, model_config_for)
 from .data import SyntheticSpec, generate_synthetic, load_features, save_dataset
 from .ablation import ABLATION_AXES, ablation_csv, run_ablation
@@ -50,6 +50,18 @@ def _make_out(path: str, is_file: bool = False) -> Path:
     return out
 
 
+def _check_dims(model: HrtModel, dataset, args) -> None:
+    """Reject a dataset whose dimensions differ from the checkpoint's; the
+    patch count is free, as no parameter is sized by it."""
+    dims = dataset_dims(dataset)
+    for name in ("d_feat", "num_attributes", "num_classes", "tau"):
+        have = getattr(model.config, name)
+        if have != dims[name]:
+            raise DataFormatError(
+                f"checkpoint {args.checkpoint} has {name} {have}, "
+                f"dataset {args.data} has {dims[name]}")
+
+
 def cmd_gen(args) -> int:
     config = load_config(args.config)
     _make_out(args.out)
@@ -58,7 +70,7 @@ def cmd_gen(args) -> int:
         seed = args.seed
     dataset = generate_synthetic(spec, seed)
     save_dataset(dataset, args.out)
-    echo_config(config, args.out)
+    echo_config(config, Path(args.out) / "config.json")
     print(f"wrote {dataset.features.shape[0]} samples to {args.out}")
     return 0
 
@@ -77,7 +89,7 @@ def cmd_train(args) -> int:
                     batch_size=config["train"]["batch_size"])
     save_checkpoint(model, out / "model.ckpt", experiment_config=config)
     write_history(history, out / "history.csv")
-    echo_config(config, out)
+    echo_config(config, out / "config.json")
     final = history[-1].total if history else float("nan")
     print(f"trained {len(history)} epochs, final loss {final:.4f} -> {out}")
     return 0
@@ -88,13 +100,14 @@ def cmd_eval(args) -> int:
     out = _make_out(args.out)
     dataset = load_features(args.data)
     model = load_checkpoint(args.checkpoint)
+    _check_dims(model, dataset, args)
     gamma = gamma_offsets(config, model.config.num_classes,
                           dataset.seen_classes, dataset.unseen_classes)
     metrics = evaluate(model, dataset, mode=args.mode, gamma=gamma)
     (out / "metrics.json").write_text(
         json.dumps({"mode": args.mode, **metrics.to_dict()},
                    sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    echo_config(config, out)
+    echo_config(config, out / "config.json")
     print(json.dumps({"mode": args.mode, **metrics.to_dict()}, sort_keys=True))
     return 0
 
@@ -127,7 +140,7 @@ def cmd_ablate(args) -> int:
         dataset = generate_synthetic(spec, seed)
     rows = run_ablation(dataset, config, axis=args.axis, seed=args.seed)
     out.write_text(ablation_csv(rows), encoding="utf-8")
-    echo_config(config, out.parent)
+    echo_config(config, out.with_name(out.stem + ".config.json"))
     print(f"wrote {len(rows)} ablation rows to {out}")
     return 0
 
@@ -136,6 +149,7 @@ def cmd_report(args) -> int:
     out = _make_out(args.out, is_file=True)
     dataset = load_features(args.data)
     model = load_checkpoint(args.checkpoint)
+    _check_dims(model, dataset, args)
     a = model.config.num_attributes
     lines = ["sample_index,patch_index," + ",".join(f"a{i}" for i in range(a))]
     with no_grad():

@@ -189,7 +189,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
 # -- on-disk format ----------------------------------------------------------
 
 
-def save_dataset(dataset: ZslDataset, path, dtype: str = "f64") -> None:
+def save_dataset(dataset: ZslDataset, path) -> None:
+    """Write ``dataset`` as a directory in the format above, features as f64."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     n, r, d_feat = dataset.features.shape
@@ -197,12 +198,11 @@ def save_dataset(dataset: ZslDataset, path, dtype: str = "f64") -> None:
     tau = dataset.semantics.attr_vectors.shape[1]
     c = dataset.semantics.class_attr.shape[0]
     meta = {"version": FORMAT_VERSION, "R": r, "D_feat": d_feat, "A": a,
-            "tau": tau, "C": c, "sample_count": n, "dtype": dtype,
+            "tau": tau, "C": c, "sample_count": n, "dtype": "f64",
             "endianness": "little"}
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2)
                                     + "\n", encoding="utf-8")
-    np_dtype = {"f32": "<f4", "f64": "<f8"}[dtype]
-    dataset.features.astype(np_dtype).tofile(path / "features.bin")
+    dataset.features.astype("<f8").tofile(path / "features.bin")
 
     header = ",".join(f"a{i}" for i in range(a))
     rows = [header] + [",".join(repr(float(v)) for v in row)

@@ -1,4 +1,4 @@
-"""The three loss terms, calibration offsets, and calibrated prediction."""
+"""The three loss terms, calibration offsets, and prediction."""
 
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ class LossConfig:
 def gamma_profile(num_classes: int, seen_classes, unseen_classes,
                   seen_offset: float = -0.5,
                   unseen_offset: float = 1.0) -> np.ndarray:
-    """Per-class calibration offsets; defaults follow the fine-grained profile
-    (seen -0.5, unseen +1); the coarse-grained profile uses seen -0.8."""
+    """Per-class calibration offsets. The defaults are the fine-grained
+    (CUB/SUN) profile; ``config.GAMMA_PROFILES`` holds the others."""
     gamma = np.zeros(num_classes)
     gamma[list(seen_classes)] = seen_offset
     gamma[list(unseen_classes)] = unseen_offset
@@ -63,13 +63,7 @@ def attribute_regression_loss(psi: Tensor, z_true) -> Tensor:
     return T.tsum(T.square(psi - z_true))
 
 
-def predict(s, gamma=None) -> int:
-    """argmax of s + gamma; ties resolve to the lowest class index."""
+def predict(s) -> int:
+    """argmax of s; ties resolve to the lowest class index."""
     s = s.data if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64)
-    if gamma is not None:
-        gamma = np.asarray(gamma, dtype=np.float64)
-        if gamma.shape != s.shape:
-            raise DimensionError(
-                f"gamma shape {gamma.shape} does not match scores {s.shape}")
-        s = s + gamma
     return int(np.argmax(s))  # np.argmax returns the first (lowest) maximizer

@@ -31,7 +31,7 @@ class ModelConfig:
     k_td: int = 2
     layer_norm_eps: float = 1e-5
     pose_mode: str = "matrix"          # "matrix" or "vector"
-    compaction: str = "factor-analysis"  # or "pca" / "precomputed"
+    compaction: str = "factor-analysis"  # or "pca"
 
     def validate(self) -> None:
         if self.pose_mode == "matrix":
@@ -102,12 +102,10 @@ class HrtModel:
 
     @classmethod
     def build(cls, config: ModelConfig, attr_vectors: np.ndarray,
-              class_attr: np.ndarray, seed: int = 0,
-              precomputed_compact: np.ndarray | None = None) -> "HrtModel":
+              class_attr: np.ndarray, seed: int = 0) -> "HrtModel":
         """Construct semantics (with compaction) and the model in one go."""
         compact = compact_semantics(attr_vectors, config.d_cap,
-                                    method=config.compaction,
-                                    precomputed=precomputed_compact)
+                                    method=config.compaction)
         semantics = SemanticSpace(attr_vectors=attr_vectors,
                                   compact_vectors=compact,
                                   class_attr=class_attr)

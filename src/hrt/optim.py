@@ -38,14 +38,12 @@ class RmsPropState:
 
 
 def optimizer_step(state: RmsPropState, params: dict[str, Tensor],
-                   grads: dict[str, np.ndarray] | None = None) -> None:
-    """Apply one RMSprop update in place; reads .grad when grads is None."""
+                   grads: dict[str, np.ndarray]) -> None:
+    """Apply one RMSprop update in place; ``grads`` holds one gradient per
+    parameter."""
     cfg = state.config
     for name, p in params.items():
-        g = grads.get(name) if grads is not None else p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        g = np.asarray(g, dtype=np.float64)
+        g = np.asarray(grads[name], dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         acc = state.square_avg.setdefault(name, np.zeros_like(p.data))

@@ -29,7 +29,7 @@ class EmRoutingParams:
     """Vote transforms and pose layout of the bottom-up EM routing step."""
 
     transforms: Tensor   # [N_child, p, p]; p = d_cap (vector mode) or sqrt(d_cap) (matrix mode)
-    pose_mode: str = "matrix"  # "matrix": votes by pose-matrix product; "vector": row-vector transform
+    pose_mode: str  # "matrix": votes by pose-matrix product; "vector": row-vector transform
 
     def __post_init__(self):
         if self.pose_mode not in ("matrix", "vector"):
@@ -41,8 +41,8 @@ class InvertedRoutingParams:
     """Per-parent vote transforms for inverted dot-product attention routing."""
 
     vote_transforms: Tensor  # [A, d, d], one per parent, shared across children
-    iterations: int = 2
-    layer_norm_eps: float = 1e-5
+    iterations: int
+    layer_norm_eps: float
 
     def __post_init__(self):
         if self.iterations < 1:

@@ -2,8 +2,7 @@
 
 Attribute word vectors v_a live in a tau-dimensional space; routing capsules
 are d-dimensional. ``compact_semantics`` bridges the two, by an EM-fitted
-factor-analysis model (the default), by PCA scores, or by passing through
-precomputed vectors.
+factor-analysis model or by PCA scores.
 """
 
 from __future__ import annotations
@@ -115,21 +114,13 @@ def factor_analysis(x: np.ndarray, d: int, iterations: int = 50,
     return scores, loadings, psi, np.array(loglik_history)
 
 
-def compact_semantics(v: np.ndarray, d: int, method: str = "factor-analysis",
-                      precomputed: np.ndarray | None = None,
-                      fa_iterations: int = 50) -> np.ndarray:
-    """Reduce attribute vectors [A, tau] to routing dimension [A, d]."""
+def compact_semantics(v: np.ndarray, d: int, method: str) -> np.ndarray:
+    """Reduce attribute vectors [A, tau] to routing dimension [A, d] by
+    ``method``, "factor-analysis" or "pca"."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         raise DimensionError(f"attribute vectors must be [A, tau], got {v.shape}")
     a, tau = v.shape
-    if method == "precomputed":
-        if precomputed is None:
-            raise DimensionError("method 'precomputed' requires supplied vectors")
-        pre = np.asarray(precomputed, dtype=np.float64)
-        if pre.shape != (a, d):
-            raise DimensionError(f"precomputed vectors {pre.shape}, expected {(a, d)}")
-        return pre
     if d < 1 or tau < d:
         raise DimensionError(f"cannot compact tau={tau} down to d={d}")
     if a < 2:
@@ -139,6 +130,6 @@ def compact_semantics(v: np.ndarray, d: int, method: str = "factor-analysis",
     if method == "pca":
         return _pca_scores(v, d)
     if method == "factor-analysis":
-        scores, _, _, _ = factor_analysis(v, d, iterations=fa_iterations)
+        scores, _, _, _ = factor_analysis(v, d)
         return scores
     raise DimensionError(f"unknown compaction method {method!r}")

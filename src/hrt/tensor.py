@@ -326,7 +326,7 @@ def logsumexp(a: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, "logsumexp")
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis to mean 0 / variance 1 (no affine terms)."""
     if a.data.shape[-1] < 1:
         raise DimensionError("layer_norm needs a nonempty last axis")

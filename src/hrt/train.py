@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .config import fits_type
 from .tensor import Tensor, as_tensor
 from .rng import SeededRng
 from .model import ForwardResult, HrtModel, ModelConfig
@@ -129,8 +130,8 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def save_checkpoint(model: HrtModel, path, experiment_config: dict | None = None,
-                    extra: dict | None = None) -> None:
+def save_checkpoint(model: HrtModel, path,
+                    experiment_config: dict | None = None) -> None:
     names = sorted(model.params)
     sem = model.semantics
     arrays = [("sem.attr_vectors", sem.attr_vectors),
@@ -146,8 +147,6 @@ def save_checkpoint(model: HrtModel, path, experiment_config: dict | None = None
         "config_hash": config_hash(experiment_config or {}),
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
-    if extra:
-        header["extra"] = extra
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -185,12 +184,9 @@ def load_checkpoint(path) -> HrtModel:
         raise DataFormatError(f"unsupported checkpoint version {version} "
                               f"(expected {CHECKPOINT_VERSION})")
     model_config = _field(header, "model_config", dict)
-    defaults = {f.name: f.default for f in fields(ModelConfig)}
-    # a float field may hold an int, as a JSON config can write 1 for 1.0
-    if model_config.keys() != defaults.keys() or any(
-            not isinstance(model_config[k],
-                           (int, float) if type(v) is float else type(v))
-            for k, v in defaults.items()):
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
+    if model_config.keys() != kinds.keys() or not all(
+            fits_type(model_config[k], kind) for k, kind in kinds.items()):
         raise DataFormatError("checkpoint header field 'model_config' does "
                               f"not match ModelConfig: {model_config}")
     seed = _field(header, "seed", int)

@@ -94,7 +94,8 @@ def test_routing_oracle_equivalence(capsys):
         vote_transforms = rng.normal((a_n, d, d))
         k_td = int(rng.integers(1, 4))
         iparams = InvertedRoutingParams(
-            vote_transforms=Tensor(vote_transforms), iterations=k_td)
+            vote_transforms=Tensor(vote_transforms), iterations=k_td,
+            layer_norm_eps=1e-5)
         parents, agreement, route = inverted_routing(
             Tensor(children), Tensor(parent_init), iparams)
         p_o, ag_o, rt_o = inverted_routing_oracle(
@@ -127,7 +128,7 @@ def test_simplex_convexity_invariants(capsys):
                 pose_mode="vector"),
             inverted=InvertedRoutingParams(
                 vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),
-                iterations=2))
+                iterations=2, layer_norm_eps=1e-5))
         for _ in range(20):
             features = rng.normal((r_patches, d_feat))
             out = encode(Tensor(features), semantics, params)

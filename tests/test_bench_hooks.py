@@ -1,0 +1,72 @@
+"""The benchmark's hook targets stay reachable.
+
+``bench/hooks.py`` wraps hrt's functions where their callers look them up;
+a rename that drops one of those names breaks the benchmark. These tests
+load the hooks module as it is and install its hooks over the package.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hrt import OptimizerConfig, RmsPropState, Tensor
+
+HOOKS_FILE = Path(__file__).resolve().parents[1] / "bench" / "hooks.py"
+RNG_DRAWS = ("SeededRng.normal", "SeededRng.uniform", "SeededRng.integers",
+             "SeededRng.permutation", "SeededRng.choice")
+
+
+@pytest.fixture(scope="module")
+def hooks():
+    spec = importlib.util.spec_from_file_location("bench_hooks", HOOKS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls(hooks):
+    targets = [(m, p) for m, p, _ in hooks.LAYER_HOOKS]
+    targets += [("hrt.tensor", op) for op in hooks.op_names()]
+    before = [hooks._resolve(m, p)[2] for m, p in targets]
+    tracer = hooks.Tracer()
+    tracer.install()
+    try:
+        assert set(tracer.calls) == {f"{m}.{p}" for m, p in targets}
+        assert all(hooks._resolve(m, p)[2] is not fn
+                   for (m, p), fn in zip(targets, before))
+    finally:
+        tracer.uninstall()
+    assert all(hooks._resolve(m, p)[2] is fn
+               for (m, p), fn in zip(targets, before))
+
+
+def test_step_clock_targets_resolve(hooks):
+    for module, paths in (("hrt.train", ("optimizer_step",)),
+                          ("hrt.model", ("HrtModel.forward",)),
+                          ("hrt.rng", RNG_DRAWS)):
+        with hooks.StepClock(module, *paths):
+            pass
+    with hooks.StepClock() as steps:
+        p = Tensor(np.zeros(2))
+        # looked up on the module, as the training loop does (the package
+        # attribute hrt.train is the train function)
+        importlib.import_module("hrt.train").optimizer_step(
+            RmsPropState(config=OptimizerConfig()), {"p": p},
+            {"p": np.ones(2)})
+    assert len(steps.stamps) == 1
+    with hooks.StepClock("hrt.rng", *RNG_DRAWS) as draws:
+        rng = importlib.import_module("hrt.rng").SeededRng(0)
+        rng.normal((2,))
+        rng.uniform((2,))
+        rng.integers(0, 3)
+        rng.permutation(3)
+        rng.choice(3, 2)
+    assert len(draws.stamps) == len(RNG_DRAWS)
+
+
+def test_missing_target_is_named(hooks):
+    with pytest.raises(hooks.HookError, match="hrt.train.no_such_function"):
+        with hooks.StepClock("hrt.train", "no_such_function"):
+            pass

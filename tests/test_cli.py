@@ -101,6 +101,60 @@ class TestExitCodes:
         assert rc == 1
         assert "optimiser" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"model": {"d_cap": "16"}}, "model.d_cap"),
+        ({"optimizer": {"lr": None}}, "optimizer.lr"),
+        ({"synthetic": {"c_seen": 2.5}}, "synthetic.c_seen"),
+        ({"gamma": {"profile": None, "seen_offset": "x",
+                    "unseen_offset": 1.0}}, "gamma.seen_offset"),
+        ({"train": {"epochs": True}}, "train.epochs"),
+        ({"loss": {"lambda1": True}}, "loss.lambda1"),
+        ({"gamma": {"profile": 3}}, "gamma.profile"),
+    ], ids=["string-for-int", "null-for-float", "float-for-int",
+            "string-offset", "bool-for-int", "bool-for-float",
+            "number-profile"])
+    def test_mistyped_config_value_names_the_key(self, workspace, tmp_path,
+                                                 capsys, overrides, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(overrides))
+        rc = main(["train", "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    # the workspace checkpoint has 5 classes, 6 attributes, d_feat 12, tau 8
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("synthetic,field,trained,given", [
+        ({"c_unseen": 1}, "num_classes", 5, 4),
+        ({"c_unseen": 3}, "num_classes", 5, 6),
+        ({"num_attributes": 5}, "num_attributes", 6, 5),
+        ({"d_feat": 10}, "d_feat", 12, 10),
+        ({"tau": 6}, "tau", 8, 6),
+    ], ids=["fewer-classes", "more-classes", "attributes", "d_feat", "tau"])
+    def test_checkpoint_dataset_mismatch_names_both(
+            self, workspace, tmp_path, capsys, command, synthetic, field,
+            trained, given):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {**TINY_CONFIG,
+             "synthetic": {**TINY_CONFIG["synthetic"], **synthetic}}))
+        assert main(["gen", "--out", str(tmp_path / "data"),
+                     "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        out = tmp_path / ("eval" if command == "eval" else "agreement.csv")
+        rc = main([command,
+                   "--checkpoint", str(workspace / "run" / "model.ckpt"),
+                   "--data", str(tmp_path / "data"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"has {field} {trained}," in err and f"has {given}" in err
+        written = out / "metrics.json" if command == "eval" else out
+        assert not written.exists()
+
     def test_eval_rejects_version_1_checkpoint(self, workspace, tmp_path,
                                                capsys):
         raw = (workspace / "run" / "model.ckpt").read_bytes()
@@ -174,6 +228,23 @@ class TestAblate:
         assert lines[0] == "axis,value,tr,ts,h"
         assert len(lines) == 6
         assert all(line.startswith("k_td,") for line in lines[1:])
+
+    def test_ablate_leaves_training_config_echo(self, workspace, tmp_path):
+        run = tmp_path / "run"
+        cfg_dict = json.loads((workspace / "config.json").read_text())
+        cfg_dict["train"]["epochs"] = 1
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(cfg_dict))
+        assert main(["train", "--data", str(workspace / "data"),
+                     "--out", str(run), "--config", str(cfg)]) == 0
+        echoed = (run / "config.json").read_bytes()
+        rc = main(["ablate", "--axis", "k_td", "--data", str(workspace / "data"),
+                   "--out", str(run / "ablation.csv"),
+                   "--config", str(workspace / "config.json")])
+        assert rc == 0
+        assert (run / "config.json").read_bytes() == echoed
+        ablation_echo = json.loads((run / "ablation.config.json").read_text())
+        assert ablation_echo["train"]["epochs"] == 2
 
     def test_k_em_axis_rejected_before_training(self, workspace, tmp_path,
                                                 capsys):

@@ -1,0 +1,43 @@
+import numpy as np
+
+from hrt.config import GAMMA_PROFILES, gamma_offsets, load_config
+
+# the resolved default config, as `hrt` echoes it; DEFAULTS is built from the
+# config dataclasses, so a change to one of their defaults shows here
+RESOLVED_DEFAULTS = {
+    "model": {"d_cap": 16, "n_primary": 128, "k_em": 5, "k_td": 2,
+              "layer_norm_eps": 1e-5, "pose_mode": "matrix",
+              "compaction": "factor-analysis"},
+    "loss": {"lambda1": 0.1, "lambda2": 0.033},
+    "gamma": {"profile": "cub_sun", "seen_offset": None,
+              "unseen_offset": None},
+    "optimizer": {"lr": 1e-3, "momentum": 0.9, "rho": 0.99, "eps": 1e-8,
+                  "weight_decay": 1e-4},
+    "train": {"epochs": 200, "batch_size": 16, "seed": 0},
+    "synthetic": {"c_seen": 8, "c_unseen": 4, "num_attributes": 12,
+                  "r_patches": 9, "d_feat": 64, "tau": 32,
+                  "samples_per_class": 40, "noise_std": 0.1,
+                  "signal_patches_per_attribute": 2, "train_fraction": 0.75,
+                  "seed": 0},
+}
+
+
+def test_resolved_defaults_pinned():
+    config = load_config()
+    assert config == RESOLVED_DEFAULTS
+    # same types too: 1e-3 and 0.001 compare equal, 1 and 1.0 do as well
+    for section, values in RESOLVED_DEFAULTS.items():
+        for key, value in values.items():
+            assert type(config[section][key]) is type(value), (section, key)
+    assert GAMMA_PROFILES["cub_sun"] == {"seen_offset": -0.5,
+                                         "unseen_offset": 1.0}
+
+
+def test_int_for_float_and_null_offsets_accepted():
+    config = load_config(overrides={
+        "optimizer": {"lr": 1},
+        "gamma": {"profile": None, "seen_offset": -1, "unseen_offset": 0.5}})
+    assert config["optimizer"]["lr"] == 1
+    gamma = gamma_offsets(config, 3, [0, 1], [2])
+    assert np.array_equal(gamma, [-1.0, -1.0, 0.5])
+

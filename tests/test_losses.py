@@ -153,9 +153,6 @@ class TestPredict:
     def test_plain_argmax(self):
         assert predict(np.array([2.0, 1.0])) == 0
 
-    def test_calibration_flips_decision(self):
-        assert predict(np.array([2.0, 1.0]), np.array([-0.5, 1.0])) == 1
-
     def test_tie_breaks_to_lowest_index(self):
         assert predict(np.array([1.0, 1.0])) == 0
 

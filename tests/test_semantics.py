@@ -23,13 +23,6 @@ class TestSemanticSpace:
 
 
 class TestCompaction:
-    def test_precomputed_passthrough(self):
-        rng = SeededRng(1)
-        v = rng.normal((5, 8))
-        pre = rng.normal((5, 3))
-        out = compact_semantics(v, 3, method="precomputed", precomputed=pre)
-        assert np.array_equal(out, pre)
-
     def test_pca_rank_one(self):
         u = np.array([1.0, 2.0, -1.0, 0.5])
         coeffs = np.array([3.0, -1.0, 2.0, 0.0, 1.0])
