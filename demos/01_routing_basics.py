@@ -3,8 +3,8 @@
 The encoder stacks two very different routing mechanisms:
 
   1. bottom-up EM routing turns a bag of noisy primary capsules into one
-     patch capsule whose pose is the activation-weighted mean of the votes
-     (with a single parent every EM round gives this same result), and
+     patch capsule whose pose is the activation-weighted mean of the child
+     poses (with a single parent every EM round gives this same result), and
   2. top-down inverted dot-product attention routing lets semantic parent
      capsules compete for the patch capsules that explain them.
 
@@ -14,15 +14,14 @@ iterations actually do, so you can see the consensus forming.
 
 import numpy as np
 
-from hrt import (EmRoutingParams, InvertedRoutingParams, SeededRng, Tensor,
-                 inverted_routing)
+from hrt import InvertedRoutingParams, SeededRng, Tensor, inverted_routing
 from hrt.routing import batched_em_routing
 
 rng = SeededRng(0)
 
 # ---------------------------------------------------------------------------
 # Part 1: EM routing.  Five child capsules vote for a single parent pose.
-# Four of the children agree (their votes cluster), one is an outlier with a
+# Four of the children agree (their poses cluster), one is an outlier with a
 # low activation; the parent pose should land near the cluster.
 # ---------------------------------------------------------------------------
 d_cap = 4
@@ -31,12 +30,8 @@ poses = np.stack([consensus + rng.normal((d_cap,), scale=0.05)
                   for _ in range(4)] + [rng.normal((d_cap,), scale=3.0)])
 acts = np.array([0.9, 0.9, 0.9, 0.9, 0.1])  # the outlier barely speaks
 
-# identity transforms so votes equal poses and the consensus is visible
-transforms = np.stack([np.eye(d_cap)] * 5)
-params = EmRoutingParams(transforms=Tensor(transforms), pose_mode="vector")
 # one patch: a leading patch axis of length 1
-parent = batched_em_routing(Tensor(poses[None]), Tensor(acts[None]),
-                            params).data[0]
+parent = batched_em_routing(Tensor(poses[None]), Tensor(acts[None])).data[0]
 
 print("EM routing: 4 agreeing children + 1 low-activation outlier")
 print("  consensus direction :", np.round(consensus, 3))
@@ -49,8 +44,8 @@ print()
 # activation weighting already suppressed it.
 acts_hard = acts.copy()
 acts_hard[-1] = 1e-6
-parent_hard = batched_em_routing(Tensor(poses[None]), Tensor(acts_hard[None]),
-                                 params).data[0]
+parent_hard = batched_em_routing(Tensor(poses[None]),
+                                 Tensor(acts_hard[None])).data[0]
 shift = np.linalg.norm(parent - parent_hard)
 print("  removing the outlier shifts the pose by only", round(float(shift), 5))
 print()

@@ -16,8 +16,8 @@ parent initializations from raw tau-dimensional attribute vectors.
 
 import numpy as np
 
-from hrt import (EmRoutingParams, EncoderParams, InvertedRoutingParams,
-                 SeededRng, SemanticSpace, Tensor, compact_semantics, encode)
+from hrt import (EncoderParams, InvertedRoutingParams, SeededRng,
+                 SemanticSpace, Tensor, compact_semantics, encode)
 
 rng = SeededRng(3)
 R, D_FEAT, A, TAU, N_PRIMARY, D_CAP = 6, 16, 4, 12, 8, 4
@@ -34,8 +34,6 @@ semantics = SemanticSpace(attr_vectors=attr_vectors, compact_vectors=compact,
 params = EncoderParams(
     proj=Tensor(rng.normal((D_FEAT, N_PRIMARY * D_CAP), scale=0.3)),
     act_proj=Tensor(rng.normal((D_FEAT, N_PRIMARY), scale=0.3)),
-    em=EmRoutingParams(transforms=Tensor(rng.normal((N_PRIMARY, D_CAP, D_CAP))),
-                       pose_mode="vector"),
     inverted=InvertedRoutingParams(
         vote_transforms=Tensor(rng.normal((A, D_CAP, D_CAP))), iterations=2,
         layer_norm_eps=1e-5))

@@ -11,7 +11,7 @@ from .errors import (ConfigError, DataFormatError, DimensionError,
 from .tensor import Tensor, no_grad
 from .rng import SeededRng
 from .gradcheck import grad_check, GradCheckReport
-from .routing import EmRoutingParams, InvertedRoutingParams, inverted_routing
+from .routing import InvertedRoutingParams, inverted_routing
 from .semantics import SemanticSpace, compact_semantics, factor_analysis
 from .encoder import AlignedFeatures, EncoderParams, encode
 from .decoder import (DecoderParams, adjust_class_attributes, class_scores,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignedFeatures", "ConfigError", "DataFormatError",
-    "DecoderParams", "DimensionError", "EmRoutingParams", "EncoderParams",
+    "DecoderParams", "DimensionError", "EncoderParams",
     "GradCheckReport", "HrtModel", "InvertedRoutingParams", "LossConfig",
     "Metrics", "ModelConfig", "NumericError", "OptimizerConfig",
     "RmsPropState", "SeededRng", "SemanticSpace", "SyntheticSpec", "Tensor",

@@ -27,8 +27,7 @@ from .train import (load_checkpoint, save_checkpoint, total_loss, train,
 # tiny verification setup: small enough that a full finite-difference sweep of
 # every parameter finishes in seconds
 TINY_MODEL = dict(r_patches=4, d_feat=16, num_attributes=6, num_classes=7,
-                  tau=8, d_cap=8, n_primary=8, k_em=2, k_td=2,
-                  pose_mode="vector", compaction="pca")
+                  tau=8, d_cap=8, n_primary=8, k_em=2, k_td=2, compaction="pca")
 
 
 def _synthetic_spec(config: dict) -> tuple[SyntheticSpec, int]:

@@ -89,7 +89,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -131,6 +131,12 @@ def gamma_offsets(config: dict, num_classes: int, seen_classes,
     if g.get("profile") is not None:
         if g["profile"] not in GAMMA_PROFILES:
             raise ConfigError(f"unknown gamma profile {g['profile']!r}")
+        for key in ("seen_offset", "unseen_offset"):
+            if g.get(key) is not None:
+                raise ConfigError(
+                    f"gamma.{key} is set but gamma.profile {g['profile']!r} "
+                    f"picks the offsets; set gamma.profile to null to use "
+                    f"explicit offsets")
         offsets = GAMMA_PROFILES[g["profile"]]
     else:
         seen = g.get("seen_offset")

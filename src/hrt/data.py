@@ -229,6 +229,15 @@ def _require(cond: bool, msg: str) -> None:
         raise DataFormatError(msg)
 
 
+def _read_text(file: Path) -> str:
+    """The UTF-8 text of a dataset file; a DataFormatError names it if it
+    does not decode."""
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{file.name} is not UTF-8 text: {e}") from e
+
+
 def load_features(path) -> ZslDataset:
     """Load and fully validate a dataset directory."""
     path = Path(path)
@@ -236,14 +245,15 @@ def load_features(path) -> ZslDataset:
                  "semantics.csv"):
         _require((path / name).exists(), f"missing dataset file {name}")
     try:
-        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        meta = json.loads(_read_text(path / "meta.json"))
     except json.JSONDecodeError as e:
         raise DataFormatError(f"meta.json is not valid JSON: {e}") from e
+    _require(isinstance(meta, dict), "meta.json must hold a JSON object")
     for key in ("version", "R", "D_feat", "A", "tau", "C", "sample_count",
                 "dtype", "endianness"):
         _require(key in meta, f"meta.json missing key {key!r}")
-    _require(meta["version"] == FORMAT_VERSION,
-             f"unsupported format version {meta['version']}")
+    _require(type(meta["version"]) is int and meta["version"] == FORMAT_VERSION,
+             f"unsupported format version {meta['version']!r}")
     _require(meta["endianness"] == "little",
              f"unsupported endianness {meta['endianness']!r}")
     _require(meta["dtype"] in ("f32", "f64"),
@@ -252,7 +262,7 @@ def load_features(path) -> ZslDataset:
     a, tau, c = meta["A"], meta["tau"], meta["C"]
     for key, val in (("sample_count", n), ("R", r), ("D_feat", d_feat),
                      ("A", a), ("tau", tau), ("C", c)):
-        _require(isinstance(val, int) and val >= 1,
+        _require(type(val) is int and val >= 1,
                  f"meta.json {key} must be a positive integer, got {val!r}")
 
     np_dtype = {"f32": "<f4", "f64": "<f8"}[meta["dtype"]]
@@ -271,7 +281,7 @@ def load_features(path) -> ZslDataset:
 
     labels = np.full(n, -1, dtype=np.int64)
     splits: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
-    lines = (path / "splits.csv").read_text(encoding="utf-8").strip().splitlines()
+    lines = _read_text(path / "splits.csv").strip().splitlines()
     _require(len(lines) >= 1 and lines[0].strip() == "sample_index,class_index,split",
              "splits.csv must start with header 'sample_index,class_index,split'")
     for ln, line in enumerate(lines[1:], start=2):
@@ -308,7 +318,7 @@ def load_features(path) -> ZslDataset:
 
 
 def _read_csv_matrix(file: Path, rows: int, cols: int, header: bool) -> np.ndarray:
-    lines = file.read_text(encoding="utf-8").strip().splitlines()
+    lines = _read_text(file).strip().splitlines()
     if header:
         _require(len(lines) == rows + 1,
                  f"{file.name}: expected header + {rows} rows, found {len(lines)} lines")

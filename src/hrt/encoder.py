@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionError
 from . import tensor as T
 from .tensor import Tensor
-from .routing import (EmRoutingParams, InvertedRoutingParams,
-                      batched_em_routing, batched_primary_capsules,
-                      inverted_routing)
+from .routing import (InvertedRoutingParams, batched_em_routing,
+                      batched_primary_capsules, inverted_routing)
 from .semantics import SemanticSpace
 
 
@@ -38,7 +35,6 @@ class EncoderParams:
 
     proj: Tensor       # [D_feat, N * d_cap] primary-capsule pose projection
     act_proj: Tensor   # [D_feat, N] primary-capsule activation projection
-    em: EmRoutingParams
     inverted: InvertedRoutingParams
 
 
@@ -49,17 +45,13 @@ def encode(patch_features: Tensor, semantics: SemanticSpace,
         raise DimensionError(
             f"patch features must be [R, D_feat], got {patch_features.shape}")
     compact = semantics.compact_vectors
-    d_route = params.em.transforms.data.shape[1]
-    if params.em.pose_mode == "matrix":
-        d_route = d_route * d_route
-    if compact.shape[1] != d_route:
-        raise DimensionError(
-            f"patch capsule dim {d_route} does not match compacted attribute "
-            f"dim {compact.shape[1]}")
-
     poses, acts = batched_primary_capsules(patch_features, params.proj,
                                            params.act_proj)
-    g_poses = batched_em_routing(poses, acts, params.em)            # [R, d]
+    if compact.shape[1] != poses.data.shape[2]:
+        raise DimensionError(
+            f"patch capsule dim {poses.data.shape[2]} does not match "
+            f"compacted attribute dim {compact.shape[1]}")
+    g_poses = batched_em_routing(poses, acts)                       # [R, d]
     _parents, agreement, _route = inverted_routing(
         g_poses, Tensor(compact), params.inverted)
     # each attribute picks where to look: softmax over the patch axis

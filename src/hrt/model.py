@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor
 from .rng import SeededRng
-from .routing import EmRoutingParams, InvertedRoutingParams
+from .routing import InvertedRoutingParams
 from .encoder import AlignedFeatures, EncoderParams, encode
 from .decoder import (DecoderParams, adjust_class_attributes, class_scores,
                       content_attribute_scores)
@@ -30,17 +30,9 @@ class ModelConfig:
     k_em: int = 5    # EM iterations; no effect, single-parent EM is closed form
     k_td: int = 2
     layer_norm_eps: float = 1e-5
-    pose_mode: str = "matrix"          # "matrix" or "vector"
     compaction: str = "factor-analysis"  # or "pca"
 
     def validate(self) -> None:
-        if self.pose_mode == "matrix":
-            p = int(round(self.d_cap ** 0.5))
-            if p * p != self.d_cap:
-                raise ConfigError(
-                    f"matrix pose_mode needs a square d_cap, got {self.d_cap}")
-        elif self.pose_mode != "vector":
-            raise ConfigError(f"unknown pose_mode {self.pose_mode!r}")
         for name in ("r_patches", "d_feat", "num_attributes", "num_classes",
                      "tau", "d_cap", "n_primary", "k_em", "k_td"):
             if getattr(self, name) < 1:
@@ -84,7 +76,6 @@ class HrtModel:
         self.seed = seed
         rng = SeededRng(seed)
         c = config
-        p = int(round(c.d_cap ** 0.5)) if c.pose_mode == "matrix" else c.d_cap
 
         def uniform(shape, fan_in):
             lim = 1.0 / np.sqrt(fan_in)
@@ -93,7 +84,6 @@ class HrtModel:
         self.params: dict[str, Tensor] = {
             "enc.proj": uniform((c.d_feat, c.n_primary * c.d_cap), c.d_feat),
             "enc.act_proj": uniform((c.d_feat, c.n_primary), c.d_feat),
-            "enc.transforms": uniform((c.n_primary, p, p), p),
             "enc.vote_transforms": uniform((c.num_attributes, c.d_cap, c.d_cap),
                                            c.d_cap),
             "dec.w_beta": uniform((c.tau, c.d_feat), c.tau),
@@ -118,8 +108,6 @@ class HrtModel:
         return EncoderParams(
             proj=self.params["enc.proj"],
             act_proj=self.params["enc.act_proj"],
-            em=EmRoutingParams(transforms=self.params["enc.transforms"],
-                               pose_mode=c.pose_mode),
             inverted=InvertedRoutingParams(
                 vote_transforms=self.params["enc.vote_transforms"],
                 iterations=c.k_td,

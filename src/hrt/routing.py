@@ -5,7 +5,9 @@ Two routing mechanisms drive the encoder:
   * bottom-up EM routing, compressing the primary capsules of each image
     patch into a single patch capsule. With one parent every responsibility
     is 1, so the parent pose is the activation-weighted mean of the votes,
-    computed in closed form; the encoder reads only that pose;
+    computed in closed form. The primary poses vote as they are: a
+    per-capsule linear vote transform would follow the linear pose
+    projection and so only re-parametrize it;
   * top-down inverted dot-product attention routing between patch capsules and
     attribute capsules, where agreement is the dot product between a parent's
     current state and a child's vote, normalized over parents.
@@ -22,18 +24,6 @@ from dataclasses import dataclass
 from .errors import DimensionError
 from . import tensor as T
 from .tensor import Tensor
-
-
-@dataclass
-class EmRoutingParams:
-    """Vote transforms and pose layout of the bottom-up EM routing step."""
-
-    transforms: Tensor   # [N_child, p, p]; p = d_cap (vector mode) or sqrt(d_cap) (matrix mode)
-    pose_mode: str  # "matrix": votes by pose-matrix product; "vector": row-vector transform
-
-    def __post_init__(self):
-        if self.pose_mode not in ("matrix", "vector"):
-            raise DimensionError(f"unknown pose_mode {self.pose_mode!r}")
 
 
 @dataclass
@@ -77,31 +67,18 @@ def batched_primary_capsules(feats: Tensor, proj: Tensor, act_proj: Tensor):
     return poses, acts
 
 
-def batched_em_routing(poses: Tensor, activations: Tensor,
-                       params: EmRoutingParams) -> Tensor:
+def batched_em_routing(poses: Tensor, activations: Tensor) -> Tensor:
     """Parent poses [R, d_cap] of EM routing onto one parent per patch: the
-    activation-weighted mean of the votes, the fixed point of every round.
+    activation-weighted mean of the child poses, the fixed point of every
+    round.
 
     poses [R, N, d_cap] and activations [R, N] are the primary capsules of
     R patches.
     """
-    n, p = params.transforms.data.shape[0], params.transforms.data.shape[1]
-    r, n_in, d_cap = poses.data.shape
-    if n_in != n:
-        raise DimensionError(f"{n_in} child capsules but {n} transforms")
-    if params.pose_mode == "matrix":
-        if p * p != d_cap:
-            raise DimensionError(
-                f"matrix pose_mode needs square capsules; d_cap={d_cap}, transform {p}x{p}")
-        m = T.reshape(poses, (r, n, p, p))
-        votes = T.reshape(T.einsum("rnij,njk->rnik", m, params.transforms),
-                          (r, n, d_cap))
-    else:
-        if p != d_cap:
-            raise DimensionError(
-                f"vector pose_mode needs {d_cap}x{d_cap} transforms, got {p}x{p}")
-        votes = T.einsum("rnd,nde->rne", poses, params.transforms)
-    return (T.einsum("rn,rnh->rh", activations, votes)
+    if poses.data.ndim != 3 or activations.data.shape != poses.data.shape[:2]:
+        raise DimensionError(f"poses {poses.shape} and activations "
+                             f"{activations.shape} are not [R, N, d] and [R, N]")
+    return (T.einsum("rn,rnh->rh", activations, poses)
             / T.tsum(activations, axis=1, keepdims=True))
 
 

@@ -23,7 +23,7 @@ from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
 from .optim import OptimizerConfig, RmsPropState, optimizer_step
 
 CHECKPOINT_MAGIC = b"HRTC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 HISTORY_HEADER = "epoch,L_ce,L_cal,L_reg,total,train_acc"
 
 
@@ -121,8 +121,9 @@ def write_history(history: list[EpochStats], path) -> None:
 # The header declares the format version, tensor names/shapes in payload
 # order, the model config, the init seed, and a hash of the resolved
 # experiment config. Version 2 dropped the encoder's EM ``beta``/``gamma``
-# parameters and the ``em_lambda`` and EM variance-floor model config keys;
-# any other version is rejected.
+# parameters and the ``em_lambda`` and EM variance-floor model config keys.
+# Version 3 dropped the EM vote transforms and the model config key that laid
+# capsule poses out as matrices or vectors. Any other version is rejected.
 
 
 def config_hash(config: dict) -> str:

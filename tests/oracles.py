@@ -98,6 +98,32 @@ def em_routing_oracle(poses, acts, transforms, beta, gamma, lam, iterations,
     return mu, act
 
 
+def fold_vote_transforms(proj, transforms, pose_mode):
+    """The pose projection whose primary poses are the votes that ``proj``'s
+    poses cast under per-capsule ``transforms`` [N, p, p], as computed by
+    ``em_routing_oracle``: for every feature row k and capsule n,
+
+      "matrix": P'[k, n] = (P[k, n] reshaped p x p) @ T_n, flattened;
+      "vector": P'[k, n] = P[k, n] @ T_n.
+    """
+    d_feat = proj.shape[0]
+    n, p = transforms.shape[:2]
+    d_cap = proj.shape[1] // n
+    folded = np.zeros_like(proj)
+    for k in range(d_feat):
+        for c in range(n):
+            block = proj[k, c * d_cap:(c + 1) * d_cap]
+            if pose_mode == "matrix":
+                vote = (block.reshape(p, p) @ transforms[c]).reshape(d_cap)
+            else:
+                vote = np.zeros(d_cap)
+                for h in range(d_cap):
+                    for e in range(d_cap):
+                        vote[h] += block[e] * transforms[c, e, h]
+            folded[k, c * d_cap:(c + 1) * d_cap] = vote
+    return folded
+
+
 def inverted_routing_oracle(children, parent_init, vote_transforms, iterations,
                             eps=1e-5):
     """Loop-level inverted dot-product attention routing."""

@@ -9,17 +9,17 @@ import time
 
 import numpy as np
 
-from hrt import (EmRoutingParams, EncoderParams, HrtModel,
-                 InvertedRoutingParams, LossConfig, ModelConfig,
-                 OptimizerConfig, SeededRng, SemanticSpace, SyntheticSpec,
-                 Tensor, calibration_loss, cross_entropy, encode, evaluate,
-                 gamma_profile, generate_synthetic, grad_check,
-                 harmonic_mean, inverted_routing, predict, run_ablation,
-                 total_loss, train)
+from hrt import (EncoderParams, HrtModel, InvertedRoutingParams, LossConfig,
+                 ModelConfig, OptimizerConfig, SeededRng, SemanticSpace,
+                 SyntheticSpec, Tensor, calibration_loss, cross_entropy,
+                 encode, evaluate, gamma_profile, generate_synthetic,
+                 grad_check, harmonic_mean, inverted_routing, predict,
+                 run_ablation, total_loss, train)
 from hrt.cli import TINY_MODEL, main
-from hrt.routing import batched_em_routing
+from hrt.routing import batched_em_routing, batched_primary_capsules
 
-from oracles import em_routing_oracle, inverted_routing_oracle
+from oracles import (em_routing_oracle, fold_vote_transforms,
+                     inverted_routing_oracle, primary_capsules_oracle)
 
 
 def check(capsys, name, ok, detail=""):
@@ -41,7 +41,7 @@ def tiny_gradcheck_setup(seed=0):
 
 
 def test_gradient_suite(capsys):
-    # tiny configuration: R=4, D_feat=16, d=8 vector capsules, A=6, C_s=5,
+    # tiny configuration: R=4, D_feat=16, d=8 capsules, A=6, C_s=5,
     # C_u=2, tau=8, k_EM=2, k_TD=2; full loss with the default weights
     ds, model = tiny_gradcheck_setup()
     gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
@@ -62,7 +62,9 @@ def test_routing_oracle_equivalence(capsys):
     instances = 0
     for seed in range(100):
         rng = SeededRng(seed)
-        # EM routing instance; alternate between vector and matrix capsules
+        # EM routing instance; alternate between vector and matrix capsules.
+        # The library has no vote transforms: they are folded into its pose
+        # projection, and the oracle applies them to the unfolded poses.
         n = int(rng.integers(2, 7))
         if seed % 2 == 0:
             d_cap = int(rng.integers(2, 7))
@@ -73,15 +75,18 @@ def test_routing_oracle_equivalence(capsys):
             d_cap = p * p
             transforms = rng.normal((n, p, p))
             mode = "matrix"
-        poses = rng.normal((n, d_cap))
-        acts = rng.uniform((n,), low=0.05, high=0.95)
+        d_feat = int(rng.integers(2, 7))
+        feats = rng.normal((d_feat,))
+        proj = rng.normal((d_feat, n * d_cap))
+        act_proj = rng.normal((d_feat, n))
         beta, gamma = float(rng.normal(())), float(rng.normal(()))
         lam = float(rng.uniform((), low=0.5, high=2.0))
         k = int(rng.integers(1, 5))
-        params = EmRoutingParams(transforms=Tensor(transforms),
-                                 pose_mode=mode)
-        parent = batched_em_routing(Tensor(poses[None]), Tensor(acts[None]),
-                                    params)
+        parent = batched_em_routing(*batched_primary_capsules(
+            Tensor(feats[None]),
+            Tensor(fold_vote_transforms(proj, transforms, mode)),
+            Tensor(act_proj)))
+        poses, acts = primary_capsules_oracle(feats, proj, act_proj)
         mu_o, _ = em_routing_oracle(poses, acts, transforms, beta, gamma,
                                     lam, k, 1e-6, mode)
         worst = max(worst, float(np.max(np.abs(parent.data[0] - mu_o))))
@@ -123,9 +128,6 @@ def test_simplex_convexity_invariants(capsys):
         params = EncoderParams(
             proj=Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
             act_proj=Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
-            em=EmRoutingParams(
-                transforms=Tensor(rng.normal((n_primary, d_cap, d_cap))),
-                pose_mode="vector"),
             inverted=InvertedRoutingParams(
                 vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),
                 iterations=2, layer_norm_eps=1e-5))
@@ -231,7 +233,7 @@ def test_determinism(capsys, tmp_path):
     import json
     config = {
         "model": {"d_cap": 4, "n_primary": 8, "k_em": 2, "k_td": 2,
-                  "pose_mode": "vector", "compaction": "pca"},
+                  "compaction": "pca"},
         "train": {"epochs": 2, "batch_size": 8, "seed": 0},
         "synthetic": {"c_seen": 3, "c_unseen": 2, "num_attributes": 6,
                       "r_patches": 4, "d_feat": 12, "tau": 8,
@@ -260,8 +262,7 @@ def test_determinism(capsys, tmp_path):
 def test_ablation_harness(capsys):
     from hrt.config import load_config
     config = load_config(overrides={
-        "model": {"d_cap": 4, "n_primary": 8, "pose_mode": "vector",
-                  "compaction": "pca"},
+        "model": {"d_cap": 4, "n_primary": 8, "compaction": "pca"},
         "train": {"epochs": 1, "batch_size": 8},
         "synthetic": {"c_seen": 3, "c_unseen": 2, "num_attributes": 6,
                       "r_patches": 4, "d_feat": 12, "tau": 8,

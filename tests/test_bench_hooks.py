@@ -5,6 +5,7 @@ a rename that drops one of those names breaks the benchmark. These tests
 load the hooks module as it is and install its hooks over the package.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 from hrt import OptimizerConfig, RmsPropState, Tensor
 
-HOOKS_FILE = Path(__file__).resolve().parents[1] / "bench" / "hooks.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+HOOKS_FILE = BENCH_DIR / "hooks.py"
 RNG_DRAWS = ("SeededRng.normal", "SeededRng.uniform", "SeededRng.integers",
              "SeededRng.permutation", "SeededRng.choice")
 
@@ -70,3 +72,29 @@ def test_missing_target_is_named(hooks):
     with pytest.raises(hooks.HookError, match="hrt.train.no_such_function"):
         with hooks.StepClock("hrt.train", "no_such_function"):
             pass
+
+
+def bench_workloads() -> dict:
+    """``WORKLOADS`` of ``bench/run.py``, read as a literal: importing the
+    module would pin this process's BLAS threads."""
+    tree = ast.parse((BENCH_DIR / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WORKLOADS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py assigns no WORKLOADS literal")
+
+
+@pytest.mark.parametrize("name", sorted(bench_workloads()))
+def test_workload_overlay_builds_a_model_config(name):
+    # a config key the benchmark still sets must stay loadable
+    from hrt import SyntheticSpec, generate_synthetic
+    from hrt.config import load_config, model_config_for
+
+    _kind, overlay = bench_workloads()[name]
+    config = load_config(overrides=overlay)
+    params = dict(config["synthetic"])
+    seed = params.pop("seed")
+    dataset = generate_synthetic(SyntheticSpec(**params), seed)
+    model_config_for(config, dataset).validate()

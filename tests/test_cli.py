@@ -1,13 +1,16 @@
 import json
+import shutil
 import struct
 
 import pytest
 
 from hrt.cli import main
 
+NOT_UTF8 = b"a0,a1\n\xff\xfe,1\n"
+
 TINY_CONFIG = {
     "model": {"d_cap": 4, "n_primary": 8, "k_em": 2, "k_td": 2,
-              "pose_mode": "vector", "compaction": "pca"},
+              "compaction": "pca"},
     "train": {"epochs": 2, "batch_size": 8, "seed": 0},
     "synthetic": {"c_seen": 3, "c_unseen": 2, "num_attributes": 6,
                   "r_patches": 4, "d_feat": 12, "tau": 8,
@@ -125,6 +128,55 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("key", ["seen_offset", "unseen_offset"])
+    def test_offset_beside_gamma_profile_names_both(self, workspace, tmp_path,
+                                                    capsys, command, key):
+        # the cub_sun profile picks the offsets; an explicit one would be
+        # dropped without a word
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "gamma": {key: 50.0}}))
+        checkpoint = ["--checkpoint", str(workspace / "run" / "model.ckpt")]
+        rc = main([command, *(checkpoint if command == "eval" else []),
+                   "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"gamma.{key}" in err
+        assert "set gamma.profile to null" in err
+
+    @pytest.mark.parametrize("name,content,named", [
+        ("meta.json", b"5", "meta.json"),
+        ("meta.json", NOT_UTF8, "meta.json"),
+        ("attributes.csv", NOT_UTF8, "attributes.csv"),
+        ("semantics.csv", NOT_UTF8, "semantics.csv"),
+        ("splits.csv", NOT_UTF8, "splits.csv"),
+        ("meta.json", {"version": True}, "version"),
+        ("meta.json", {"R": True}, "meta.json R"),
+        ("config.json", NOT_UTF8, "config.json"),
+    ], ids=["meta-not-object", "meta-not-utf8", "attributes-not-utf8",
+            "semantics-not-utf8", "splits-not-utf8", "meta-bool-version",
+            "meta-bool-R", "config-not-utf8"])
+    def test_malformed_input_file_is_validation_error(
+            self, workspace, tmp_path, capsys, name, content, named):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        target = cfg if name == "config.json" else data / name
+        if isinstance(content, dict):
+            content = json.dumps({**json.loads(target.read_text()),
+                                  **content}).encode("utf-8")
+        target.write_bytes(content)
+        rc = main(["train", "--data", str(data),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     # the workspace checkpoint has 5 classes, 6 attributes, d_feat 12, tau 8
     @pytest.mark.parametrize("command", ["eval", "report"])
     @pytest.mark.parametrize("synthetic,field,trained,given", [
@@ -155,22 +207,36 @@ class TestExitCodes:
         written = out / "metrics.json" if command == "eval" else out
         assert not written.exists()
 
-    def test_eval_rejects_version_1_checkpoint(self, workspace, tmp_path,
-                                               capsys):
+    @staticmethod
+    def eval_with_version(workspace, tmp_path, capsys, version):
+        """Exit code and stderr of ``hrt eval`` on the workspace checkpoint
+        with its header version rewritten to ``version``."""
         raw = (workspace / "run" / "model.ckpt").read_bytes()
         (hlen,) = struct.unpack("<Q", raw[4:12])
         header = json.loads(raw[12:12 + hlen])
-        header["version"] = 1
+        header["version"] = version
         blob = json.dumps(header).encode("utf-8")
-        ckpt = tmp_path / "v1.ckpt"
+        ckpt = tmp_path / f"v{version}.ckpt"
         ckpt.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob
                          + raw[12 + hlen:])
         rc = main(["eval", "--checkpoint", str(ckpt),
                    "--data", str(workspace / "data"),
                    "--out", str(tmp_path / "eval")])
+        return rc, capsys.readouterr().err
+
+    def test_eval_rejects_version_1_checkpoint(self, workspace, tmp_path,
+                                               capsys):
+        rc, err = self.eval_with_version(workspace, tmp_path, capsys, 1)
         assert rc == 1
-        err = capsys.readouterr().err
         assert "error:" in err and "version 1" in err
+        assert "Traceback" not in err
+
+    def test_eval_rejects_version_2_checkpoint(self, workspace, tmp_path,
+                                               capsys):
+        # version 2 still carried the EM vote transforms and pose_mode
+        rc, err = self.eval_with_version(workspace, tmp_path, capsys, 2)
+        assert rc == 1
+        assert "error:" in err and "version 2" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,out_name", [

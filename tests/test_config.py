@@ -1,13 +1,14 @@
 import numpy as np
+import pytest
 
+from hrt import ConfigError
 from hrt.config import GAMMA_PROFILES, gamma_offsets, load_config
 
 # the resolved default config, as `hrt` echoes it; DEFAULTS is built from the
 # config dataclasses, so a change to one of their defaults shows here
 RESOLVED_DEFAULTS = {
     "model": {"d_cap": 16, "n_primary": 128, "k_em": 5, "k_td": 2,
-              "layer_norm_eps": 1e-5, "pose_mode": "matrix",
-              "compaction": "factor-analysis"},
+              "layer_norm_eps": 1e-5, "compaction": "factor-analysis"},
     "loss": {"lambda1": 0.1, "lambda2": 0.033},
     "gamma": {"profile": "cub_sun", "seen_offset": None,
               "unseen_offset": None},
@@ -41,3 +42,8 @@ def test_int_for_float_and_null_offsets_accepted():
     gamma = gamma_offsets(config, 3, [0, 1], [2])
     assert np.array_equal(gamma, [-1.0, -1.0, 0.5])
 
+
+def test_pose_mode_is_an_unknown_key():
+    # the primary poses vote as they are; there is no pose layout to pick
+    with pytest.raises(ConfigError, match="unknown config key 'model.pose_mode'"):
+        load_config(overrides={"model": {"pose_mode": "vector"}})

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hrt import (DimensionError, EncoderParams, EmRoutingParams,
-                 InvertedRoutingParams, SeededRng, SemanticSpace, Tensor,
-                 encode)
+from hrt import (DimensionError, EncoderParams, InvertedRoutingParams,
+                 SeededRng, SemanticSpace, Tensor, encode)
 
 from oracles import encoder_oracle
 
@@ -17,8 +16,6 @@ def build_setup(seed, r_patches=4, d_feat=8, n_attr=3, n_classes=4,
     params = EncoderParams(
         proj=Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
         act_proj=Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
-        em=EmRoutingParams(transforms=Tensor(rng.normal((n_primary, d_cap, d_cap))),
-                           pose_mode="vector"),
         inverted=InvertedRoutingParams(
             vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),
             iterations=k_td, layer_norm_eps=1e-5))
@@ -51,11 +48,15 @@ class TestEncode:
         features, semantics, params = build_setup(21)
         out = encode(Tensor(features), semantics, params)
         # beta, gamma, lam and sigma_floor feed only the oracle's activation,
-        # which the encoder does not compute; its pose is the same for any k_em
+        # which the encoder does not compute; its pose is the same for any
+        # k_em. The encoder's primary poses vote as they are: identity
+        # transforms.
+        n_primary = params.act_proj.data.shape[1]
+        d_cap = params.proj.data.shape[1] // n_primary
         h, attention, agreement = encoder_oracle(
             features, semantics.compact_vectors,
             params.proj.data, params.act_proj.data,
-            params.em.transforms.data, 0.1, 0.05, 1.0, 2,
+            np.stack([np.eye(d_cap)] * n_primary), 0.1, 0.05, 1.0, 2,
             params.inverted.iterations, 1e-6,
             params.inverted.vote_transforms.data)
         assert np.allclose(out.agreement.data, agreement, atol=1e-9)

@@ -1,28 +1,27 @@
 import numpy as np
 import pytest
 
-from hrt import (DimensionError, EmRoutingParams, InvertedRoutingParams,
-                 SeededRng, Tensor, inverted_routing)
+from hrt import (DimensionError, InvertedRoutingParams, SeededRng, Tensor,
+                 inverted_routing)
 from hrt.routing import batched_em_routing, batched_primary_capsules
 
-from oracles import em_routing_oracle, inverted_routing_oracle, \
-    primary_capsules_oracle
+from oracles import em_routing_oracle, fold_vote_transforms, \
+    inverted_routing_oracle, primary_capsules_oracle
 
 # the oracle's activation constants; the parent pose does not depend on them
 BETA, GAMMA, LAM, FLOOR = 0.4, 0.2, 0.7, 1e-6
 
 
-def make_em_params(transforms, mode="vector"):
-    return EmRoutingParams(transforms=Tensor(transforms), pose_mode=mode)
-
-
-def route_one(poses, acts, params):
+def route_one(poses, acts):
     """Parent pose of a single patch: [N, d_cap] children -> [d_cap]."""
-    return batched_em_routing(Tensor(poses[None]), Tensor(acts[None]),
-                              params).data[0]
+    return batched_em_routing(Tensor(poses[None]), Tensor(acts[None])).data[0]
 
 
-def oracle_pose(poses, acts, transforms, iterations=3, mode="vector"):
+def oracle_pose(poses, acts, iterations=3, transforms=None, mode="vector"):
+    """The oracle's parent pose; without ``transforms`` the poses vote as
+    they are (identity transforms)."""
+    if transforms is None:
+        transforms = np.stack([np.eye(poses.shape[1])] * poses.shape[0])
     mu, _ = em_routing_oracle(poses, acts, transforms, BETA, GAMMA, LAM,
                               iterations, FLOOR, pose_mode=mode)
     return mu
@@ -71,8 +70,9 @@ class TestPrimaryCapsules:
 
 class TestEmRouting:
     def test_single_child_identity_transform(self):
+        # the primary poses vote as they are, as under an identity transform
         pose = np.array([[0.3, -1.2, 0.7, 0.1]])
-        out = route_one(pose, np.array([0.9]), make_em_params(np.eye(4)[None]))
+        out = route_one(pose, np.array([0.9]))
         assert np.allclose(out, pose[0], atol=1e-12)
 
     def test_identical_votes_variance_floor(self):
@@ -80,30 +80,39 @@ class TestEmRouting:
         # The oracle's vote variance is 0 here and only its floor keeps its
         # log-likelihood finite; its pose must still agree.
         pose = np.array([[1.0, 2.0], [1.0, 2.0]])
-        transforms = np.stack([np.eye(2), np.eye(2)])
         acts = np.array([0.5, 0.5])
-        out = route_one(pose, acts, make_em_params(transforms))
+        out = route_one(pose, acts)
         assert np.allclose(out, [1.0, 2.0], atol=1e-12)
-        assert np.allclose(out, oracle_pose(pose, acts, transforms, 2),
-                           atol=1e-12)
+        assert np.allclose(out, oracle_pose(pose, acts, 2), atol=1e-12)
 
     def test_seeded_instance_matches_oracle(self):
         rng = SeededRng(11)
         poses = rng.normal((4, 4))
         acts = rng.uniform((4,), 0.1, 0.9)
-        transforms = rng.normal((4, 4, 4))
-        out = route_one(poses, acts, make_em_params(transforms))
-        assert np.allclose(out, oracle_pose(poses, acts, transforms),
-                           atol=1e-9)
+        out = route_one(poses, acts)
+        assert np.allclose(out, oracle_pose(poses, acts), atol=1e-9)
 
-    def test_matrix_pose_mode_matches_oracle(self):
-        rng = SeededRng(12)
-        poses = rng.normal((3, 16))
-        acts = rng.uniform((3,), 0.2, 0.8)
-        transforms = rng.normal((3, 4, 4))
-        out = route_one(poses, acts, make_em_params(transforms, mode="matrix"))
-        assert np.allclose(out, oracle_pose(poses, acts, transforms, 2,
-                                            mode="matrix"), atol=1e-9)
+    @pytest.mark.parametrize("mode,d_cap,p", [("vector", 4, 4),
+                                              ("matrix", 9, 3)],
+                             ids=["vector", "matrix"])
+    def test_folded_transforms_match_oracle(self, mode, d_cap, p):
+        # per-capsule vote transforms only re-parametrize the pose
+        # projection: folded into it, they give the oracle's parent pose
+        # on the unfolded projection and transforms
+        for seed in range(10):
+            rng = SeededRng(40 + seed)
+            r, d_feat, n = 3, 7, 5
+            feats = rng.normal((r, d_feat))
+            proj = rng.normal((d_feat, n * d_cap), scale=0.5)
+            act_proj = rng.normal((d_feat, n))
+            transforms = rng.normal((n, p, p), scale=0.5)
+            folded = fold_vote_transforms(proj, transforms, mode)
+            out = batched_em_routing(*batched_primary_capsules(
+                Tensor(feats), Tensor(folded), Tensor(act_proj))).data
+            for i in range(r):
+                poses, acts = primary_capsules_oracle(feats[i], proj, act_proj)
+                expected = oracle_pose(poses, acts, 2, transforms, mode)
+                assert np.max(np.abs(out[i] - expected)) < 1e-12
 
     def test_parent_pose_within_vote_hull(self):
         rng = SeededRng(9)
@@ -111,21 +120,17 @@ class TestEmRouting:
             r = rng.spawn(seed)
             poses = r.normal((6, 3))
             acts = r.uniform((6,), 0.1, 1.0)
-            transforms = r.normal((6, 3, 3))
-            out = route_one(poses, acts, make_em_params(transforms))
-            votes = np.einsum("nd,nde->ne", poses, transforms)
-            assert np.all(out >= votes.min(axis=0) - 1e-9)
-            assert np.all(out <= votes.max(axis=0) + 1e-9)
+            out = route_one(poses, acts)
+            assert np.all(out >= poses.min(axis=0) - 1e-9)
+            assert np.all(out <= poses.max(axis=0) + 1e-9)
 
     def test_child_permutation_invariance(self):
         rng = SeededRng(10)
         poses = rng.normal((5, 4))
         acts = rng.uniform((5,), 0.1, 0.9)
-        transforms = rng.normal((5, 4, 4))
-        out = route_one(poses, acts, make_em_params(transforms))
+        out = route_one(poses, acts)
         perm = SeededRng(99).permutation(5)
-        out_p = route_one(poses[perm], acts[perm],
-                          make_em_params(transforms[perm]))
+        out_p = route_one(poses[perm], acts[perm])
         assert np.allclose(out, out_p, atol=1e-9)
 
     def test_closed_form_matches_iterated_oracle(self):
@@ -133,27 +138,25 @@ class TestEmRouting:
         rng = SeededRng(13)
         poses = rng.normal((3, 4, 4))
         acts = rng.uniform((3, 4), 0.1, 0.9)
-        transforms = rng.normal((4, 4, 4))
-        out = batched_em_routing(Tensor(poses), Tensor(acts),
-                                 make_em_params(transforms)).data
+        out = batched_em_routing(Tensor(poses), Tensor(acts)).data
         for k in range(1, 6):
             for r in range(3):
-                assert np.allclose(out[r], oracle_pose(poses[r], acts[r],
-                                                       transforms, k),
+                assert np.allclose(out[r], oracle_pose(poses[r], acts[r], k),
                                    atol=1e-9)
 
-    @pytest.mark.parametrize("mode,d_cap,p", [("vector", 4, 4),
-                                              ("matrix", 9, 3)],
-                             ids=["vector", "matrix"])
-    def test_stacked_patches_equal_row_calls(self, mode, d_cap, p):
+    def test_stacked_patches_equal_row_calls(self):
         rng = SeededRng(14)
-        poses = rng.normal((5, 6, d_cap))
+        poses = rng.normal((5, 6, 4))
         acts = rng.uniform((5, 6), 0.1, 0.9)
-        params = make_em_params(rng.normal((6, p, p)), mode=mode)
-        out = batched_em_routing(Tensor(poses), Tensor(acts), params).data
-        assert out.shape == (5, d_cap)
+        out = batched_em_routing(Tensor(poses), Tensor(acts)).data
+        assert out.shape == (5, 4)
         for r in range(5):
-            assert np.array_equal(out[r], route_one(poses[r], acts[r], params))
+            assert np.array_equal(out[r], route_one(poses[r], acts[r]))
+
+    def test_mismatched_activations_error(self):
+        with pytest.raises(DimensionError):
+            batched_em_routing(Tensor(np.zeros((2, 3, 4))),
+                               Tensor(np.zeros((2, 4))))
 
 
 class TestInvertedRouting:

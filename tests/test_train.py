@@ -139,13 +139,15 @@ class TestCheckpoint:
         path.write_bytes(b"HRTC" + struct.pack("<Q", len(blob)) + blob
                          + payload)
 
-    def test_header_declares_version_2(self, tmp_path):
+    def test_header_declares_version_3(self, tmp_path):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         header, _ = self.read_header(path)
-        assert header["version"] == 2
+        assert header["version"] == 3
         assert "em_lambda" not in header["model_config"]
+        assert "pose_mode" not in header["model_config"]
+        assert "enc.transforms" not in {t["name"] for t in header["tensors"]}
 
     def test_shorter_than_header_length(self, tmp_path):
         path = tmp_path / "model.ckpt"
