@@ -63,7 +63,7 @@ children = np.stack([parent_init[0] * 2.0,      # agrees with parent 0
                      rng.normal((d,), scale=0.1)])
 
 iparams = InvertedRoutingParams(vote_transforms=Tensor(vote_transforms),
-                                iterations=3, layer_norm_eps=1e-5)
+                                iterations=3)
 parents, agreement, route = inverted_routing(Tensor(children),
                                              Tensor(parent_init), iparams)
 

@@ -35,8 +35,7 @@ params = EncoderParams(
     proj=Tensor(rng.normal((D_FEAT, N_PRIMARY * D_CAP), scale=0.3)),
     act_proj=Tensor(rng.normal((D_FEAT, N_PRIMARY), scale=0.3)),
     inverted=InvertedRoutingParams(
-        vote_transforms=Tensor(rng.normal((A, D_CAP, D_CAP))), iterations=2,
-        layer_norm_eps=1e-5))
+        vote_transforms=Tensor(rng.normal((A, D_CAP, D_CAP))), iterations=2))
 
 features = rng.normal((R, D_FEAT))
 out = encode(Tensor(features), semantics, params)

@@ -52,7 +52,7 @@ ds_small = generate_synthetic(SyntheticSpec(**{
 
 print("sweep over k_td:")
 print("  value    tr      ts      h")
-for row in run_ablation(ds_small, config, axis="k_td"):
+for row in run_ablation(ds_small, config):
     print(f"  {row['value']:5d}  {row['tr']:.3f}  {row['ts']:.3f}"
           f"  {row['h']:.3f}")
 print()

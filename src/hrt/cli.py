@@ -15,7 +15,7 @@ from .errors import ConfigError, DataFormatError, DimensionError, NumericError
 from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
                      loss_config_for, model_config_for)
 from .data import SyntheticSpec, generate_synthetic, load_features, save_dataset
-from .ablation import ABLATION_AXES, ablation_csv, run_ablation
+from .ablation import ablation_csv, run_ablation
 from .gradcheck import grad_check
 from .metrics import evaluate
 from .model import HrtModel, ModelConfig
@@ -137,7 +137,9 @@ def cmd_ablate(args) -> int:
     else:
         spec, seed = _synthetic_spec(config)
         dataset = generate_synthetic(spec, seed)
-    rows = run_ablation(dataset, config, axis=args.axis, seed=args.seed)
+    if args.seed is not None:
+        config["train"]["seed"] = args.seed
+    rows = run_ablation(dataset, config)
     out.write_text(ablation_csv(rows), encoding="utf-8")
     echo_config(config, out.with_name(out.stem + ".config.json"))
     print(f"wrote {len(rows)} ablation rows to {out}")
@@ -193,17 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="finite-difference check of the full loss gradient")
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--h", type=float, default=grad_check.__kwdefaults__["h"])
+    p.add_argument("--tol", type=float,
+                   default=grad_check.__kwdefaults__["tol"])
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablate", help="sweep a routing iteration count")
-    p.add_argument("--axis", choices=sorted(ABLATION_AXES), required=True)
+    p = sub.add_parser("ablate",
+                       help="sweep the top-down routing iteration count k_td")
     p.add_argument("--out", required=True)
     p.add_argument("--data", default=None,
                    help="dataset directory; defaults to the configured synthetic task")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="dump per-sample agreement maps as CSV")

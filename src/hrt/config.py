@@ -2,15 +2,14 @@
 
 Every default lives in one place: the routing, loss, optimizer and synthetic
 task defaults are the fields of ``ModelConfig``, ``LossConfig``,
-``OptimizerConfig`` and ``SyntheticSpec``, and ``DEFAULTS`` is built from
-them. Only the ``gamma`` and ``train`` sections, which no dataclass holds,
-are written here.
+``OptimizerConfig`` and ``SyntheticSpec``, the calibration offsets are the
+keyword defaults of ``losses.gamma_profile``, and ``DEFAULTS`` is built from
+them. Only the ``train`` section, which nothing else holds, is written here.
 """
 
 from __future__ import annotations
 
 import copy
-import inspect
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -31,28 +30,14 @@ def _field_defaults(cls, exclude=()) -> dict:
     return {f.name: f.default for f in fields(cls) if f.name not in exclude}
 
 
-GAMMA_PROFILES = {
-    # the fine-grained offsets are gamma_profile's defaults
-    "cub_sun": {name: p.default for name, p
-                in inspect.signature(gamma_profile).parameters.items()
-                if p.default is not p.empty},
-    "awa2": {"seen_offset": -0.8, "unseen_offset": 1.0},
-    "zero": {"seen_offset": 0.0, "unseen_offset": 0.0},
-}
-
 DEFAULTS: dict = {
     "model": _field_defaults(ModelConfig, exclude=DATASET_FIELDS),
     "loss": _field_defaults(LossConfig, exclude=("gamma_per_class",)),
-    # profile picks preset offsets; set profile to null to use explicit ones
-    "gamma": {"profile": "cub_sun", "seen_offset": None, "unseen_offset": None},
+    "gamma": dict(gamma_profile.__kwdefaults__),
     "optimizer": _field_defaults(OptimizerConfig),
     "train": {"epochs": 200, "batch_size": 16, "seed": 0},
     "synthetic": {**_field_defaults(SyntheticSpec), "seed": 0},
 }
-
-# leaves that may be null, with the type of a value that is not
-NULLABLE = {"gamma.profile": str, "gamma.seen_offset": float,
-            "gamma.unseen_offset": float}
 
 
 def fits_type(value, kind: type) -> bool:
@@ -74,11 +59,10 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
                 raise ConfigError(f"config key {name!r} must be an object")
             out[key] = _merge(out[key], val, name + ".")
             continue
-        kind = NULLABLE.get(name, type(out[key]))
-        if not (fits_type(val, kind) or (val is None and name in NULLABLE)):
-            null = " or null" if name in NULLABLE else ""
+        kind = type(out[key])
+        if not fits_type(val, kind):
             raise ConfigError(f"config key {name!r} must be "
-                              f"{kind.__name__}{null}, got {val!r}")
+                              f"{kind.__name__}, got {val!r}")
         out[key] = val
     return out
 
@@ -127,22 +111,6 @@ def loss_config_for(config: dict, dataset) -> LossConfig:
 
 def gamma_offsets(config: dict, num_classes: int, seen_classes,
                   unseen_classes) -> np.ndarray:
-    g = config["gamma"]
-    if g.get("profile") is not None:
-        if g["profile"] not in GAMMA_PROFILES:
-            raise ConfigError(f"unknown gamma profile {g['profile']!r}")
-        for key in ("seen_offset", "unseen_offset"):
-            if g.get(key) is not None:
-                raise ConfigError(
-                    f"gamma.{key} is set but gamma.profile {g['profile']!r} "
-                    f"picks the offsets; set gamma.profile to null to use "
-                    f"explicit offsets")
-        offsets = GAMMA_PROFILES[g["profile"]]
-    else:
-        seen = g.get("seen_offset")
-        unseen = g.get("unseen_offset")
-        if seen is None or unseen is None:
-            raise ConfigError("gamma profile null requires explicit "
-                              "seen_offset and unseen_offset")
-        offsets = {"seen_offset": seen, "unseen_offset": unseen}
-    return gamma_profile(num_classes, seen_classes, unseen_classes, **offsets)
+    """The configured calibration offset of every class."""
+    return gamma_profile(num_classes, seen_classes, unseen_classes,
+                         **config["gamma"])

@@ -56,6 +56,15 @@ class SyntheticSpec:
             raise ConfigError("need at least 2 attributes")
         if self.samples_per_class < 2:
             raise ConfigError("need samples_per_class >= 2 for a train/test split")
+        for name in ("tau", "d_feat"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.noise_std >= 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 < self.train_fraction < 1:
+            raise ConfigError(
+                f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.num_attributes > self.d_feat:
             raise ConfigError("attribute bases need num_attributes <= d_feat")
         if not 1 <= self.signal_patches_per_attribute <= self.r_patches:

@@ -37,7 +37,7 @@ def _rel_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1.0)
 
 
-def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
+def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor], *,
                h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Check the analytic gradient of ``f`` with respect to every scalar in
     ``params`` against central finite differences.

@@ -25,11 +25,11 @@ class LossConfig:
                                               dtype=np.float64)
 
 
-def gamma_profile(num_classes: int, seen_classes, unseen_classes,
+def gamma_profile(num_classes: int, seen_classes, unseen_classes, *,
                   seen_offset: float = -0.5,
                   unseen_offset: float = 1.0) -> np.ndarray:
     """Per-class calibration offsets. The defaults are the fine-grained
-    (CUB/SUN) profile; ``config.GAMMA_PROFILES`` holds the others."""
+    (CUB/SUN) offsets and ``config.DEFAULTS["gamma"]``."""
     gamma = np.zeros(num_classes)
     gamma[list(seen_classes)] = seen_offset
     gamma[list(unseen_classes)] = unseen_offset

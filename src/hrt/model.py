@@ -29,7 +29,6 @@ class ModelConfig:
     n_primary: int = 128
     k_em: int = 5    # EM iterations; no effect, single-parent EM is closed form
     k_td: int = 2
-    layer_norm_eps: float = 1e-5
     compaction: str = "factor-analysis"  # or "pca"
 
     def validate(self) -> None:
@@ -104,14 +103,12 @@ class HrtModel:
     # -- parameter bundles ---------------------------------------------------
 
     def encoder_params(self) -> EncoderParams:
-        c = self.config
         return EncoderParams(
             proj=self.params["enc.proj"],
             act_proj=self.params["enc.act_proj"],
             inverted=InvertedRoutingParams(
                 vote_transforms=self.params["enc.vote_transforms"],
-                iterations=c.k_td,
-                layer_norm_eps=c.layer_norm_eps))
+                iterations=self.config.k_td))
 
     def decoder_params(self) -> DecoderParams:
         return DecoderParams(w_beta=self.params["dec.w_beta"],

@@ -25,6 +25,9 @@ from .errors import DimensionError
 from . import tensor as T
 from .tensor import Tensor
 
+# epsilon of the layer norm that closes each inverted-routing iteration
+LAYER_NORM_EPS = 1e-5
+
 
 @dataclass
 class InvertedRoutingParams:
@@ -32,7 +35,6 @@ class InvertedRoutingParams:
 
     vote_transforms: Tensor  # [A, d, d], one per parent, shared across children
     iterations: int
-    layer_norm_eps: float
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -115,5 +117,5 @@ def inverted_routing(children: Tensor, parent_init: Tensor,
         agreement = T.einsum("ad,rad->ra", parents, votes)   # o_ij
         route = T.softmax(agreement, axis=1)                 # over parents
         pooled = T.einsum("ra,rad->ad", route, votes)
-        parents = T.layer_norm(pooled, eps=params.layer_norm_eps)
+        parents = T.layer_norm(pooled, eps=LAYER_NORM_EPS)
     return parents, agreement, route

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .config import fits_type
+from .config import DEFAULTS, fits_type
 from .tensor import Tensor, as_tensor
 from .rng import SeededRng
 from .model import ForwardResult, HrtModel, ModelConfig
@@ -23,7 +23,7 @@ from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
 from .optim import OptimizerConfig, RmsPropState, optimizer_step
 
 CHECKPOINT_MAGIC = b"HRTC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 HISTORY_HEADER = "epoch,L_ce,L_cal,L_reg,total,train_acc"
 
 
@@ -69,8 +69,9 @@ def total_loss(model: HrtModel, patch_features, label: int,
 
 
 def train(dataset, model: HrtModel, loss_config: LossConfig,
-          optimizer_config: OptimizerConfig, epochs: int, seed: int = 0,
-          batch_size: int = 16) -> list[EpochStats]:
+          optimizer_config: OptimizerConfig, epochs: int,
+          seed: int = DEFAULTS["train"]["seed"],
+          batch_size: int = DEFAULTS["train"]["batch_size"]) -> list[EpochStats]:
     """Train on the seen-class train split; deterministic for a fixed seed."""
     feats, labels = dataset.split_samples("train")
     n = feats.shape[0]
@@ -123,7 +124,9 @@ def write_history(history: list[EpochStats], path) -> None:
 # experiment config. Version 2 dropped the encoder's EM ``beta``/``gamma``
 # parameters and the ``em_lambda`` and EM variance-floor model config keys.
 # Version 3 dropped the EM vote transforms and the model config key that laid
-# capsule poses out as matrices or vectors. Any other version is rejected.
+# capsule poses out as matrices or vectors. Version 4 dropped the layer-norm
+# epsilon from the model config; it is the constant ``routing.LAYER_NORM_EPS``.
+# Any other version is rejected.
 
 
 def config_hash(config: dict) -> str:
@@ -158,9 +161,10 @@ def save_checkpoint(model: HrtModel, path,
 
 
 def _field(header, name: str, kind: type):
-    """Header entry ``name``; a DataFormatError names it unless it is a ``kind``."""
+    """Header entry ``name``; a DataFormatError names it unless it is a
+    ``kind`` (a bool is never an int)."""
     value = header.get(name) if isinstance(header, dict) else None
-    if not isinstance(value, kind):
+    if not fits_type(value, kind):
         raise DataFormatError(f"checkpoint header field {name!r} is missing "
                               f"or not of type {kind.__name__}")
     return value
@@ -195,7 +199,7 @@ def load_checkpoint(path) -> HrtModel:
     tensors = {}
     for entry in _field(header, "tensors", list):
         name, shape = _field(entry, "name", str), _field(entry, "shape", list)
-        if not all(isinstance(d, int) and d >= 0 for d in shape):
+        if not all(fits_type(d, int) and d >= 0 for d in shape):
             raise DataFormatError(f"tensor {name!r} has bad shape {shape}")
         end = offset + math.prod(shape) * 8
         if end > len(raw):

@@ -99,13 +99,11 @@ def test_routing_oracle_equivalence(capsys):
         vote_transforms = rng.normal((a_n, d, d))
         k_td = int(rng.integers(1, 4))
         iparams = InvertedRoutingParams(
-            vote_transforms=Tensor(vote_transforms), iterations=k_td,
-            layer_norm_eps=1e-5)
+            vote_transforms=Tensor(vote_transforms), iterations=k_td)
         parents, agreement, route = inverted_routing(
             Tensor(children), Tensor(parent_init), iparams)
         p_o, ag_o, rt_o = inverted_routing_oracle(
-            children, parent_init, vote_transforms, k_td,
-            iparams.layer_norm_eps)
+            children, parent_init, vote_transforms, k_td)
         worst = max(worst,
                     float(np.max(np.abs(parents.data - p_o))),
                     float(np.max(np.abs(agreement.data - ag_o))),
@@ -130,7 +128,7 @@ def test_simplex_convexity_invariants(capsys):
             act_proj=Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
             inverted=InvertedRoutingParams(
                 vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),
-                iterations=2, layer_norm_eps=1e-5))
+                iterations=2))
         for _ in range(20):
             features = rng.normal((r_patches, d_feat))
             out = encode(Tensor(features), semantics, params)
@@ -270,7 +268,7 @@ def test_ablation_harness(capsys):
     })
     ds = generate_synthetic(SyntheticSpec(**{
         k: v for k, v in config["synthetic"].items() if k != "seed"}), seed=0)
-    rows = run_ablation(ds, config, axis="k_td", values=(1, 2, 3, 4, 5))
+    rows = run_ablation(ds, config, values=(1, 2, 3, 4, 5))
     finite = all(np.all(np.isfinite([r["tr"], r["ts"], r["h"]]))
                  for r in rows)
     ok = len(rows) == 5 and finite

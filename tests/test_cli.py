@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import struct
@@ -17,18 +18,55 @@ TINY_CONFIG = {
                   "samples_per_class": 4, "seed": 0},
 }
 
+# TINY_CONFIG trains to the same prediction for every sample, so its outputs
+# barely move when training or evaluation changes. This one still trains in
+# about half a second, and it learns: gzsl h is above 0 and differs by k_td.
+LEARNING_CONFIG = {
+    **TINY_CONFIG,
+    "train": {"epochs": 20, "batch_size": 8, "seed": 0},
+    "synthetic": {**TINY_CONFIG["synthetic"], "samples_per_class": 8},
+}
+
+# sha256 of the learning run's outputs (`learning` below); they change when
+# the numerics of training or evaluation do
+LEARNING_SHA256 = {
+    "run/history.csv":
+        "cad2be8696b6ad0a58a81c8f4f292152a29aecf86b53fcd9503e7c2d4072a61a",
+    "eval/metrics.json":
+        "104b57f53d35d3d9288c687114bf90506fff105096ac7f6644f8058a2afb61fb",
+    "ablation.csv":
+        "4ec9d4b65c191de26788d7cf9967e6f7a11a6aea16dcf2d8695e3b0de455360c",
+}
+
+
+def run_pipeline(root, config: dict, ablate: bool = False):
+    """``hrt gen``, ``train`` and ``eval --mode gzsl`` (and, if asked,
+    ``ablate``) on ``config``, into ``root``."""
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(config))
+    common = ["--data", str(root / "data"), "--config", str(cfg)]
+    assert main(["gen", "--out", str(root / "data"),
+                 "--config", str(cfg)]) == 0
+    assert main(["train", *common, "--out", str(root / "run")]) == 0
+    assert main(["eval", *common, "--mode", "gzsl", "--out", str(root / "eval"),
+                 "--checkpoint", str(root / "run" / "model.ckpt")]) == 0
+    if ablate:
+        assert main(["ablate", *common,
+                     "--out", str(root / "ablation.csv")]) == 0
+    return root
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Shared gen -> train pipeline output for the downstream commands."""
-    root = tmp_path_factory.mktemp("cli")
-    cfg = root / "config.json"
-    cfg.write_text(json.dumps(TINY_CONFIG))
-    assert main(["gen", "--out", str(root / "data"),
-                 "--config", str(cfg)]) == 0
-    assert main(["train", "--data", str(root / "data"),
-                 "--out", str(root / "run"), "--config", str(cfg)]) == 0
-    return root
+    """Shared gen -> train -> eval output for the downstream commands."""
+    return run_pipeline(tmp_path_factory.mktemp("cli"), TINY_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def learning(tmp_path_factory):
+    """gen -> train -> eval -> ablate on LEARNING_CONFIG."""
+    return run_pipeline(tmp_path_factory.mktemp("learning"), LEARNING_CONFIG,
+                        ablate=True)
 
 
 class TestPipeline:
@@ -79,6 +117,27 @@ class TestPipeline:
         # one row per sample and patch
         assert len(lines) == 1 + 20 * 4
 
+    def test_learning_run_outputs_pinned(self, learning):
+        metrics = json.loads((learning / "eval" / "metrics.json").read_text())
+        assert metrics["h"] > 0
+        for name, digest in LEARNING_SHA256.items():
+            assert hashlib.sha256(
+                (learning / name).read_bytes()).hexdigest() == digest, name
+
+    def test_configured_offset_changes_eval_metrics(self, learning, tmp_path):
+        # a seen-class offset this large sends every test sample to a seen
+        # class; an offset dropped on the way to hrt eval would leave ts as is
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**LEARNING_CONFIG,
+                                   "gamma": {"seen_offset": 50.0}}))
+        rc = main(["eval", "--checkpoint", str(learning / "run" / "model.ckpt"),
+                   "--data", str(learning / "data"), "--mode", "gzsl",
+                   "--out", str(tmp_path / "eval"), "--config", str(cfg)])
+        assert rc == 0
+        before = json.loads((learning / "eval" / "metrics.json").read_text())
+        after = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert before["ts"] > 0 and after["ts"] == 0.0
+
 
 class TestExitCodes:
     def test_missing_dataset_is_validation_error(self, tmp_path, capsys):
@@ -108,14 +167,13 @@ class TestExitCodes:
         ({"model": {"d_cap": "16"}}, "model.d_cap"),
         ({"optimizer": {"lr": None}}, "optimizer.lr"),
         ({"synthetic": {"c_seen": 2.5}}, "synthetic.c_seen"),
-        ({"gamma": {"profile": None, "seen_offset": "x",
-                    "unseen_offset": 1.0}}, "gamma.seen_offset"),
+        ({"gamma": {"seen_offset": "x"}}, "gamma.seen_offset"),
         ({"train": {"epochs": True}}, "train.epochs"),
         ({"loss": {"lambda1": True}}, "loss.lambda1"),
-        ({"gamma": {"profile": 3}}, "gamma.profile"),
+        ({"gamma": {"unseen_offset": None}}, "gamma.unseen_offset"),
     ], ids=["string-for-int", "null-for-float", "float-for-int",
             "string-offset", "bool-for-int", "bool-for-float",
-            "number-profile"])
+            "null-offset"])
     def test_mistyped_config_value_names_the_key(self, workspace, tmp_path,
                                                  capsys, overrides, key):
         cfg = tmp_path / "config.json"
@@ -129,13 +187,15 @@ class TestExitCodes:
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("key", ["seen_offset", "unseen_offset"])
-    def test_offset_beside_gamma_profile_names_both(self, workspace, tmp_path,
-                                                    capsys, command, key):
-        # the cub_sun profile picks the offsets; an explicit one would be
-        # dropped without a word
+    @pytest.mark.parametrize("overrides,key", [
+        ({"gamma": {"profile": "cub_sun"}}, "gamma.profile"),
+        ({"model": {"layer_norm_eps": 1e-5}}, "model.layer_norm_eps"),
+    ], ids=["gamma-profile", "layer-norm-eps"])
+    def test_removed_config_key_is_unknown(self, workspace, tmp_path, capsys,
+                                           command, overrides, key):
+        # the offsets are set directly, and the layer-norm epsilon is fixed
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({**TINY_CONFIG, "gamma": {key: 50.0}}))
+        cfg.write_text(json.dumps(overrides))
         checkpoint = ["--checkpoint", str(workspace / "run" / "model.ckpt")]
         rc = main([command, *(checkpoint if command == "eval" else []),
                    "--data", str(workspace / "data"),
@@ -143,8 +203,7 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert f"gamma.{key}" in err
-        assert "set gamma.profile to null" in err
+        assert f"unknown config key {key!r}" in err
 
     @pytest.mark.parametrize("name,content,named", [
         ("meta.json", b"5", "meta.json"),
@@ -239,6 +298,14 @@ class TestExitCodes:
         assert "error:" in err and "version 2" in err
         assert "Traceback" not in err
 
+    def test_eval_rejects_version_3_checkpoint(self, workspace, tmp_path,
+                                               capsys):
+        # version 3 still carried the layer-norm epsilon in its model config
+        rc, err = self.eval_with_version(workspace, tmp_path, capsys, 3)
+        assert rc == 1
+        assert "error:" in err and "version 3" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command,out_name", [
         *(pytest.param(c, "blocker/out", id=c)
           for c in ("eval", "train", "gen", "report", "ablate")),
@@ -266,13 +333,31 @@ class TestExitCodes:
             "train": config + data,
             "gen": config,
             "report": checkpoint + data,
-            "ablate": ["--axis", "k_td"] + config + data,
+            "ablate": config + data,
         }[command]
         rc = main([command, *inputs, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(out) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("synthetic,key", [
+        ({"tau": 0}, "tau"),
+        ({"d_feat": 0}, "d_feat"),
+        ({"noise_std": -1.0}, "noise_std"),
+        ({"train_fraction": -3.0}, "train_fraction"),
+    ], ids=["tau", "d_feat", "noise_std", "train_fraction"])
+    def test_impossible_synthetic_recipe_names_the_key(
+            self, tmp_path, capsys, synthetic, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synthetic": synthetic}))
+        rc = main(["gen", "--out", str(tmp_path / "data"),
+                   "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "data" / "meta.json").exists()
 
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):
         # keep this quick: a coarse tolerance still exercises the full path
@@ -281,19 +366,23 @@ class TestExitCodes:
 
 
 class TestAblate:
-    def test_ablate_writes_rows(self, workspace, tmp_path):
-        cfg_dict = json.loads((workspace / "config.json").read_text())
-        cfg_dict["train"]["epochs"] = 1
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(cfg_dict))
-        out = tmp_path / "ablation.csv"
-        rc = main(["ablate", "--axis", "k_td", "--data", str(workspace / "data"),
-                   "--out", str(out), "--config", str(cfg)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
+    def test_ablate_writes_rows(self, learning):
+        lines = (learning / "ablation.csv").read_text().splitlines()
         assert lines[0] == "axis,value,tr,ts,h"
-        assert len(lines) == 6
-        assert all(line.startswith("k_td,") for line in lines[1:])
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["k_td", str(value)] for value in range(1, 6)]
+
+    def test_ablate_row_reproduces_train_at_configured_seed(self, tmp_path):
+        # train.seed both initialises the model and orders the training data,
+        # in hrt ablate as in hrt train
+        config = {**LEARNING_CONFIG,
+                  "train": {**LEARNING_CONFIG["train"], "seed": 5}}
+        root = run_pipeline(tmp_path, config, ablate=True)
+        metrics = json.loads((root / "eval" / "metrics.json").read_text())
+        k_td = config["model"]["k_td"]
+        row = (f"k_td,{k_td},{metrics['tr']!r},{metrics['ts']!r},"
+               f"{metrics['h']!r}")
+        assert row in (root / "ablation.csv").read_text().splitlines()
 
     def test_ablate_leaves_training_config_echo(self, workspace, tmp_path):
         run = tmp_path / "run"
@@ -304,7 +393,7 @@ class TestAblate:
         assert main(["train", "--data", str(workspace / "data"),
                      "--out", str(run), "--config", str(cfg)]) == 0
         echoed = (run / "config.json").read_bytes()
-        rc = main(["ablate", "--axis", "k_td", "--data", str(workspace / "data"),
+        rc = main(["ablate", "--data", str(workspace / "data"),
                    "--out", str(run / "ablation.csv"),
                    "--config", str(workspace / "config.json")])
         assert rc == 0
@@ -314,6 +403,8 @@ class TestAblate:
 
     def test_k_em_axis_rejected_before_training(self, workspace, tmp_path,
                                                 capsys):
+        # hrt ablate sweeps k_td only; k_em changes nothing, so it cannot be
+        # asked for
         out = tmp_path / "ablation.csv"
         with pytest.raises(SystemExit) as exc:
             main(["ablate", "--axis", "k_em", "--data",

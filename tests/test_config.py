@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from hrt import ConfigError
-from hrt.config import GAMMA_PROFILES, gamma_offsets, load_config
+from hrt.config import gamma_offsets, load_config
 
 # the resolved default config, as `hrt` echoes it; DEFAULTS is built from the
 # config dataclasses, so a change to one of their defaults shows here
 RESOLVED_DEFAULTS = {
     "model": {"d_cap": 16, "n_primary": 128, "k_em": 5, "k_td": 2,
-              "layer_norm_eps": 1e-5, "compaction": "factor-analysis"},
+              "compaction": "factor-analysis"},
     "loss": {"lambda1": 0.1, "lambda2": 0.033},
-    "gamma": {"profile": "cub_sun", "seen_offset": None,
-              "unseen_offset": None},
+    "gamma": {"seen_offset": -0.5, "unseen_offset": 1.0},
     "optimizer": {"lr": 1e-3, "momentum": 0.9, "rho": 0.99, "eps": 1e-8,
                   "weight_decay": 1e-4},
     "train": {"epochs": 200, "batch_size": 16, "seed": 0},
@@ -30,17 +29,15 @@ def test_resolved_defaults_pinned():
     for section, values in RESOLVED_DEFAULTS.items():
         for key, value in values.items():
             assert type(config[section][key]) is type(value), (section, key)
-    assert GAMMA_PROFILES["cub_sun"] == {"seen_offset": -0.5,
-                                         "unseen_offset": 1.0}
 
 
-def test_int_for_float_and_null_offsets_accepted():
+def test_int_for_float_offsets_accepted():
     config = load_config(overrides={
         "optimizer": {"lr": 1},
-        "gamma": {"profile": None, "seen_offset": -1, "unseen_offset": 0.5}})
+        "gamma": {"seen_offset": -1, "unseen_offset": 2}})
     assert config["optimizer"]["lr"] == 1
     gamma = gamma_offsets(config, 3, [0, 1], [2])
-    assert np.array_equal(gamma, [-1.0, -1.0, 0.5])
+    assert np.array_equal(gamma, [-1.0, -1.0, 2.0])
 
 
 def test_pose_mode_is_an_unknown_key():

@@ -18,7 +18,7 @@ def build_setup(seed, r_patches=4, d_feat=8, n_attr=3, n_classes=4,
         act_proj=Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
         inverted=InvertedRoutingParams(
             vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),
-            iterations=k_td, layer_norm_eps=1e-5))
+            iterations=k_td))
     features = rng.normal((r_patches, d_feat))
     return features, semantics, params
 

@@ -165,7 +165,7 @@ class TestInvertedRouting:
         children = rng.normal((3, 4))
         w = rng.normal((1, 4, 4))
         params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=2, layer_norm_eps=1e-5)
+                                       iterations=2)
         parents, agreement, route = inverted_routing(
             Tensor(children), Tensor(rng.normal((1, 4))), params)
         assert np.allclose(route.data, 1.0, atol=1e-12)
@@ -181,7 +181,7 @@ class TestInvertedRouting:
         w = np.stack([w_single] * 5)
         p0 = np.tile(rng.normal((1, 3)), (5, 1))
         params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=2, layer_norm_eps=1e-5)
+                                       iterations=2)
         _, agreement, route = inverted_routing(Tensor(children), Tensor(p0),
                                                params)
         for col in range(1, 5):
@@ -195,7 +195,7 @@ class TestInvertedRouting:
         p0 = rng.normal((2, 4))
         w = rng.normal((2, 4, 4))
         params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=2, layer_norm_eps=1e-5)
+                                       iterations=2)
         parents, agreement, route = inverted_routing(Tensor(children),
                                                      Tensor(p0), params)
         o_parents, o_agreement, o_route = inverted_routing_oracle(children, p0,
@@ -209,8 +209,7 @@ class TestInvertedRouting:
         for seed in range(20):
             r = rng.spawn(seed)
             params = InvertedRoutingParams(
-                vote_transforms=Tensor(r.normal((3, 4, 4))), iterations=2,
-                layer_norm_eps=1e-5)
+                vote_transforms=Tensor(r.normal((3, 4, 4))), iterations=2)
             _, _, route = inverted_routing(Tensor(r.normal((5, 4))),
                                            Tensor(r.normal((3, 4))), params)
             assert np.all(route.data >= 0)
@@ -222,7 +221,7 @@ class TestInvertedRouting:
         p0 = rng.normal((3, 4))
         w = rng.normal((3, 4, 4))
         params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=3, layer_norm_eps=1e-5)
+                                       iterations=3)
         parents, agreement, route = inverted_routing(Tensor(children),
                                                      Tensor(p0), params)
         perm = SeededRng(1).permutation(5)
@@ -234,16 +233,14 @@ class TestInvertedRouting:
 
     def test_empty_inputs_error(self):
         params = InvertedRoutingParams(
-            vote_transforms=Tensor(np.zeros((1, 4, 4))), iterations=1,
-            layer_norm_eps=1e-5)
+            vote_transforms=Tensor(np.zeros((1, 4, 4))), iterations=1)
         with pytest.raises(DimensionError):
             inverted_routing(Tensor(np.zeros((0, 4))),
                              Tensor(np.zeros((1, 4))), params)
 
     def test_dim_mismatch_error(self):
         params = InvertedRoutingParams(
-            vote_transforms=Tensor(np.zeros((2, 4, 4))), iterations=1,
-            layer_norm_eps=1e-5)
+            vote_transforms=Tensor(np.zeros((2, 4, 4))), iterations=1)
         with pytest.raises(DimensionError):
             inverted_routing(Tensor(np.zeros((3, 5))),
                              Tensor(np.zeros((2, 4))), params)

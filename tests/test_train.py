@@ -139,14 +139,15 @@ class TestCheckpoint:
         path.write_bytes(b"HRTC" + struct.pack("<Q", len(blob)) + blob
                          + payload)
 
-    def test_header_declares_version_3(self, tmp_path):
+    def test_header_declares_version_4(self, tmp_path):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         header, _ = self.read_header(path)
-        assert header["version"] == 3
+        assert header["version"] == 4
         assert "em_lambda" not in header["model_config"]
         assert "pose_mode" not in header["model_config"]
+        assert "layer_norm_eps" not in header["model_config"]
         assert "enc.transforms" not in {t["name"] for t in header["tensors"]}
 
     def test_shorter_than_header_length(self, tmp_path):
@@ -176,9 +177,15 @@ class TestCheckpoint:
                                           "d_cap": "8"}}, "model_config"),
         (lambda h: {k: v for k, v in h.items() if k != "seed"}, "seed"),
         (lambda h: [h], "version"),
+        # true is not the version 1: the error names the field itself
+        (lambda h: {**h, "version": True}, "field 'version'"),
+        (lambda h: {**h, "seed": True}, "seed"),
+        (lambda h: {**h, "tensors": [{**t, "shape": [True] * len(t["shape"])}
+                                     for t in h["tensors"]]}, "bad shape"),
     ], ids=["v1", "no-version", "no-tensors", "bad-tensor-entry",
             "model-config-not-object", "model-config-unknown-key",
-            "model-config-mistyped", "no-seed", "header-not-object"])
+            "model-config-mistyped", "no-seed", "header-not-object",
+            "bool-version", "bool-seed", "bool-shape"])
     def test_malformed_header_names_the_field(self, tmp_path, edit, field):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
