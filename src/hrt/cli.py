@@ -64,9 +64,9 @@ def _check_dims(model: HrtModel, dataset, args) -> None:
 def cmd_gen(args) -> int:
     config = load_config(args.config)
     _make_out(args.out)
-    spec, seed = _synthetic_spec(config)
     if args.seed is not None:
-        seed = args.seed
+        config["synthetic"]["seed"] = args.seed
+    spec, seed = _synthetic_spec(config)
     dataset = generate_synthetic(spec, seed)
     save_dataset(dataset, args.out)
     echo_config(config, Path(args.out) / "config.json")
@@ -78,7 +78,9 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     out = _make_out(args.out)
     dataset = load_features(args.data)
-    seed = config["train"]["seed"] if args.seed is None else args.seed
+    if args.seed is not None:
+        config["train"]["seed"] = args.seed
+    seed = config["train"]["seed"]
     model = HrtModel.build(model_config_for(config, dataset),
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=seed)

@@ -26,6 +26,10 @@ class SemanticSpace:
         self.attr_vectors = np.asarray(self.attr_vectors, dtype=np.float64)
         self.compact_vectors = np.asarray(self.compact_vectors, dtype=np.float64)
         self.class_attr = np.asarray(self.class_attr, dtype=np.float64)
+        for name in ("attr_vectors", "compact_vectors"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2:
+                raise DimensionError(f"{name} must be 2-D, got shape {shape}")
         a = self.attr_vectors.shape[0]
         if a < 1:
             raise DimensionError("need at least one attribute")

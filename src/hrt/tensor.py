@@ -12,6 +12,9 @@ Design notes:
     and it matches a naive triple loop).
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
+  * backward computes only the gradients something reads: a binary op's
+    closure returns None for an operand that does not require a gradient, and
+    a leaf accumulates into a gradient array it owns.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite value produced by {what}")
     return arr
 
@@ -96,14 +99,19 @@ class Tensor:
             if g is None:
                 continue
             if node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
+                # a copy, as add hands one array to both of its parents
+                if node.grad is None:
+                    node.grad = g.copy()
+                else:
+                    node.grad += g
                 continue
             node._backward_dispatch(g, grads)
 
     def _backward_dispatch(self, g: np.ndarray, grads: dict[int, np.ndarray]) -> None:
+        # an op's closure returns None for each parent that needs no gradient
         contribs = self._backward(g)  # type: ignore[misc]
         for parent, contrib in zip(self._parents, contribs):
-            if not parent.requires_grad or contrib is None:
+            if contrib is None:
                 continue
             contrib = _unbroadcast(contrib, parent.data.shape)
             key = id(parent)
@@ -190,8 +198,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor._from_op(a.data + b.data, (a, b),
-                           lambda g: (g, g), "add")
+    def backward(g):
+        return (g if a.requires_grad else None,
+                g if b.requires_grad else None)
+
+    return Tensor._from_op(a.data + b.data, (a, b), backward, "add")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -199,14 +210,19 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor._from_op(a.data * b.data, (a, b),
-                           lambda g: (g * b.data, g * a.data), "mul")
+    def backward(g):
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
+
+    return Tensor._from_op(a.data * b.data, (a, b), backward, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor._from_op(a.data / b.data, (a, b),
-                           lambda g: (g / b.data, -g * a.data / (b.data ** 2)),
-                           "div")
+    def backward(g):
+        return (g / b.data if a.requires_grad else None,
+                -g * a.data / (b.data ** 2) if b.requires_grad else None)
+
+    return Tensor._from_op(a.data / b.data, (a, b), backward, "div")
 
 
 def exp(a: Tensor) -> Tensor:
@@ -275,8 +291,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.einsum("ik,kj->ij", a.data, b.data, optimize=False)
 
     def backward(g):
-        return (np.einsum("ij,kj->ik", g, b.data, optimize=False),
-                np.einsum("ik,ij->kj", a.data, g, optimize=False))
+        return (np.einsum("ij,kj->ik", g, b.data, optimize=False)
+                if a.requires_grad else None,
+                np.einsum("ik,ij->kj", a.data, g, optimize=False)
+                if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), backward, "matmul")
 
@@ -289,8 +307,10 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     out_data = np.einsum(subscripts, a.data, b.data, optimize=False)
 
     def backward(g):
-        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data, optimize=False)
-        gb = np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data, optimize=False)
+        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data,
+                       optimize=False) if a.requires_grad else None
+        gb = np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data,
+                       optimize=False) if b.requires_grad else None
         return (ga, gb)
 
     return Tensor._from_op(out_data, (a, b), backward, "einsum")

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from hrt import config_hash, load_checkpoint, save_checkpoint
 from hrt.cli import main
 
 NOT_UTF8 = b"a0,a1\n\xff\xfe,1\n"
@@ -137,6 +138,29 @@ class TestPipeline:
         before = json.loads((learning / "eval" / "metrics.json").read_text())
         after = json.loads((tmp_path / "eval" / "metrics.json").read_text())
         assert before["ts"] > 0 and after["ts"] == 0.0
+
+    def test_train_echoes_seed_option(self, workspace, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"epochs": 1}}))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(workspace / "data"),
+                     "--out", str(run), "--config", str(cfg),
+                     "--seed", "7"]) == 0
+        echoed = json.loads((run / "config.json").read_text())
+        assert echoed["train"]["seed"] == 7
+        raw = (run / "model.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[4:12])
+        header = json.loads(raw[12:12 + hlen])
+        assert header["seed"] == 7
+        assert header["config_hash"] == config_hash(echoed)
+
+    def test_gen_echoes_seed_option(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data),
+                     "--config", str(workspace / "config.json"),
+                     "--seed", "7"]) == 0
+        echoed = json.loads((data / "config.json").read_text())
+        assert echoed["synthetic"]["seed"] == 7
 
 
 class TestExitCodes:
@@ -305,6 +329,21 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in err and "version 3" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["attr_vectors", "compact_vectors"])
+    def test_eval_rejects_1d_semantic_array(self, workspace, tmp_path, capsys,
+                                            name):
+        # the array keeps only its first column: shape [A] instead of [A, k]
+        model = load_checkpoint(workspace / "run" / "model.ckpt")
+        setattr(model.semantics, name, getattr(model.semantics, name)[:, 0])
+        save_checkpoint(model, tmp_path / "1d.ckpt")
+        rc = main(["eval", "--checkpoint", str(tmp_path / "1d.ckpt"),
+                   "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert name in err
 
     @pytest.mark.parametrize("command,out_name", [
         *(pytest.param(c, "blocker/out", id=c)

@@ -165,3 +165,69 @@ class TestBackwardBasics:
         (a * b).sum().backward()
         assert a.grad.shape == (3, 1)
         assert np.allclose(a.grad, 4.0)
+
+    @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
+    def test_matmul_backward_skips_constant_operand(self, a_grad):
+        rng = SeededRng(6)
+        a = Tensor(rng.normal((3, 4)), requires_grad=a_grad)
+        b = Tensor(rng.normal((4, 2)), requires_grad=not a_grad)
+        g = rng.normal((3, 2))
+        ga, gb = T.matmul(a, b)._backward(g)
+        if a_grad:
+            assert gb is None
+            assert np.array_equal(
+                ga, np.einsum("ij,kj->ik", g, b.data, optimize=False))
+        else:
+            assert ga is None
+            assert np.array_equal(
+                gb, np.einsum("ik,ij->kj", a.data, g, optimize=False))
+
+    @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
+    def test_einsum_backward_skips_constant_operand(self, a_grad):
+        rng = SeededRng(7)
+        a = Tensor(rng.normal((3, 5)), requires_grad=a_grad)
+        b = Tensor(rng.normal((3, 5, 4)), requires_grad=not a_grad)
+        g = rng.normal((3, 4))
+        ga, gb = T.einsum("rn,rnh->rh", a, b)._backward(g)
+        if a_grad:
+            assert gb is None
+            assert np.array_equal(
+                ga, np.einsum("rh,rnh->rn", g, b.data, optimize=False))
+        else:
+            assert ga is None
+            assert np.array_equal(
+                gb, np.einsum("rh,rn->rnh", g, a.data, optimize=False))
+
+    def test_second_backward_adds_bitwise(self):
+        rng = SeededRng(8)
+        w = Tensor(rng.normal((4, 3)), requires_grad=True)
+        v = Tensor(rng.normal((3,)), requires_grad=True)
+        xs = [Tensor(rng.normal((2, 4))) for _ in range(2)]
+
+        def loss(x):
+            h = T.sigmoid(T.matmul(x, w)) * v
+            return (h * h).sum() + T.einsum("ij,ij->", w, w)
+
+        single = []
+        for x in xs:
+            w.zero_grad()
+            v.zero_grad()
+            loss(x).backward()
+            single.append((w.grad, v.grad))
+        w.zero_grad()
+        v.zero_grad()
+        for x in xs:
+            loss(x).backward()
+        assert np.array_equal(w.grad, single[0][0] + single[1][0])
+        assert np.array_equal(v.grad, single[0][1] + single[1][1])
+
+    def test_second_backward_through_add_keeps_operand_grads_apart(self):
+        # add hands one gradient array to both operands; accumulating into it
+        # in place would count a's second gradient in b's too
+        a = Tensor(np.arange(3.0), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        once = b.grad.copy()
+        (a + b).sum().backward()
+        assert np.array_equal(a.grad, 2 * once)
+        assert np.array_equal(b.grad, 2 * once)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -9,7 +10,17 @@ from hrt import (DataFormatError, HrtModel, LossConfig, ModelConfig,
                  gamma_profile, generate_synthetic, load_checkpoint, no_grad,
                  save_checkpoint, total_loss, train, write_history)
 from hrt.cli import TINY_MODEL
+from hrt.config import load_config, loss_config_for, model_config_for
 from hrt.train import HISTORY_HEADER
+
+# sha256 of a 2-epoch run at the default config, seed 0: the history rows
+# joined by newlines, and the parameters' bytes in name order
+DEFAULT_RUN_SHA256 = {
+    "history":
+        "59949ce7e14048c722c4227bef216338c71f749114e7c4e32dd37e084b6e5d60",
+    "params":
+        "294b8895db5b3c5d53a11c02ad69af361714429b1c35ade261a57bb20078079c",
+}
 
 
 def tiny_setup(seed=0):
@@ -76,6 +87,30 @@ class TestTrain:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert all(np.isfinite(float(v)) for v in first[1:])
+
+    def test_default_config_run_pinned(self):
+        # two epochs at the default config (d_cap 16, n_primary 128): the
+        # history rows and every parameter's bytes must not move when
+        # backward or the optimizer is reworked
+        config = load_config()
+        spec = dict(config["synthetic"])
+        seed = spec.pop("seed")
+        ds = generate_synthetic(SyntheticSpec(**spec), seed)
+        model = HrtModel.build(model_config_for(config, ds),
+                               ds.semantics.attr_vectors,
+                               ds.semantics.class_attr,
+                               seed=config["train"]["seed"])
+        history = train(ds, model, loss_config_for(config, ds),
+                        OptimizerConfig(**config["optimizer"]), epochs=2,
+                        seed=config["train"]["seed"],
+                        batch_size=config["train"]["batch_size"])
+        rows = "\n".join(h.csv_row() for h in history).encode("utf-8")
+        params = b"".join(model.params[n].data.tobytes()
+                          for n in sorted(model.params))
+        assert len(model.params) == 5
+        assert hashlib.sha256(rows).hexdigest() == DEFAULT_RUN_SHA256["history"]
+        assert hashlib.sha256(params).hexdigest() == \
+            DEFAULT_RUN_SHA256["params"]
 
 
 class TestConfigHash:
