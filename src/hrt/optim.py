@@ -40,19 +40,43 @@ class RmsPropState:
 def optimizer_step(state: RmsPropState, params: dict[str, Tensor],
                    grads: dict[str, np.ndarray]) -> None:
     """Apply one RMSprop update in place; ``grads`` holds one gradient per
-    parameter."""
+    parameter and is only read.
+
+    ``acc``, ``buf`` and the weights are updated in place through one scratch
+    array, with the same float64 operations in the same order as the
+    out-of-place expressions of the update rule above, so the result is the
+    same to the bit.  Each ``p.data`` is written into, so it must be a
+    writeable array that the parameter does not share with other code.
+    """
     cfg = state.config
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
-        acc = state.square_avg.setdefault(name, np.zeros_like(p.data))
-        buf = state.momentum_buf.setdefault(name, np.zeros_like(p.data))
+        w = p.data
+        # get, not setdefault, whose zeros_like argument would fill a new
+        # array on every step
+        acc = state.square_avg.get(name)
+        if acc is None:
+            acc = state.square_avg[name] = np.zeros_like(w)
+        buf = state.momentum_buf.get(name)
+        if buf is None:
+            buf = state.momentum_buf[name] = np.zeros_like(w)
+        # acc += (1 - rho) * g * g
+        scratch = np.multiply(1.0 - cfg.rho, g, out=np.empty_like(w))
+        scratch *= g
         acc *= cfg.rho
-        acc += (1.0 - cfg.rho) * g * g
-        eff = g / (np.sqrt(acc) + cfg.eps)
+        acc += scratch
+        # buf += g / (sqrt(acc) + eps)
+        np.sqrt(acc, out=scratch)
+        scratch += cfg.eps
+        np.divide(g, scratch, out=scratch)
         buf *= cfg.momentum
-        buf += eff
-        p.data = p.data - cfg.lr * buf - cfg.lr * cfg.weight_decay * p.data
-        if not np.all(np.isfinite(p.data)):
+        buf += scratch
+        # w <- (w - lr * buf) - (lr * wd) * w
+        np.multiply(cfg.lr, buf, out=scratch)
+        np.subtract(w, scratch, out=scratch)
+        w *= cfg.lr * cfg.weight_decay
+        np.subtract(scratch, w, out=w)
+        if not np.all(np.isfinite(w)):
             raise NumericError(f"parameter {name!r} became non-finite after step")

@@ -15,6 +15,11 @@ Design notes:
   * backward computes only the gradients something reads: a binary op's
     closure returns None for an operand that does not require a gradient, and
     a leaf accumulates into a gradient array it owns.
+  * backward visits the graph in one fixed order (a depth-first topological
+    sort over the parents in argument order), and that order fixes the order
+    in which the contributions to a shared node's gradient are summed.  Float
+    addition is not associative, so the visiting order is part of the byte
+    contract: changing it changes trained weights in the last bits.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 _GRAD_ENABLED = [True]
+_F64 = np.dtype(np.float64)
+_all = np.logical_and.reduce
 
 
 @contextlib.contextmanager
@@ -40,7 +47,8 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    # the reduction .all() runs, without its Python wrapper
+    if not _all(np.isfinite(arr), axis=None):
         raise NumericError(f"non-finite value produced by {what}")
     return arr
 
@@ -64,15 +72,20 @@ class Tensor:
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  backward: Callable[[np.ndarray], None], what: str) -> "Tensor":
         out = Tensor.__new__(Tensor)
-        out.data = _check_finite(np.asarray(data, dtype=np.float64), what)
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        out.data = _check_finite(data, what)
         out.grad = None
         out._parents = ()
         out._backward = None
         out.requires_grad = False
-        if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
+        if _GRAD_ENABLED[-1]:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward
+                    break
         return out
 
     def backward(self) -> None:
@@ -91,8 +104,10 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
+            # a parent that needs no gradient would be popped and skipped
             for p in node._parents:
-                stack.append((p, False))
+                if p.requires_grad:
+                    stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
@@ -105,20 +120,17 @@ class Tensor:
                 else:
                     node.grad += g
                 continue
-            node._backward_dispatch(g, grads)
-
-    def _backward_dispatch(self, g: np.ndarray, grads: dict[int, np.ndarray]) -> None:
-        # an op's closure returns None for each parent that needs no gradient
-        contribs = self._backward(g)  # type: ignore[misc]
-        for parent, contrib in zip(self._parents, contribs):
-            if contrib is None:
-                continue
-            contrib = _unbroadcast(contrib, parent.data.shape)
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contrib
-            else:
-                grads[key] = contrib
+            # an op's closure returns None for each parent that needs no
+            # gradient
+            for parent, contrib in zip(node._parents, node._backward(g)):
+                if contrib is None:
+                    continue
+                contrib = _unbroadcast(contrib, parent.data.shape)
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + contrib
+                else:
+                    grads[key] = contrib
 
     # -- convenience --------------------------------------------------------
 
@@ -185,6 +197,8 @@ def as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
+    if type(grad) is np.ndarray and grad.shape == shape:
+        return grad
     grad = np.asarray(grad, dtype=np.float64)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -239,8 +253,8 @@ def square(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic function, elementwise."""
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Tensor._from_op(out_data, (a,),
                            lambda g: (g * out_data * (1.0 - out_data),),
                            "sigmoid")
@@ -350,15 +364,17 @@ def layer_norm(a: Tensor, eps: float) -> Tensor:
     """Normalize over the last axis to mean 0 / variance 1 (no affine terms)."""
     if a.data.shape[-1] < 1:
         raise DimensionError("layer_norm needs a nonempty last axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = ((a.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    # sum / n is how numpy forms a float64 mean, without its call overhead
+    n = a.data.shape[-1]
+    mu = a.data.sum(axis=-1, keepdims=True) / n
+    centered = a.data - mu
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    y = (a.data - mu) * inv
+    y = centered * inv
 
     def backward(g):
-        n = a.data.shape[-1]
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
+        gm = g.sum(axis=-1, keepdims=True) / n
+        gy = (g * y).sum(axis=-1, keepdims=True) / n
         return (inv * (g - gm - y * gy),)
 
     return Tensor._from_op(y, (a,), backward, "layer_norm")

@@ -25,6 +25,8 @@ from .optim import OptimizerConfig, RmsPropState, optimizer_step
 CHECKPOINT_MAGIC = b"HRTC"
 CHECKPOINT_VERSION = 4
 HISTORY_HEADER = "epoch,L_ce,L_cal,L_reg,total,train_acc"
+SEMANTIC_TENSORS = ("sem.attr_vectors", "sem.compact_vectors",
+                    "sem.class_attr")
 
 
 @dataclass
@@ -96,10 +98,13 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
                 correct += int(predict(result.scores) == labels[i])
                 total.backward()
                 sums += [parts[k] for k in ("ce", "cal", "reg", "total")]
-            grads = {name: (p.grad if p.grad is not None
-                            else np.zeros_like(p.data)) / batch.size
-                     for name, p in model.params.items()}
-            optimizer_step(state, model.params, grads)
+            # each leaf owns its gradient array, so the mean is formed in place
+            for p in model.params.values():
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+                p.grad /= batch.size
+            optimizer_step(state, model.params,
+                           {name: p.grad for name, p in model.params.items()})
         history.append(EpochStats(epoch=epoch,
                                   ce=float(sums[0] / n),
                                   cal=float(sums[1] / n),
@@ -126,7 +131,8 @@ def write_history(history: list[EpochStats], path) -> None:
 # Version 3 dropped the EM vote transforms and the model config key that laid
 # capsule poses out as matrices or vectors. Version 4 dropped the layer-norm
 # epsilon from the model config; it is the constant ``routing.LAYER_NORM_EPS``.
-# Any other version is rejected.
+# Any other version is rejected.  Each tensor name appears once, names a model
+# parameter or one of the ``sem.*`` arrays, and holds only finite values.
 
 
 def config_hash(config: dict) -> str:
@@ -138,9 +144,8 @@ def save_checkpoint(model: HrtModel, path,
                     experiment_config: dict | None = None) -> None:
     names = sorted(model.params)
     sem = model.semantics
-    arrays = [("sem.attr_vectors", sem.attr_vectors),
-              ("sem.compact_vectors", sem.compact_vectors),
-              ("sem.class_attr", sem.class_attr)]
+    arrays = [(name, getattr(sem, name.removeprefix("sem.")))
+              for name in SEMANTIC_TENSORS]
     arrays += [(n, model.params[n].data) for n in names]
     header = {
         "version": CHECKPOINT_VERSION,
@@ -201,16 +206,21 @@ def load_checkpoint(path) -> HrtModel:
         name, shape = _field(entry, "name", str), _field(entry, "shape", list)
         if not all(fits_type(d, int) and d >= 0 for d in shape):
             raise DataFormatError(f"tensor {name!r} has bad shape {shape}")
+        if name in tensors:
+            raise DataFormatError(f"checkpoint lists tensor {name!r} twice")
         end = offset + math.prod(shape) * 8
         if end > len(raw):
             raise DataFormatError(f"checkpoint truncated in tensor {name!r}")
         tensors[name] = np.frombuffer(raw[offset:end],
                                       dtype="<f8").reshape(shape)
+        if not np.isfinite(tensors[name]).all():
+            raise DataFormatError(
+                f"checkpoint tensor {name!r} holds a non-finite value")
         offset = end
     if offset != len(raw):
         raise DataFormatError(
             f"checkpoint has {len(raw) - offset} trailing bytes")
-    for name in ("sem.attr_vectors", "sem.compact_vectors", "sem.class_attr"):
+    for name in SEMANTIC_TENSORS:
         if name not in tensors:
             raise DataFormatError(f"checkpoint missing tensor {name!r}")
 
@@ -219,6 +229,11 @@ def load_checkpoint(path) -> HrtModel:
                               compact_vectors=tensors["sem.compact_vectors"],
                               class_attr=tensors["sem.class_attr"])
     model = HrtModel(config, semantics, seed=seed)
+    unknown = sorted(tensors.keys() - model.params.keys()
+                     - set(SEMANTIC_TENSORS))
+    if unknown:
+        raise DataFormatError(f"checkpoint tensors {unknown} are neither "
+                              "parameters nor semantic arrays")
     for name, p in model.params.items():
         if name not in tensors:
             raise DataFormatError(f"checkpoint missing parameter {name!r}")

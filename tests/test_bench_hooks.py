@@ -74,6 +74,47 @@ def test_missing_target_is_named(hooks):
             pass
 
 
+def test_traced_epoch_keeps_the_bench_contract(hooks):
+    """The call counts and op counts ``bench/run.py`` checks on a traced
+    ``train_default`` run, on one epoch of a tiny dataset: per sample one
+    forward pass, one backward pass and one call of each loss, one optimizer
+    step per minibatch, and the same op counts for every sample."""
+    from hrt import (HrtModel, LossConfig, ModelConfig, SyntheticSpec,
+                     generate_synthetic, train)
+    from hrt.cli import TINY_MODEL
+
+    spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
+                         d_feat=16, tau=8, samples_per_class=4, noise_std=0.1,
+                         signal_patches_per_attribute=1)
+    dataset = generate_synthetic(spec, 0)
+    model = HrtModel.build(ModelConfig(**TINY_MODEL),
+                           dataset.semantics.attr_vectors,
+                           dataset.semantics.class_attr, seed=0)
+    n, batch = dataset.splits["train"].size, 4
+    assert n % batch  # the last minibatch is a short one
+    with hooks.Tracer() as tracer:
+        train(dataset, model, LossConfig(), OptimizerConfig(), epochs=1,
+              batch_size=batch)
+
+    expected = dict.fromkeys(hooks.layer_targets(), 0)
+    for target in ("hrt.model.HrtModel.forward", "hrt.model.encode",
+                   "hrt.encoder.batched_primary_capsules",
+                   "hrt.encoder.batched_em_routing",
+                   "hrt.encoder.inverted_routing",
+                   "hrt.model.adjust_class_attributes",
+                   "hrt.model.content_attribute_scores",
+                   "hrt.model.class_scores",
+                   "hrt.train.cross_entropy", "hrt.train.calibration_loss",
+                   "hrt.train.attribute_regression_loss", "hrt.train.predict",
+                   "hrt.tensor.Tensor.backward"):
+        expected[target] = n
+    expected["hrt.train.optimizer_step"] = -(-n // batch)
+    hooks.expect_calls(tracer.calls, expected)
+    counts = tracer.per_sample_op_counts()
+    assert counts.shape == (n, 3)
+    assert (counts == counts[0]).all()
+
+
 def bench_workloads() -> dict:
     """``WORKLOADS`` of ``bench/run.py``, read as a literal: importing the
     module would pin this process's BLAS threads."""

@@ -3,6 +3,7 @@ import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from hrt import config_hash, load_checkpoint, save_checkpoint
@@ -344,6 +345,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert name in err
+
+    def test_eval_rejects_non_finite_parameter(self, workspace, tmp_path,
+                                               capsys):
+        model = load_checkpoint(workspace / "run" / "model.ckpt")
+        model.params["enc.proj"].data[0, 0] = np.nan
+        save_checkpoint(model, tmp_path / "nan.ckpt")
+        rc = main(["eval", "--checkpoint", str(tmp_path / "nan.ckpt"),
+                   "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "'enc.proj' holds a non-finite value" in err
 
     @pytest.mark.parametrize("command,out_name", [
         *(pytest.param(c, "blocker/out", id=c)

@@ -59,3 +59,48 @@ def test_accumulators_stay_nonnegative():
     for _ in range(50):
         optimizer_step(state, {"p": p}, {"p": rng.normal(size=2)})
     assert np.all(state.square_avg["p"] >= 0)
+
+
+def reference_step(cfg, w, acc, buf, g):
+    """One update written as the out-of-place expressions of the documented
+    rule; returns the new (w, acc, buf)."""
+    acc = cfg.rho * acc + (1.0 - cfg.rho) * g * g
+    eff = g / (np.sqrt(acc) + cfg.eps)
+    buf = cfg.momentum * buf + eff
+    return w - cfg.lr * buf - cfg.lr * cfg.weight_decay * w, acc, buf
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
+def test_in_place_update_equals_out_of_place_bitwise(shape):
+    cfg = OptimizerConfig(lr=3e-2, momentum=0.8, rho=0.95, eps=1e-6,
+                          weight_decay=1e-2)
+    rng = np.random.default_rng(1)
+    params = {"a": Tensor(rng.normal(size=shape), requires_grad=True),
+              "b": Tensor(rng.normal(size=(4,)), requires_grad=True)}
+    state = RmsPropState(cfg)
+    ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+           for n, p in params.items()}
+    for _ in range(25):
+        # gradients spanning many magnitudes, with exact zeros
+        grads = {n: rng.normal(size=p.data.shape)
+                 * 10.0 ** rng.integers(-6, 4, size=p.data.shape)
+                 * (rng.random(p.data.shape) > 0.2)
+                 for n, p in params.items()}
+        optimizer_step(state, params, grads)
+        ref = {n: reference_step(cfg, *ref[n], grads[n]) for n in params}
+        for n, p in params.items():
+            w, acc, buf = ref[n]
+            assert np.array_equal(p.data, w)
+            assert np.array_equal(state.square_avg[n], acc)
+            assert np.array_equal(state.momentum_buf[n], buf)
+
+
+def test_step_leaves_callers_gradients_unmodified():
+    rng = np.random.default_rng(2)
+    p = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    state = RmsPropState(OptimizerConfig())
+    for _ in range(3):
+        g = rng.normal(size=(3, 4))
+        before = g.copy()
+        optimizer_step(state, {"p": p}, {"p": g})
+        assert np.array_equal(g, before)

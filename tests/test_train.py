@@ -23,6 +23,18 @@ DEFAULT_RUN_SHA256 = {
 }
 
 
+def poke(header, payload, name, value):
+    """Write ``value`` over the first element of checkpoint tensor ``name``
+    in ``payload``; return ``header`` unchanged."""
+    offset = 0
+    for entry in header["tensors"]:
+        if entry["name"] == name:
+            payload[offset:offset + 8] = struct.pack("<d", value)
+            return header
+        offset += 8 * int(np.prod(entry["shape"]))
+    raise KeyError(name)
+
+
 def tiny_setup(seed=0):
     spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
                          d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
@@ -168,9 +180,11 @@ class TestCheckpoint:
         return json.loads(raw[12:12 + hlen]), raw[12 + hlen:]
 
     def rewrite_header(self, path, edit):
-        """Re-serialize a checkpoint's JSON header as ``edit(header)``."""
+        """Re-serialize a checkpoint's JSON header as ``edit(header,
+        payload)``; the edit may also write into ``payload``, a bytearray."""
         header, payload = self.read_header(path)
-        blob = json.dumps(edit(header)).encode("utf-8")
+        payload = bytearray(payload)
+        blob = json.dumps(edit(header, payload)).encode("utf-8")
         path.write_bytes(b"HRTC" + struct.pack("<Q", len(blob)) + blob
                          + payload)
 
@@ -201,26 +215,42 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, field", [
-        (lambda h: {**h, "version": 1}, "version"),
-        (lambda h: {k: v for k, v in h.items() if k != "version"}, "version"),
-        (lambda h: {k: v for k, v in h.items() if k != "tensors"}, "tensors"),
-        (lambda h: {**h, "tensors": [{"name": "x"}]}, "shape"),
-        (lambda h: {**h, "model_config": [1, 2]}, "model_config"),
-        (lambda h: {**h, "model_config": {**h["model_config"],
-                                          "em_lambda": 1.0}}, "model_config"),
-        (lambda h: {**h, "model_config": {**h["model_config"],
-                                          "d_cap": "8"}}, "model_config"),
-        (lambda h: {k: v for k, v in h.items() if k != "seed"}, "seed"),
-        (lambda h: [h], "version"),
+        (lambda h, _: {**h, "version": 1}, "version"),
+        (lambda h, _: {k: v for k, v in h.items() if k != "version"},
+         "version"),
+        (lambda h, _: {k: v for k, v in h.items() if k != "tensors"},
+         "tensors"),
+        (lambda h, _: {**h, "tensors": [{"name": "x"}]}, "shape"),
+        (lambda h, _: {**h, "model_config": [1, 2]}, "model_config"),
+        (lambda h, _: {**h, "model_config": {**h["model_config"],
+                                             "em_lambda": 1.0}},
+         "model_config"),
+        (lambda h, _: {**h, "model_config": {**h["model_config"],
+                                             "d_cap": "8"}}, "model_config"),
+        (lambda h, _: {k: v for k, v in h.items() if k != "seed"}, "seed"),
+        (lambda h, _: [h], "version"),
         # true is not the version 1: the error names the field itself
-        (lambda h: {**h, "version": True}, "field 'version'"),
-        (lambda h: {**h, "seed": True}, "seed"),
-        (lambda h: {**h, "tensors": [{**t, "shape": [True] * len(t["shape"])}
-                                     for t in h["tensors"]]}, "bad shape"),
+        (lambda h, _: {**h, "version": True}, "field 'version'"),
+        (lambda h, _: {**h, "seed": True}, "seed"),
+        (lambda h, _: {**h, "tensors": [
+            {**t, "shape": [True] * len(t["shape"])} for t in h["tensors"]]},
+         "bad shape"),
+        (lambda h, p: poke(h, p, "enc.proj", np.nan),
+         "'enc.proj' holds a non-finite value"),
+        (lambda h, p: poke(h, p, "sem.compact_vectors", np.inf),
+         "'sem.compact_vectors' holds a non-finite value"),
+        # a zero-size entry needs no payload bytes
+        (lambda h, _: {**h, "tensors": h["tensors"] + [
+            {"name": "enc.transforms", "shape": [0]}]},
+         r"\['enc.transforms'\] are neither"),
+        (lambda h, _: {**h, "tensors": h["tensors"] + [
+            {"name": "enc.vote_transforms", "shape": [0]}]},
+         "'enc.vote_transforms' twice"),
     ], ids=["v1", "no-version", "no-tensors", "bad-tensor-entry",
             "model-config-not-object", "model-config-unknown-key",
             "model-config-mistyped", "no-seed", "header-not-object",
-            "bool-version", "bool-seed", "bool-shape"])
+            "bool-version", "bool-seed", "bool-shape", "nan-param",
+            "inf-semantics", "unknown-tensor", "duplicate-tensor"])
     def test_malformed_header_names_the_field(self, tmp_path, edit, field):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
