@@ -14,7 +14,7 @@ iterations actually do, so you can see the consensus forming.
 
 import numpy as np
 
-from hrt import InvertedRoutingParams, SeededRng, Tensor, inverted_routing
+from hrt import SeededRng, Tensor, inverted_routing
 from hrt.routing import batched_em_routing
 
 rng = SeededRng(0)
@@ -62,10 +62,9 @@ children = np.stack([parent_init[0] * 2.0,      # agrees with parent 0
                      -parent_init[1] * 2.0,     # agrees with parent 1
                      rng.normal((d,), scale=0.1)])
 
-iparams = InvertedRoutingParams(vote_transforms=Tensor(vote_transforms),
-                                iterations=3)
 parents, agreement, route = inverted_routing(Tensor(children),
-                                             Tensor(parent_init), iparams)
+                                             Tensor(parent_init),
+                                             Tensor(vote_transforms), 3)
 
 print("inverted routing: per-patch routing distributions (rows sum to 1)")
 for i, row in enumerate(route.data):

@@ -11,10 +11,10 @@ from .errors import (ConfigError, DataFormatError, DimensionError,
 from .tensor import Tensor, no_grad
 from .rng import SeededRng
 from .gradcheck import grad_check, GradCheckReport
-from .routing import InvertedRoutingParams, inverted_routing
+from .routing import inverted_routing
 from .semantics import SemanticSpace, compact_semantics, factor_analysis
-from .encoder import AlignedFeatures, EncoderParams, encode
-from .decoder import (DecoderParams, adjust_class_attributes, class_scores,
+from .encoder import AlignedFeatures, encode
+from .decoder import (adjust_class_attributes, class_scores,
                       content_attribute_scores)
 from .model import HrtModel, ModelConfig
 from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
@@ -30,9 +30,8 @@ from .ablation import run_ablation
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedFeatures", "ConfigError", "DataFormatError",
-    "DecoderParams", "DimensionError", "EncoderParams",
-    "GradCheckReport", "HrtModel", "InvertedRoutingParams", "LossConfig",
+    "AlignedFeatures", "ConfigError", "DataFormatError", "DimensionError",
+    "GradCheckReport", "HrtModel", "LossConfig",
     "Metrics", "ModelConfig", "NumericError", "OptimizerConfig",
     "RmsPropState", "SeededRng", "SemanticSpace", "SyntheticSpec", "Tensor",
     "ZslDataset", "adjust_class_attributes", "attribute_regression_loss",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -114,6 +115,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise ConfigError(f"--h must be a positive finite number, got {args.h}")
+    if not args.tol >= 0:
+        raise ConfigError(f"--tol must be >= 0, got {args.tol}")
     config = load_config(args.config)
     spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
                          d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,

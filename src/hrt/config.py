@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -63,6 +64,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if not fits_type(val, kind):
             raise ConfigError(f"config key {name!r} must be "
                               f"{kind.__name__}, got {val!r}")
+        if kind is float and not math.isfinite(val):
+            raise ConfigError(f"config key {name!r} must be finite, got {val!r}")
         out[key] = val
     return out
 

@@ -9,9 +9,8 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor
 from .rng import SeededRng
-from .routing import InvertedRoutingParams
-from .encoder import AlignedFeatures, EncoderParams, encode
-from .decoder import (DecoderParams, adjust_class_attributes, class_scores,
+from .encoder import AlignedFeatures, encode
+from .decoder import (adjust_class_attributes, class_scores,
                       content_attribute_scores)
 from .semantics import SemanticSpace, compact_semantics
 
@@ -42,7 +41,6 @@ class ModelConfig:
 class ForwardResult:
     scores: Tensor            # [C]
     psi: Tensor               # [A]
-    z_tilde: Tensor           # [C, A]
     aligned: AlignedFeatures
 
 
@@ -100,30 +98,18 @@ class HrtModel:
                                   class_attr=class_attr)
         return cls(config, semantics, seed=seed)
 
-    # -- parameter bundles ---------------------------------------------------
-
-    def encoder_params(self) -> EncoderParams:
-        return EncoderParams(
-            proj=self.params["enc.proj"],
-            act_proj=self.params["enc.act_proj"],
-            inverted=InvertedRoutingParams(
-                vote_transforms=self.params["enc.vote_transforms"],
-                iterations=self.config.k_td))
-
-    def decoder_params(self) -> DecoderParams:
-        return DecoderParams(w_beta=self.params["dec.w_beta"],
-                             w_d=self.params["dec.w_d"])
-
     # -- forward -------------------------------------------------------------
 
     def forward(self, patch_features: Tensor) -> ForwardResult:
-        aligned = encode(patch_features, self.semantics, self.encoder_params())
-        dec = self.decoder_params()
-        z_tilde = adjust_class_attributes(aligned, self.semantics, dec)
-        psi = content_attribute_scores(aligned, self.semantics, dec)
+        p = self.params
+        aligned = encode(patch_features, self.semantics, p["enc.proj"],
+                         p["enc.act_proj"], p["enc.vote_transforms"],
+                         self.config.k_td)
+        z_tilde = adjust_class_attributes(aligned.h, self.semantics,
+                                          p["dec.w_beta"])
+        psi = content_attribute_scores(aligned.h, self.semantics, p["dec.w_d"])
         scores = class_scores(psi, z_tilde)
-        return ForwardResult(scores=scores, psi=psi, z_tilde=z_tilde,
-                             aligned=aligned)
+        return ForwardResult(scores=scores, psi=psi, aligned=aligned)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -13,13 +13,12 @@ Two routing mechanisms drive the encoder:
     current state and a child's vote, normalized over parents.
 
 Both work on a whole patch grid at once (a leading patch axis ``R``), are
-pure functions of their inputs and are fully differentiable through the
-autograd tensors in ``tensor.py``.
+pure functions of the tensors they are handed (each weight is passed as its
+own argument) and are fully differentiable through the autograd tensors in
+``tensor.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import DimensionError
 from . import tensor as T
@@ -27,21 +26,6 @@ from .tensor import Tensor
 
 # epsilon of the layer norm that closes each inverted-routing iteration
 LAYER_NORM_EPS = 1e-5
-
-
-@dataclass
-class InvertedRoutingParams:
-    """Per-parent vote transforms for inverted dot-product attention routing."""
-
-    vote_transforms: Tensor  # [A, d, d], one per parent, shared across children
-    iterations: int
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise DimensionError("inverted routing needs iterations >= 1")
-        if self.vote_transforms.data.ndim != 3:
-            raise DimensionError(
-                f"vote_transforms must be [A, d, d], got {self.vote_transforms.shape}")
 
 
 def batched_primary_capsules(feats: Tensor, proj: Tensor, act_proj: Tensor):
@@ -85,35 +69,39 @@ def batched_em_routing(poses: Tensor, activations: Tensor) -> Tensor:
 
 
 def inverted_routing(children: Tensor, parent_init: Tensor,
-                     params: InvertedRoutingParams):
+                     vote_transforms: Tensor, iterations: int):
     """Inverted dot-product attention routing.
 
     children: [R, d] child capsules (patch capsules).
     parent_init: [A, d] initial parent states -- the compacted attribute
     vectors; parents are deliberately never zero- or random-initialized.
+    vote_transforms: [A, d, d], one per parent, shared across children.
+    iterations: routing rounds, >= 1.
 
     Returns (parents [A, d], agreement [R, A], routing [R, A]); agreement and
     routing are the values computed in the final iteration.
     """
+    if iterations < 1:
+        raise DimensionError("inverted routing needs iterations >= 1")
     if children.data.ndim != 2 or children.data.shape[0] < 1:
         raise DimensionError(f"children must be [R, d] with R >= 1, got {children.shape}")
     if parent_init.data.ndim != 2 or parent_init.data.shape[0] < 1:
         raise DimensionError(f"parent_init must be [A, d] with A >= 1, got {parent_init.shape}")
     d = children.data.shape[1]
-    if parent_init.data.shape[1] != d or params.vote_transforms.data.shape[1:] != (d, d):
+    if parent_init.data.shape[1] != d or vote_transforms.data.shape[1:] != (d, d):
         raise DimensionError(
             f"capsule dims disagree: children {children.shape}, parents "
-            f"{parent_init.shape}, transforms {params.vote_transforms.shape}")
-    if params.vote_transforms.data.shape[0] != parent_init.data.shape[0]:
+            f"{parent_init.shape}, transforms {vote_transforms.shape}")
+    if vote_transforms.data.shape[0] != parent_init.data.shape[0]:
         raise DimensionError(
-            f"{params.vote_transforms.data.shape[0]} vote transforms for "
+            f"{vote_transforms.data.shape[0]} vote transforms for "
             f"{parent_init.data.shape[0]} parents")
 
     # votes depend only on the (fixed) children: nu[r, a, :] = W_e[a] @ p_r
-    votes = T.einsum("ade,re->rad", params.vote_transforms, children)
+    votes = T.einsum("ade,re->rad", vote_transforms, children)
     parents = parent_init
     agreement = route = None
-    for _ in range(params.iterations):
+    for _ in range(iterations):
         agreement = T.einsum("ad,rad->ra", parents, votes)   # o_ij
         route = T.softmax(agreement, axis=1)                 # over parents
         pooled = T.einsum("ra,rad->ad", route, votes)

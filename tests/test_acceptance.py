@@ -9,9 +9,8 @@ import time
 
 import numpy as np
 
-from hrt import (EncoderParams, HrtModel, InvertedRoutingParams, LossConfig,
-                 ModelConfig, OptimizerConfig, SeededRng, SemanticSpace,
-                 SyntheticSpec, Tensor, calibration_loss, cross_entropy,
+from hrt import (HrtModel, LossConfig, ModelConfig, OptimizerConfig,
+                 SeededRng, SemanticSpace, SyntheticSpec, Tensor, calibration_loss, cross_entropy,
                  encode, evaluate, gamma_profile, generate_synthetic,
                  grad_check, harmonic_mean, inverted_routing, predict,
                  run_ablation, total_loss, train)
@@ -98,10 +97,9 @@ def test_routing_oracle_equivalence(capsys):
         parent_init = rng.normal((a_n, d))
         vote_transforms = rng.normal((a_n, d, d))
         k_td = int(rng.integers(1, 4))
-        iparams = InvertedRoutingParams(
-            vote_transforms=Tensor(vote_transforms), iterations=k_td)
         parents, agreement, route = inverted_routing(
-            Tensor(children), Tensor(parent_init), iparams)
+            Tensor(children), Tensor(parent_init), Tensor(vote_transforms),
+            k_td)
         p_o, ag_o, rt_o = inverted_routing_oracle(
             children, parent_init, vote_transforms, k_td)
         worst = max(worst,
@@ -123,15 +121,14 @@ def test_simplex_convexity_invariants(capsys):
         semantics = SemanticSpace(attr_vectors=rng.normal((n_attr, tau)),
                                   compact_vectors=rng.normal((n_attr, d_cap)),
                                   class_attr=rng.uniform((4, n_attr)))
-        params = EncoderParams(
-            proj=Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
-            act_proj=Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
-            inverted=InvertedRoutingParams(
-                vote_transforms=Tensor(rng.normal((n_attr, d_cap, d_cap))),
-                iterations=2))
+        # (proj, act_proj, vote_transforms, iterations), in encode's order
+        params = (Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
+                  Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
+                  Tensor(rng.normal((n_attr, d_cap, d_cap))),
+                  2)
         for _ in range(20):
             features = rng.normal((r_patches, d_feat))
-            out = encode(Tensor(features), semantics, params)
+            out = encode(Tensor(features), semantics, *params)
             att = out.attention.data
             worst_sum = max(worst_sum,
                             float(np.max(np.abs(att.sum(axis=0) - 1.0))))

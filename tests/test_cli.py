@@ -196,9 +196,11 @@ class TestExitCodes:
         ({"train": {"epochs": True}}, "train.epochs"),
         ({"loss": {"lambda1": True}}, "loss.lambda1"),
         ({"gamma": {"unseen_offset": None}}, "gamma.unseen_offset"),
+        ({"loss": {"lambda1": float("nan")}}, "loss.lambda1"),
+        ({"optimizer": {"lr": float("inf")}}, "optimizer.lr"),
     ], ids=["string-for-int", "null-for-float", "float-for-int",
             "string-offset", "bool-for-int", "bool-for-float",
-            "null-offset"])
+            "null-offset", "nan-float", "infinity-float"])
     def test_mistyped_config_value_names_the_key(self, workspace, tmp_path,
                                                  capsys, overrides, key):
         cfg = tmp_path / "config.json"
@@ -210,6 +212,19 @@ class TestExitCodes:
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--h", "0"], "--h"), (["--h=-1e-5"], "--h"),
+        (["--h", "nan"], "--h"), (["--h", "inf"], "--h"),
+        (["--tol", "-1"], "--tol"), (["--tol", "nan"], "--tol"),
+    ], ids=["zero-h", "negative-h", "nan-h", "inf-h", "negative-tol",
+            "nan-tol"])
+    def test_bad_gradcheck_step_names_the_flag(self, capsys, argv, flag):
+        rc = main(["gradcheck", *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("overrides,key", [

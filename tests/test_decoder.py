@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from hrt import (DecoderParams, DimensionError, SeededRng, SemanticSpace,
-                 Tensor, adjust_class_attributes, class_scores,
+from hrt import (DimensionError, SeededRng, SemanticSpace, Tensor,
+                 adjust_class_attributes, class_scores,
                  content_attribute_scores)
-from hrt.encoder import AlignedFeatures
 
 
 def build_setup(seed, d_feat=6, n_attr=4, n_classes=3, tau=5):
@@ -12,55 +11,52 @@ def build_setup(seed, d_feat=6, n_attr=4, n_classes=3, tau=5):
     semantics = SemanticSpace(attr_vectors=rng.normal((n_attr, tau)),
                               compact_vectors=rng.normal((n_attr, 2)),
                               class_attr=rng.uniform((n_classes, n_attr)))
-    h = AlignedFeatures(h=Tensor(rng.normal((d_feat, n_attr))),
-                        attention=Tensor(np.full((2, n_attr), 0.5)),
-                        agreement=Tensor(np.zeros((2, n_attr))),
-                        patch_capsules=Tensor(np.zeros((2, 2))))
-    params = DecoderParams(w_beta=Tensor(rng.normal((tau, d_feat))),
-                           w_d=Tensor(rng.normal((d_feat, tau))))
-    return h, semantics, params
+    h = Tensor(rng.normal((d_feat, n_attr)))
+    w_beta = Tensor(rng.normal((tau, d_feat)))
+    w_d = Tensor(rng.normal((d_feat, tau)))
+    return h, semantics, w_beta, w_d
 
 
 class TestAdjustClassAttributes:
     def test_zero_weights_gate_half(self):
-        h, semantics, params = build_setup(1)
-        params.w_beta = Tensor(np.zeros_like(params.w_beta.data))
-        z_tilde = adjust_class_attributes(h, semantics, params)
+        h, semantics, w_beta, _ = build_setup(1)
+        w_beta = Tensor(np.zeros_like(w_beta.data))
+        z_tilde = adjust_class_attributes(h, semantics, w_beta)
         assert np.array_equal(z_tilde.data, 0.5 * semantics.class_attr)
 
     def test_zero_class_row_annihilates(self):
-        h, semantics, params = build_setup(2)
+        h, semantics, w_beta, _ = build_setup(2)
         semantics.class_attr[1] = 0.0
-        z_tilde = adjust_class_attributes(h, semantics, params)
+        z_tilde = adjust_class_attributes(h, semantics, w_beta)
         assert np.array_equal(z_tilde.data[1], np.zeros(4))
 
     def test_matches_loop_oracle(self):
-        h, semantics, params = build_setup(9)
-        z_tilde = adjust_class_attributes(h, semantics, params)
+        h, semantics, w_beta, _ = build_setup(9)
+        z_tilde = adjust_class_attributes(h, semantics, w_beta)
         for a in range(4):
             v_a = semantics.attr_vectors[a]
-            gate = 1.0 / (1.0 + np.exp(-(v_a @ params.w_beta.data @ h.h.data[:, a])))
+            gate = 1.0 / (1.0 + np.exp(-(v_a @ w_beta.data @ h.data[:, a])))
             for c in range(3):
                 assert z_tilde.data[c, a] == pytest.approx(
                     gate * semantics.class_attr[c, a], abs=1e-12)
 
     def test_gates_shrink_magnitudes(self):
-        h, semantics, params = build_setup(3)
-        z_tilde = adjust_class_attributes(h, semantics, params)
+        h, semantics, w_beta, _ = build_setup(3)
+        z_tilde = adjust_class_attributes(h, semantics, w_beta)
         assert np.all(np.abs(z_tilde.data) <= np.abs(semantics.class_attr))
 
     def test_dim_mismatch(self):
-        h, semantics, params = build_setup(4)
-        params.w_beta = Tensor(np.zeros((5, 7)))
+        h, semantics, _, _ = build_setup(4)
+        w_beta = Tensor(np.zeros((5, 7)))
         with pytest.raises(DimensionError):
-            adjust_class_attributes(h, semantics, params)
+            adjust_class_attributes(h, semantics, w_beta)
 
 
 class TestContentAttributeScores:
     def test_zero_weights(self):
-        h, semantics, params = build_setup(5)
-        params.w_d = Tensor(np.zeros_like(params.w_d.data))
-        psi = content_attribute_scores(h, semantics, params)
+        h, semantics, _, w_d = build_setup(5)
+        w_d = Tensor(np.zeros_like(w_d.data))
+        psi = content_attribute_scores(h, semantics, w_d)
         assert np.array_equal(psi.data, np.zeros(4))
 
     def test_identity_embedding(self):
@@ -69,21 +65,17 @@ class TestContentAttributeScores:
         semantics = SemanticSpace(attr_vectors=rng.normal((4, 6)),
                                   compact_vectors=rng.normal((4, 2)),
                                   class_attr=rng.uniform((3, 4)))
-        h = AlignedFeatures(h=Tensor(semantics.attr_vectors.T),
-                            attention=Tensor(np.full((2, 4), 0.5)),
-                            agreement=Tensor(np.zeros((2, 4))),
-                            patch_capsules=Tensor(np.zeros((2, 2))))
-        params = DecoderParams(w_beta=Tensor(np.zeros((6, 6))),
-                               w_d=Tensor(np.eye(6)))
-        psi = content_attribute_scores(h, semantics, params)
+        h = Tensor(semantics.attr_vectors.T)
+        w_d = Tensor(np.eye(6))
+        psi = content_attribute_scores(h, semantics, w_d)
         expected = (semantics.attr_vectors ** 2).sum(axis=1)
         assert np.allclose(psi.data, expected, atol=1e-9)
 
     def test_matches_loop_oracle(self):
-        h, semantics, params = build_setup(9)
-        psi = content_attribute_scores(h, semantics, params)
+        h, semantics, _, w_d = build_setup(9)
+        psi = content_attribute_scores(h, semantics, w_d)
         for a in range(4):
-            expected = h.h.data[:, a] @ params.w_d.data @ semantics.attr_vectors[a]
+            expected = h.data[:, a] @ w_d.data @ semantics.attr_vectors[a]
             assert psi.data[a] == pytest.approx(expected, abs=1e-10)
 
 
@@ -131,15 +123,15 @@ class TestClassScores:
 
 class TestScaleInvariance:
     def test_positive_scaling_preserves_argmax(self):
-        h, semantics, params = build_setup(11)
-        psi = content_attribute_scores(h, semantics, params)
-        z_tilde = adjust_class_attributes(h, semantics, params)
+        h, semantics, w_beta, w_d = build_setup(11)
+        psi = content_attribute_scores(h, semantics, w_d)
+        z_tilde = adjust_class_attributes(h, semantics, w_beta)
         s = class_scores(psi, z_tilde).data
         kappa = 3.7
         scaled = SemanticSpace(attr_vectors=semantics.attr_vectors,
                                compact_vectors=semantics.compact_vectors,
                                class_attr=kappa * semantics.class_attr)
-        z_tilde_k = adjust_class_attributes(h, scaled, params)
+        z_tilde_k = adjust_class_attributes(h, scaled, w_beta)
         s_k = class_scores(psi, z_tilde_k).data
         assert np.allclose(s_k, kappa * s, atol=1e-9)
         assert np.argmax(s_k) == np.argmax(s)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hrt import (DimensionError, InvertedRoutingParams, SeededRng, Tensor,
-                 inverted_routing)
+from hrt import DimensionError, SeededRng, Tensor, inverted_routing
 from hrt.routing import batched_em_routing, batched_primary_capsules
 
 from oracles import em_routing_oracle, fold_vote_transforms, \
@@ -164,10 +163,8 @@ class TestInvertedRouting:
         rng = SeededRng(4)
         children = rng.normal((3, 4))
         w = rng.normal((1, 4, 4))
-        params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=2)
         parents, agreement, route = inverted_routing(
-            Tensor(children), Tensor(rng.normal((1, 4))), params)
+            Tensor(children), Tensor(rng.normal((1, 4))), Tensor(w), 2)
         assert np.allclose(route.data, 1.0, atol=1e-12)
         oracle = inverted_routing_oracle(children, np.zeros((1, 4)), w, 1)
         # with one parent routing weights are 1 regardless of agreement,
@@ -180,10 +177,8 @@ class TestInvertedRouting:
         w_single = rng.normal((3, 3))
         w = np.stack([w_single] * 5)
         p0 = np.tile(rng.normal((1, 3)), (5, 1))
-        params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=2)
         _, agreement, route = inverted_routing(Tensor(children), Tensor(p0),
-                                               params)
+                                               Tensor(w), 2)
         for col in range(1, 5):
             assert np.allclose(agreement.data[:, col], agreement.data[:, 0],
                                atol=1e-12)
@@ -194,10 +189,8 @@ class TestInvertedRouting:
         children = rng.normal((3, 4))
         p0 = rng.normal((2, 4))
         w = rng.normal((2, 4, 4))
-        params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=2)
         parents, agreement, route = inverted_routing(Tensor(children),
-                                                     Tensor(p0), params)
+                                                     Tensor(p0), Tensor(w), 2)
         o_parents, o_agreement, o_route = inverted_routing_oracle(children, p0,
                                                                   w, 2)
         assert np.allclose(parents.data, o_parents, atol=1e-9)
@@ -208,10 +201,9 @@ class TestInvertedRouting:
         rng = SeededRng(21)
         for seed in range(20):
             r = rng.spawn(seed)
-            params = InvertedRoutingParams(
-                vote_transforms=Tensor(r.normal((3, 4, 4))), iterations=2)
+            w = Tensor(r.normal((3, 4, 4)))
             _, _, route = inverted_routing(Tensor(r.normal((5, 4))),
-                                           Tensor(r.normal((3, 4))), params)
+                                           Tensor(r.normal((3, 4))), w, 2)
             assert np.all(route.data >= 0)
             assert np.allclose(route.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -220,27 +212,35 @@ class TestInvertedRouting:
         children = rng.normal((5, 4))
         p0 = rng.normal((3, 4))
         w = rng.normal((3, 4, 4))
-        params = InvertedRoutingParams(vote_transforms=Tensor(w),
-                                       iterations=3)
         parents, agreement, route = inverted_routing(Tensor(children),
-                                                     Tensor(p0), params)
+                                                     Tensor(p0), Tensor(w), 3)
         perm = SeededRng(1).permutation(5)
         parents_p, agreement_p, route_p = inverted_routing(
-            Tensor(children[perm]), Tensor(p0), params)
+            Tensor(children[perm]), Tensor(p0), Tensor(w), 3)
         assert np.allclose(parents.data, parents_p.data, atol=1e-9)
         assert np.allclose(agreement.data[perm], agreement_p.data, atol=1e-9)
         assert np.allclose(route.data[perm], route_p.data, atol=1e-9)
 
     def test_empty_inputs_error(self):
-        params = InvertedRoutingParams(
-            vote_transforms=Tensor(np.zeros((1, 4, 4))), iterations=1)
         with pytest.raises(DimensionError):
             inverted_routing(Tensor(np.zeros((0, 4))),
-                             Tensor(np.zeros((1, 4))), params)
+                             Tensor(np.zeros((1, 4))),
+                             Tensor(np.zeros((1, 4, 4))), 1)
 
     def test_dim_mismatch_error(self):
-        params = InvertedRoutingParams(
-            vote_transforms=Tensor(np.zeros((2, 4, 4))), iterations=1)
         with pytest.raises(DimensionError):
             inverted_routing(Tensor(np.zeros((3, 5))),
-                             Tensor(np.zeros((2, 4))), params)
+                             Tensor(np.zeros((2, 4))),
+                             Tensor(np.zeros((2, 4, 4))), 1)
+
+    def test_zero_iterations_error(self):
+        with pytest.raises(DimensionError, match="iterations >= 1"):
+            inverted_routing(Tensor(np.zeros((3, 4))),
+                             Tensor(np.zeros((2, 4))),
+                             Tensor(np.zeros((2, 4, 4))), 0)
+
+    def test_vote_transforms_not_3d_error(self):
+        with pytest.raises(DimensionError, match="transforms"):
+            inverted_routing(Tensor(np.zeros((3, 4))),
+                             Tensor(np.zeros((2, 4))),
+                             Tensor(np.zeros((2, 16))), 1)
