@@ -26,8 +26,7 @@ print(f"dataset: {ds.features.shape[0]} samples, "
       f"{len(ds.seen_classes)} seen / {len(ds.unseen_classes)} unseen classes")
 
 model = HrtModel.build(
-    ModelConfig(r_patches=9, d_feat=64, num_attributes=12, num_classes=12,
-                tau=32),
+    ModelConfig(d_feat=64, num_attributes=12, num_classes=12, tau=32),
     ds.semantics.attr_vectors, ds.semantics.class_attr, seed=0)
 
 gamma = gamma_profile(12, ds.seen_classes, ds.unseen_classes)

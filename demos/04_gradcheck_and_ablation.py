@@ -25,8 +25,8 @@ spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
                      signal_patches_per_attribute=1)
 ds = generate_synthetic(spec, seed=0)
 model = HrtModel.build(
-    ModelConfig(r_patches=4, d_feat=16, num_attributes=6, num_classes=7,
-                tau=8, d_cap=8, n_primary=8, k_em=2, k_td=2, compaction="pca"),
+    ModelConfig(d_feat=16, num_attributes=6, num_classes=7, tau=8, d_cap=8,
+                n_primary=8, k_em=2, k_td=2, compaction="pca"),
     ds.semantics.attr_vectors, ds.semantics.class_attr, seed=0)
 
 gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)

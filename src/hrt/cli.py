@@ -27,8 +27,8 @@ from .train import (load_checkpoint, save_checkpoint, total_loss, train,
 
 # tiny verification setup: small enough that a full finite-difference sweep of
 # every parameter finishes in seconds
-TINY_MODEL = dict(r_patches=4, d_feat=16, num_attributes=6, num_classes=7,
-                  tau=8, d_cap=8, n_primary=8, k_em=2, k_td=2, compaction="pca")
+TINY_MODEL = dict(d_feat=16, num_attributes=6, num_classes=7, tau=8, d_cap=8,
+                  n_primary=8, k_em=2, k_td=2, compaction="pca")
 
 
 def _synthetic_spec(config: dict) -> tuple[SyntheticSpec, int]:
@@ -53,13 +53,12 @@ def _make_out(path: str, is_file: bool = False) -> Path:
 def _check_dims(model: HrtModel, dataset, args) -> None:
     """Reject a dataset whose dimensions differ from the checkpoint's; the
     patch count is free, as no parameter is sized by it."""
-    dims = dataset_dims(dataset)
-    for name in ("d_feat", "num_attributes", "num_classes", "tau"):
+    for name, given in dataset_dims(dataset).items():
         have = getattr(model.config, name)
-        if have != dims[name]:
+        if have != given:
             raise DataFormatError(
                 f"checkpoint {args.checkpoint} has {name} {have}, "
-                f"dataset {args.data} has {dims[name]}")
+                f"dataset {args.data} has {given}")
 
 
 def cmd_gen(args) -> int:

@@ -24,7 +24,7 @@ from .model import ModelConfig
 from .optim import OptimizerConfig
 
 # the ModelConfig fields that model_config_for takes from the dataset
-DATASET_FIELDS = ("r_patches", "d_feat", "num_attributes", "num_classes", "tau")
+DATASET_FIELDS = ("d_feat", "num_attributes", "num_classes", "tau")
 
 
 def _field_defaults(cls, exclude=()) -> dict:
@@ -76,7 +76,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -95,8 +96,7 @@ def echo_config(config: dict, path) -> None:
 def dataset_dims(dataset) -> dict:
     """The ``DATASET_FIELDS`` of ``dataset``."""
     sem = dataset.semantics
-    return {"r_patches": dataset.r_patches, "d_feat": dataset.d_feat,
-            "num_attributes": sem.num_attributes,
+    return {"d_feat": dataset.d_feat, "num_attributes": sem.num_attributes,
             "num_classes": sem.num_classes, "tau": sem.attr_vectors.shape[1]}
 
 

@@ -98,10 +98,6 @@ class ZslDataset:
                 raise DataFormatError(f"class index {c} has no attribute row")
 
     @property
-    def r_patches(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def d_feat(self) -> int:
         return self.features.shape[2]
 
@@ -255,7 +251,7 @@ def load_features(path) -> ZslDataset:
         _require((path / name).exists(), f"missing dataset file {name}")
     try:
         meta = json.loads(_read_text(path / "meta.json"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DataFormatError(f"meta.json is not valid JSON: {e}") from e
     _require(isinstance(meta, dict), "meta.json must hold a JSON object")
     for key in ("version", "R", "D_feat", "A", "tau", "C", "sample_count",
@@ -335,15 +331,17 @@ def _read_csv_matrix(file: Path, rows: int, cols: int, header: bool) -> np.ndarr
     else:
         _require(len(lines) == rows,
                  f"{file.name}: expected {rows} rows, found {len(lines)}")
-    out = np.zeros((rows, cols))
+    values = []
     for i, line in enumerate(lines):
         parts = line.strip().split(",")
         _require(len(parts) == cols,
                  f"{file.name} row {i}: expected {cols} columns, found {len(parts)}")
         try:
-            out[i] = [float(p) for p in parts]
+            values.append([float(p) for p in parts])
         except ValueError as e:
             raise DataFormatError(f"{file.name} row {i}: non-numeric value") from e
+    # built from the rows read, so its size is never taken from meta.json
+    out = np.array(values, dtype=np.float64)
     _require(bool(np.all(np.isfinite(out))),
              f"{file.name} contains non-finite values")
     return out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .semantics import SemanticSpace, compact_semantics
 class ModelConfig:
     """Shape and routing configuration; desk-scale defaults."""
 
-    r_patches: int = 9
     d_feat: int = 64
     num_attributes: int = 12
     num_classes: int = 12
@@ -31,10 +30,21 @@ class ModelConfig:
     compaction: str = "factor-analysis"  # or "pca"
 
     def validate(self) -> None:
-        for name in ("r_patches", "d_feat", "num_attributes", "num_classes",
-                     "tau", "d_cap", "n_primary", "k_em", "k_td"):
+        for name in ("d_feat", "num_attributes", "num_classes", "tau",
+                     "d_cap", "n_primary", "k_em", "k_td"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+
+
+def param_shapes(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Each parameter's shape and init fan-in, in draw order."""
+    return {
+        "enc.proj": ((c.d_feat, c.n_primary * c.d_cap), c.d_feat),
+        "enc.act_proj": ((c.d_feat, c.n_primary), c.d_feat),
+        "enc.vote_transforms": ((c.num_attributes, c.d_cap, c.d_cap), c.d_cap),
+        "dec.w_beta": ((c.tau, c.d_feat), c.tau),
+        "dec.w_d": ((c.d_feat, c.tau), c.d_feat),
+    }
 
 
 @dataclass
@@ -47,13 +57,14 @@ class ForwardResult:
 class HrtModel:
     """Encoder + decoder parameters with a seeded-uniform initialization.
 
-    Weights are drawn uniformly in +-1/sqrt(fan_in); attribute capsules are
-    initialized from the compacted attribute vectors, which are computed once
-    at construction and cached.
+    Weights are drawn uniformly in +-1/sqrt(fan_in) (``param_shapes``), or
+    taken as they are from ``arrays``, which must be writeable; attribute
+    capsules are initialized from the compacted attribute vectors, which are
+    computed once at construction and cached.
     """
 
     def __init__(self, config: ModelConfig, semantics: SemanticSpace,
-                 seed: int = 0):
+                 seed: int = 0, arrays: dict[str, np.ndarray] | None = None):
         config.validate()
         if semantics.num_attributes != config.num_attributes:
             raise ConfigError(
@@ -71,21 +82,14 @@ class HrtModel:
         self.config = config
         self.semantics = semantics
         self.seed = seed
-        rng = SeededRng(seed)
-        c = config
-
-        def uniform(shape, fan_in):
-            lim = 1.0 / np.sqrt(fan_in)
-            return Tensor(rng.uniform(shape, -lim, lim), requires_grad=True)
-
+        shapes = param_shapes(config)
+        if arrays is None:
+            rng = SeededRng(seed)
+            arrays = {name: rng.uniform(shape, -1.0 / np.sqrt(fan_in),
+                                        1.0 / np.sqrt(fan_in))
+                      for name, (shape, fan_in) in shapes.items()}
         self.params: dict[str, Tensor] = {
-            "enc.proj": uniform((c.d_feat, c.n_primary * c.d_cap), c.d_feat),
-            "enc.act_proj": uniform((c.d_feat, c.n_primary), c.d_feat),
-            "enc.vote_transforms": uniform((c.num_attributes, c.d_cap, c.d_cap),
-                                           c.d_cap),
-            "dec.w_beta": uniform((c.tau, c.d_feat), c.tau),
-            "dec.w_d": uniform((c.d_feat, c.tau), c.d_feat),
-        }
+            name: Tensor(arrays[name], requires_grad=True) for name in shapes}
 
     @classmethod
     def build(cls, config: ModelConfig, attr_vectors: np.ndarray,

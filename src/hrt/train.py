@@ -16,14 +16,14 @@ from .errors import ConfigError, DataFormatError
 from .config import DEFAULTS, fits_type
 from .tensor import Tensor, as_tensor
 from .rng import SeededRng
-from .model import ForwardResult, HrtModel, ModelConfig
+from .model import ForwardResult, HrtModel, ModelConfig, param_shapes
 from .semantics import SemanticSpace
 from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
                      cross_entropy, predict)
 from .optim import OptimizerConfig, RmsPropState, optimizer_step
 
 CHECKPOINT_MAGIC = b"HRTC"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 HISTORY_HEADER = "epoch,L_ce,L_cal,L_reg,total,train_acc"
 SEMANTIC_TENSORS = ("sem.attr_vectors", "sem.compact_vectors",
                     "sem.class_attr")
@@ -131,8 +131,13 @@ def write_history(history: list[EpochStats], path) -> None:
 # Version 3 dropped the EM vote transforms and the model config key that laid
 # capsule poses out as matrices or vectors. Version 4 dropped the layer-norm
 # epsilon from the model config; it is the constant ``routing.LAYER_NORM_EPS``.
-# Any other version is rejected.  Each tensor name appears once, names a model
-# parameter or one of the ``sem.*`` arrays, and holds only finite values.
+# Version 5 dropped the patch count ``r_patches`` from the model config (no
+# parameter is sized by it) and the header's ``dtype`` and ``endianness``
+# fields, which the layout above fixes.  Any other version is rejected.  Each
+# tensor name appears once, names a model parameter or one of the ``sem.*``
+# arrays, and holds only finite values.  The parameters must have the shapes
+# ``model.param_shapes`` gives for the model config; a loaded model is built
+# from them and draws no random numbers.
 
 
 def config_hash(config: dict) -> str:
@@ -149,8 +154,6 @@ def save_checkpoint(model: HrtModel, path,
     arrays += [(n, model.params[n].data) for n in names]
     header = {
         "version": CHECKPOINT_VERSION,
-        "dtype": "f64",
-        "endianness": "little",
         "seed": model.seed,
         "model_config": model.config_dict(),
         "config_hash": config_hash(experiment_config or {}),
@@ -187,8 +190,9 @@ def load_checkpoint(path) -> HrtModel:
                               f"the end of the {len(raw)}-byte file")
     try:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataFormatError(f"corrupt checkpoint header: {e}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise DataFormatError(f"checkpoint {path} has a corrupt header: "
+                              f"{e}") from e
     version = _field(header, "version", int)
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version} "
@@ -225,21 +229,21 @@ def load_checkpoint(path) -> HrtModel:
             raise DataFormatError(f"checkpoint missing tensor {name!r}")
 
     config = ModelConfig(**model_config)
-    semantics = SemanticSpace(attr_vectors=tensors["sem.attr_vectors"],
-                              compact_vectors=tensors["sem.compact_vectors"],
-                              class_attr=tensors["sem.class_attr"])
-    model = HrtModel(config, semantics, seed=seed)
-    unknown = sorted(tensors.keys() - model.params.keys()
-                     - set(SEMANTIC_TENSORS))
+    shapes = param_shapes(config)
+    unknown = sorted(tensors.keys() - shapes.keys() - set(SEMANTIC_TENSORS))
     if unknown:
         raise DataFormatError(f"checkpoint tensors {unknown} are neither "
                               "parameters nor semantic arrays")
-    for name, p in model.params.items():
+    for name, (shape, _) in shapes.items():
         if name not in tensors:
             raise DataFormatError(f"checkpoint missing parameter {name!r}")
-        if tensors[name].shape != p.data.shape:
+        if tensors[name].shape != shape:
             raise DataFormatError(
                 f"parameter {name!r} has shape {tensors[name].shape}, "
-                f"expected {p.data.shape}")
-        p.data = tensors[name].copy()
-    return model
+                f"expected {shape}")
+    semantics = SemanticSpace(attr_vectors=tensors["sem.attr_vectors"],
+                              compact_vectors=tensors["sem.compact_vectors"],
+                              class_attr=tensors["sem.class_attr"])
+    # copied: the optimizer updates parameters in place
+    return HrtModel(config, semantics, seed=seed,
+                    arrays={name: tensors[name].copy() for name in shapes})

@@ -208,8 +208,7 @@ def test_end_to_end_learning(capsys):
     thresholds_ok = oracle_t1 >= 0.60 and oracle_h >= 0.50
 
     model = HrtModel.build(
-        ModelConfig(r_patches=9, d_feat=64, num_attributes=12, num_classes=12,
-                    tau=32),
+        ModelConfig(d_feat=64, num_attributes=12, num_classes=12, tau=32),
         ds.semantics.attr_vectors, ds.semantics.class_attr, seed=0)
     gamma = gamma_profile(12, ds.seen_classes, ds.unseen_classes)
     train(ds, model, LossConfig(lambda1=0.1, lambda2=0.033,

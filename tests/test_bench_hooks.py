@@ -7,12 +7,14 @@ load the hooks module as it is and install its hooks over the package.
 
 import ast
 import importlib.util
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hrt import OptimizerConfig, RmsPropState, Tensor
+from hrt import ModelConfig, OptimizerConfig, RmsPropState, Tensor
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 HOOKS_FILE = BENCH_DIR / "hooks.py"
@@ -139,3 +141,13 @@ def test_workload_overlay_builds_a_model_config(name):
     seed = params.pop("seed")
     dataset = generate_synthetic(SyntheticSpec(**params), seed)
     model_config_for(config, dataset).validate()
+
+
+def test_bench_reads_only_model_config_fields():
+    # the benchmark reads the model's dimensions from its config, so these
+    # fields must stay while it does
+    read = {m for path in BENCH_DIR.glob("*.py")
+            for m in re.findall(r"model\.config\.(\w+)",
+                                path.read_text(encoding="utf-8"))}
+    assert read, "the benchmark no longer reads model.config"
+    assert read <= {f.name for f in fields(ModelConfig)}

@@ -10,6 +10,8 @@ from hrt import config_hash, load_checkpoint, save_checkpoint
 from hrt.cli import main
 
 NOT_UTF8 = b"a0,a1\n\xff\xfe,1\n"
+# deeper than the JSON decoder's recursion limit
+NESTED_JSON = b"[" * 200000 + b"]" * 200000
 
 TINY_CONFIG = {
     "model": {"d_cap": 4, "n_primary": 8, "k_em": 2, "k_td": 2,
@@ -254,9 +256,12 @@ class TestExitCodes:
         ("meta.json", {"version": True}, "version"),
         ("meta.json", {"R": True}, "meta.json R"),
         ("config.json", NOT_UTF8, "config.json"),
+        ("meta.json", NESTED_JSON, "meta.json"),
+        ("config.json", NESTED_JSON, "config.json"),
     ], ids=["meta-not-object", "meta-not-utf8", "attributes-not-utf8",
             "semantics-not-utf8", "splits-not-utf8", "meta-bool-version",
-            "meta-bool-R", "config-not-utf8"])
+            "meta-bool-R", "config-not-utf8", "meta-nested-json",
+            "config-nested-json"])
     def test_malformed_input_file_is_validation_error(
             self, workspace, tmp_path, capsys, name, content, named):
         data = tmp_path / "data"
@@ -306,10 +311,12 @@ class TestExitCodes:
         written = out / "metrics.json" if command == "eval" else out
         assert not written.exists()
 
-    @staticmethod
-    def eval_with_version(workspace, tmp_path, capsys, version):
-        """Exit code and stderr of ``hrt eval`` on the workspace checkpoint
-        with its header version rewritten to ``version``."""
+    # version 1 still held the EM beta/gamma parameters, version 2 the EM
+    # vote transforms and pose_mode, version 3 the layer-norm epsilon, and
+    # version 4 r_patches and the dtype/endianness header fields
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_eval_rejects_old_checkpoint_version(self, workspace, tmp_path,
+                                                 capsys, version):
         raw = (workspace / "run" / "model.ckpt").read_bytes()
         (hlen,) = struct.unpack("<Q", raw[4:12])
         header = json.loads(raw[12:12 + hlen])
@@ -321,29 +328,9 @@ class TestExitCodes:
         rc = main(["eval", "--checkpoint", str(ckpt),
                    "--data", str(workspace / "data"),
                    "--out", str(tmp_path / "eval")])
-        return rc, capsys.readouterr().err
-
-    def test_eval_rejects_version_1_checkpoint(self, workspace, tmp_path,
-                                               capsys):
-        rc, err = self.eval_with_version(workspace, tmp_path, capsys, 1)
         assert rc == 1
-        assert "error:" in err and "version 1" in err
-        assert "Traceback" not in err
-
-    def test_eval_rejects_version_2_checkpoint(self, workspace, tmp_path,
-                                               capsys):
-        # version 2 still carried the EM vote transforms and pose_mode
-        rc, err = self.eval_with_version(workspace, tmp_path, capsys, 2)
-        assert rc == 1
-        assert "error:" in err and "version 2" in err
-        assert "Traceback" not in err
-
-    def test_eval_rejects_version_3_checkpoint(self, workspace, tmp_path,
-                                               capsys):
-        # version 3 still carried the layer-norm epsilon in its model config
-        rc, err = self.eval_with_version(workspace, tmp_path, capsys, 3)
-        assert rc == 1
-        assert "error:" in err and "version 3" in err
+        err = capsys.readouterr().err
+        assert "error:" in err and f"version {version}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["attr_vectors", "compact_vectors"])

@@ -154,3 +154,16 @@ class TestRoundtrip:
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(DataFormatError):
             load_features(tmp_path / "d")
+
+    @pytest.mark.parametrize("key", ["A", "tau"])
+    def test_huge_meta_dimension_detected(self, key, tmp_path):
+        # a CSV file's column count is checked before its matrix is built,
+        # so no array is sized by the claim in meta.json
+        ds = generate_synthetic(small_spec(), seed=7)
+        save_dataset(ds, tmp_path / "d")
+        meta_file = tmp_path / "d" / "meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta[key] = 10**12
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(DataFormatError, match="columns"):
+            load_features(tmp_path / "d")

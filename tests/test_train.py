@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hrt import (DataFormatError, HrtModel, LossConfig, ModelConfig,
                  save_checkpoint, total_loss, train, write_history)
 from hrt.cli import TINY_MODEL
 from hrt.config import load_config, loss_config_for, model_config_for
+from hrt.rng import SeededRng
 from hrt.train import HISTORY_HEADER
 
 # sha256 of a 2-epoch run at the default config, seed 0: the history rows
@@ -33,6 +35,13 @@ def poke(header, payload, name, value):
             return header
         offset += 8 * int(np.prod(entry["shape"]))
     raise KeyError(name)
+
+
+def huge(field):
+    """A header edit that sets model config ``field`` to a size numpy
+    refuses to allocate at once."""
+    return lambda h, _: {**h, "model_config": {**h["model_config"],
+                                              field: 10**12}}
 
 
 def tiny_setup(seed=0):
@@ -142,12 +151,33 @@ class TestCheckpoint:
         save_checkpoint(model, path, experiment_config={"train": {"epochs": 1}})
         loaded = load_checkpoint(path)
         for name, p in model.params.items():
-            assert np.array_equal(loaded.params[name].data, p.data)
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+            # the optimizer updates a loaded model's parameters in place
+            assert loaded.params[name].data.flags.writeable
+        for name in ("attr_vectors", "compact_vectors", "class_attr"):
+            assert getattr(loaded.semantics, name).tobytes() == \
+                getattr(model.semantics, name).tobytes()
         x = ds.features[0]
         with no_grad():
             a = model.forward(Tensor(x)).scores.data
             b = loaded.forward(Tensor(x)).scores.data
         assert np.array_equal(a, b)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # a loaded model is built from the stored arrays, with no throw-away
+        # initialisation
+        ds, model = tiny_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        for name in ("normal", "uniform", "integers", "permutation", "choice"):
+            monkeypatch.setattr(SeededRng, name, no_draw)
+        loaded = load_checkpoint(path)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -181,19 +211,27 @@ class TestCheckpoint:
 
     def rewrite_header(self, path, edit):
         """Re-serialize a checkpoint's JSON header as ``edit(header,
-        payload)``; the edit may also write into ``payload``, a bytearray."""
+        payload)``, or as the bytes it returns; the edit may also write into
+        ``payload``, a bytearray."""
         header, payload = self.read_header(path)
         payload = bytearray(payload)
-        blob = json.dumps(edit(header, payload)).encode("utf-8")
+        blob = edit(header, payload)
+        if not isinstance(blob, bytes):
+            blob = json.dumps(blob).encode("utf-8")
         path.write_bytes(b"HRTC" + struct.pack("<Q", len(blob)) + blob
                          + payload)
 
-    def test_header_declares_version_4(self, tmp_path):
+    def test_header_declares_version_5(self, tmp_path):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         header, _ = self.read_header(path)
-        assert header["version"] == 4
+        assert header["version"] == 5
+        assert header.keys() == {"version", "seed", "model_config",
+                                 "config_hash", "tensors"}
+        assert header["model_config"].keys() == {
+            f.name for f in fields(ModelConfig)}
+        assert "r_patches" not in header["model_config"]
         assert "em_lambda" not in header["model_config"]
         assert "pose_mode" not in header["model_config"]
         assert "layer_norm_eps" not in header["model_config"]
@@ -246,11 +284,17 @@ class TestCheckpoint:
         (lambda h, _: {**h, "tensors": h["tensors"] + [
             {"name": "enc.vote_transforms", "shape": [0]}]},
          "'enc.vote_transforms' twice"),
+        # the shapes are checked before anything of that size is allocated
+        (huge("n_primary"), "parameter 'enc.proj'"),
+        (huge("d_feat"), "parameter 'enc.proj'"),
+        (huge("tau"), "parameter 'dec.w_beta'"),
+        (lambda h, _: b"[" * 200000 + b"]" * 200000, "corrupt header"),
     ], ids=["v1", "no-version", "no-tensors", "bad-tensor-entry",
             "model-config-not-object", "model-config-unknown-key",
             "model-config-mistyped", "no-seed", "header-not-object",
             "bool-version", "bool-seed", "bool-shape", "nan-param",
-            "inf-semantics", "unknown-tensor", "duplicate-tensor"])
+            "inf-semantics", "unknown-tensor", "duplicate-tensor",
+            "huge-n_primary", "huge-d_feat", "huge-tau", "nested-json"])
     def test_malformed_header_names_the_field(self, tmp_path, edit, field):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
