@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DataFormatError, DimensionError, IndexError,
-            OSError) as e:
+            MemoryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericError as e:

@@ -4,9 +4,9 @@
 iterations)`` takes the three encoder weights as tensors. For each patch,
 primary capsules are EM-routed into one patch capsule; the patch capsules are
 then routed top-down against attribute capsules initialized from the
-compacted attribute vectors. The resulting agreement map, softmaxed over the
-patch axis, mixes the raw patch features into one visual feature per
-attribute.
+compacted attribute vectors. The routing's final agreement map [R, A] is all
+the encoder reads of it: softmaxed over the patch axis, it mixes the raw
+patch features into one visual feature per attribute.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def encode(patch_features: Tensor, semantics: SemanticSpace, proj: Tensor,
             f"patch capsule dim {poses.data.shape[2]} does not match "
             f"compacted attribute dim {compact.shape[1]}")
     g_poses = batched_em_routing(poses, acts)                       # [R, d]
-    _parents, agreement, _route = inverted_routing(
-        g_poses, Tensor(compact), vote_transforms, iterations)
+    agreement = inverted_routing(g_poses, Tensor(compact), vote_transforms,
+                                 iterations)                        # [R, A]
     # each attribute picks where to look: softmax over the patch axis
     attention = T.softmax(agreement, axis=0)                        # [R, A]
     h = T.einsum("rf,ra->fa", patch_features, attention)            # V . attention

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from . import tensor as T
 from .tensor import Tensor, as_tensor
 
@@ -18,8 +18,10 @@ class LossConfig:
     gamma_per_class: np.ndarray | None = None  # [C] calibration offsets
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise DimensionError("loss weights must be nonnegative")
+        for name in ("lambda1", "lambda2"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
         if self.gamma_per_class is not None:
             self.gamma_per_class = np.asarray(self.gamma_per_class,
                                               dtype=np.float64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .tensor import Tensor
 
 
@@ -28,6 +28,18 @@ class OptimizerConfig:
     rho: float = 0.99
     eps: float = 1e-8
     weight_decay: float = 1e-4
+
+    def __post_init__(self):
+        for name in ("rho", "momentum"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("lr", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass

@@ -10,7 +10,9 @@ Two routing mechanisms drive the encoder:
     projection and so only re-parametrize it;
   * top-down inverted dot-product attention routing between patch capsules and
     attribute capsules, where agreement is the dot product between a parent's
-    current state and a child's vote, normalized over parents.
+    current state and a child's vote, normalized over parents to update the
+    parents; it returns the final agreement map, the only routing result the
+    encoder reads.
 
 Both work on a whole patch grid at once (a leading patch axis ``R``), are
 pure functions of the tensors they are handed (each weight is passed as its
@@ -78,8 +80,11 @@ def inverted_routing(children: Tensor, parent_init: Tensor,
     vote_transforms: [A, d, d], one per parent, shared across children.
     iterations: routing rounds, >= 1.
 
-    Returns (parents [A, d], agreement [R, A], routing [R, A]); agreement and
-    routing are the values computed in the final iteration.
+    Returns the agreement map [R, A] of the final round. The first round
+    scores the children against ``parent_init``; each later round first
+    routes every child over the parents (softmax over the parent axis),
+    pools the votes into layer-normed parents and scores against those, so
+    ``iterations`` rounds make ``iterations - 1`` parent updates.
     """
     if iterations < 1:
         raise DimensionError("inverted routing needs iterations >= 1")
@@ -99,11 +104,10 @@ def inverted_routing(children: Tensor, parent_init: Tensor,
 
     # votes depend only on the (fixed) children: nu[r, a, :] = W_e[a] @ p_r
     votes = T.einsum("ade,re->rad", vote_transforms, children)
-    parents = parent_init
-    agreement = route = None
-    for _ in range(iterations):
-        agreement = T.einsum("ad,rad->ra", parents, votes)   # o_ij
+    agreement = T.einsum("ad,rad->ra", parent_init, votes)   # o_ij
+    for _ in range(iterations - 1):
         route = T.softmax(agreement, axis=1)                 # over parents
         pooled = T.einsum("ra,rad->ad", route, votes)
         parents = T.layer_norm(pooled, eps=LAYER_NORM_EPS)
-    return parents, agreement, route
+        agreement = T.einsum("ad,rad->ra", parents, votes)
+    return agreement

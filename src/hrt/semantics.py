@@ -71,9 +71,8 @@ def factor_analysis(x: np.ndarray, d: int, iterations: int = 50,
                     psi_floor: float = 1e-6):
     """Fit a d-factor analysis model x = mu + L f + eps by EM.
 
-    Returns (scores, loadings, psi, loglik_history) where scores are the
-    posterior factor means E[f | x] per row and loglik_history holds the total
-    log-likelihood after each EM iteration (nondecreasing up to fp noise).
+    Returns (scores, loadings, psi): the posterior factor means E[f | x] per
+    row, the loadings L [p, d] and the residual variances psi [p].
     """
     x = np.asarray(x, dtype=np.float64)
     n, p = x.shape
@@ -89,8 +88,7 @@ def factor_analysis(x: np.ndarray, d: int, iterations: int = 50,
     loadings[:, :k] = (vt[:k].T * (s[:k] / np.sqrt(n)))
     psi = np.maximum(var - (loadings ** 2).sum(axis=1), psi_floor)
 
-    cov_data = xc.T @ xc / n
-    loglik_history = []
+    data_var = np.diag(xc.T @ xc / n)
     eye_d = np.eye(d)
     for _ in range(iterations):
         # E-step
@@ -101,21 +99,13 @@ def factor_analysis(x: np.ndarray, d: int, iterations: int = 50,
         # M-step
         xz = xc.T @ ez                                # [p, d]
         loadings = xz @ np.linalg.inv(ezz)
-        psi = np.maximum(np.diag(cov_data) - np.sum(loadings * xz, axis=1) / n,
+        psi = np.maximum(data_var - np.sum(loadings * xz, axis=1) / n,
                          psi_floor)
-        # model log-likelihood under N(mu, L L^T + Psi)
-        cov = loadings @ loadings.T + np.diag(psi)
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise NumericError("factor analysis covariance lost positive definiteness")
-        ll = -0.5 * n * (p * np.log(2.0 * np.pi) + logdet
-                         + np.trace(np.linalg.solve(cov, cov_data)))
-        loglik_history.append(ll)
 
     psi_inv_l = loadings / psi[:, None]
     g = np.linalg.inv(eye_d + loadings.T @ psi_inv_l)
     scores = xc @ psi_inv_l @ g
-    return scores, loadings, psi, np.array(loglik_history)
+    return scores, loadings, psi
 
 
 def compact_semantics(v: np.ndarray, d: int, method: str) -> np.ndarray:
@@ -134,6 +124,6 @@ def compact_semantics(v: np.ndarray, d: int, method: str) -> np.ndarray:
     if method == "pca":
         return _pca_scores(v, d)
     if method == "factor-analysis":
-        scores, _, _, _ = factor_analysis(v, d)
+        scores, _, _ = factor_analysis(v, d)
         return scores
     raise DimensionError(f"unknown compaction method {method!r}")

@@ -97,15 +97,12 @@ def test_routing_oracle_equivalence(capsys):
         parent_init = rng.normal((a_n, d))
         vote_transforms = rng.normal((a_n, d, d))
         k_td = int(rng.integers(1, 4))
-        parents, agreement, route = inverted_routing(
+        agreement = inverted_routing(
             Tensor(children), Tensor(parent_init), Tensor(vote_transforms),
             k_td)
-        p_o, ag_o, rt_o = inverted_routing_oracle(
+        _, ag_o, _ = inverted_routing_oracle(
             children, parent_init, vote_transforms, k_td)
-        worst = max(worst,
-                    float(np.max(np.abs(parents.data - p_o))),
-                    float(np.max(np.abs(agreement.data - ag_o))),
-                    float(np.max(np.abs(route.data - rt_o))))
+        worst = max(worst, float(np.max(np.abs(agreement.data - ag_o))))
         instances += 2
     check(capsys, "routing oracle equivalence", worst < 1e-9,
           f"{instances} instances, max abs diff {worst:.2e}")

@@ -414,6 +414,43 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "data" / "meta.json").exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("optimizer", "rho", 2.0),
+        ("optimizer", "lr", -1.0),
+        ("optimizer", "momentum", -3.0),
+        ("loss", "lambda1", -1.0),
+    ], ids=["rho", "lr", "momentum", "lambda1"])
+    def test_out_of_range_training_setting_names_the_key(
+            self, workspace, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "train": {"epochs": 1},
+                                   section: {key: value}}))
+        rc = main(["train", "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    # sizes this large are refused by numpy before any memory is touched
+    @pytest.mark.parametrize("command,section,key", [
+        ("gen", "synthetic", "d_feat"),
+        ("train", "model", "n_primary"),
+    ], ids=["gen-d_feat", "train-n_primary"])
+    def test_unallocatable_size_is_validation_error(
+            self, workspace, tmp_path, capsys, command, section, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {**TINY_CONFIG, section: {**TINY_CONFIG[section], key: 10 ** 12}}))
+        data = ["--data", str(workspace / "data")] if command == "train" else []
+        rc = main([command, *data, "--out", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Unable to allocate" in err
+        assert "Traceback" not in err
+
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):
         # keep this quick: a coarse tolerance still exercises the full path
         assert main(["gradcheck", "--seed", "1"]) == 0

@@ -22,12 +22,12 @@ def bigfloat_cross_entropy(s, label, gamma=None):
     return float(-mpmath.log(mpmath.exp(vals[label]) / total))
 
 
-def tiny_model_and_sample(seed=0):
+def tiny_model_and_sample(seed=0, **model):
     spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
                          d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
                          signal_patches_per_attribute=1)
     ds = generate_synthetic(spec, seed)
-    model = HrtModel.build(ModelConfig(**TINY_MODEL),
+    model = HrtModel.build(ModelConfig(**{**TINY_MODEL, **model}),
                            ds.semantics.attr_vectors, ds.semantics.class_attr,
                            seed=seed)
     feats, labels = ds.split_samples("train")
@@ -147,6 +147,33 @@ class TestTotalLoss:
         total.backward()
         missing = [n for n, p in model.params.items() if p.grad is None]
         assert missing == []
+
+    @pytest.mark.parametrize("k_td", [1, 2, 3])
+    def test_every_op_output_is_read_by_the_loss(self, monkeypatch, k_td):
+        # an op output built while the loss is formed that is not among the
+        # loss's ancestors is work that nothing reads
+        model, x, label, ds = tiny_model_and_sample(k_td=k_td)
+        gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
+        built = []
+        from_op = Tensor._from_op
+
+        def recording(data, parents, backward, what):
+            out = from_op(data, parents, backward, what)
+            built.append((out, what))
+            return out
+
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(recording))
+        total, _ = total_loss(model, x, label,
+                              LossConfig(gamma_per_class=gamma))
+        monkeypatch.undo()
+        reached, stack = set(), [total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reached:
+                reached.add(id(node))
+                stack.extend(node._parents)
+        assert len(built) > 1
+        assert [what for out, what in built if id(out) not in reached] == []
 
 
 class TestPredict:

@@ -163,13 +163,13 @@ class TestInvertedRouting:
         rng = SeededRng(4)
         children = rng.normal((3, 4))
         w = rng.normal((1, 4, 4))
-        parents, agreement, route = inverted_routing(
-            Tensor(children), Tensor(rng.normal((1, 4))), Tensor(w), 2)
-        assert np.allclose(route.data, 1.0, atol=1e-12)
-        oracle = inverted_routing_oracle(children, np.zeros((1, 4)), w, 1)
-        # with one parent routing weights are 1 regardless of agreement,
-        # so the parent is layer_norm of the summed votes
-        assert np.allclose(parents.data, oracle[0], atol=1e-9)
+        p0 = rng.normal((1, 4))
+        agreement = inverted_routing(Tensor(children), Tensor(p0), Tensor(w), 2)
+        # with one parent routing weights are 1 regardless of agreement, so
+        # the updated parent is layer_norm of the summed votes, whatever the
+        # initial state
+        _, oracle, _ = inverted_routing_oracle(children, np.zeros((1, 4)), w, 2)
+        assert np.allclose(agreement.data, oracle, atol=1e-9)
 
     def test_symmetry_uniform_routing(self):
         rng = SeededRng(6)
@@ -177,49 +177,36 @@ class TestInvertedRouting:
         w_single = rng.normal((3, 3))
         w = np.stack([w_single] * 5)
         p0 = np.tile(rng.normal((1, 3)), (5, 1))
-        _, agreement, route = inverted_routing(Tensor(children), Tensor(p0),
-                                               Tensor(w), 2)
+        agreement = inverted_routing(Tensor(children), Tensor(p0), Tensor(w), 2)
+        # identical parents agree identically, so every child routes
+        # uniformly and the parents stay identical
         for col in range(1, 5):
             assert np.allclose(agreement.data[:, col], agreement.data[:, 0],
                                atol=1e-12)
-        assert np.allclose(route.data, 1.0 / 5.0, atol=1e-12)
 
-    def test_seeded_instance_matches_oracle(self):
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+    def test_seeded_instance_matches_oracle(self, iterations):
+        # every parent update before the last round shows in its agreement
         rng = SeededRng(5)
         children = rng.normal((3, 4))
         p0 = rng.normal((2, 4))
         w = rng.normal((2, 4, 4))
-        parents, agreement, route = inverted_routing(Tensor(children),
-                                                     Tensor(p0), Tensor(w), 2)
-        o_parents, o_agreement, o_route = inverted_routing_oracle(children, p0,
-                                                                  w, 2)
-        assert np.allclose(parents.data, o_parents, atol=1e-9)
+        agreement = inverted_routing(Tensor(children), Tensor(p0), Tensor(w),
+                                     iterations)
+        _, o_agreement, _ = inverted_routing_oracle(children, p0, w,
+                                                    iterations)
         assert np.allclose(agreement.data, o_agreement, atol=1e-9)
-        assert np.allclose(route.data, o_route, atol=1e-9)
-
-    def test_routing_rows_simplex(self):
-        rng = SeededRng(21)
-        for seed in range(20):
-            r = rng.spawn(seed)
-            w = Tensor(r.normal((3, 4, 4)))
-            _, _, route = inverted_routing(Tensor(r.normal((5, 4))),
-                                           Tensor(r.normal((3, 4))), w, 2)
-            assert np.all(route.data >= 0)
-            assert np.allclose(route.data.sum(axis=1), 1.0, atol=1e-9)
 
     def test_child_permutation_equivariance(self):
         rng = SeededRng(22)
         children = rng.normal((5, 4))
         p0 = rng.normal((3, 4))
         w = rng.normal((3, 4, 4))
-        parents, agreement, route = inverted_routing(Tensor(children),
-                                                     Tensor(p0), Tensor(w), 3)
+        agreement = inverted_routing(Tensor(children), Tensor(p0), Tensor(w), 3)
         perm = SeededRng(1).permutation(5)
-        parents_p, agreement_p, route_p = inverted_routing(
-            Tensor(children[perm]), Tensor(p0), Tensor(w), 3)
-        assert np.allclose(parents.data, parents_p.data, atol=1e-9)
+        agreement_p = inverted_routing(Tensor(children[perm]), Tensor(p0),
+                                       Tensor(w), 3)
         assert np.allclose(agreement.data[perm], agreement_p.data, atol=1e-9)
-        assert np.allclose(route.data[perm], route_p.data, atol=1e-9)
 
     def test_empty_inputs_error(self):
         with pytest.raises(DimensionError):

@@ -7,6 +7,17 @@ from hrt import DimensionError, NumericError, SeededRng, SemanticSpace, \
 from oracles import factor_analysis_oracle
 
 
+def fa_loglik(x, loadings, psi):
+    """Total log-likelihood of the rows of x under N(mean, L L^T + Psi)."""
+    n, p = x.shape
+    xc = x - x.mean(axis=0)
+    cov = loadings @ loadings.T + np.diag(psi)
+    sign, logdet = np.linalg.slogdet(cov)
+    assert sign > 0
+    return -0.5 * n * (p * np.log(2.0 * np.pi) + logdet
+                       + np.trace(np.linalg.solve(cov, xc.T @ xc / n)))
+
+
 class TestSemanticSpace:
     def test_attribute_count_consistency(self):
         with pytest.raises(DimensionError):
@@ -53,9 +64,13 @@ class TestFactorAnalysis:
     def test_loglik_nondecreasing_and_matches_oracle(self):
         rng = SeededRng(13)
         x = rng.normal((20, 6)) + rng.normal((20, 1)) * rng.normal((1, 6))
-        scores, loadings, psi, ll = factor_analysis(x, 2, iterations=50)
+        ll = []
+        for k in range(1, 51):
+            _, loadings, psi = factor_analysis(x, 2, iterations=k)
+            ll.append(fa_loglik(x, loadings, psi))
         diffs = np.diff(ll)
         assert np.all(diffs >= -1e-8)  # EM monotonicity up to fp noise
+        scores, _, _ = factor_analysis(x, 2, iterations=50)
         oracle_scores = factor_analysis_oracle(x, 2, iterations=50)
         assert np.allclose(scores, oracle_scores, atol=1e-6)
 
