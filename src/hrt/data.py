@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, allocating
 from .rng import SeededRng
 from .semantics import SemanticSpace
 
@@ -112,15 +112,18 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
     Attribute identities are orthonormalized random basis vectors in feature
     space; each class activates a distinct attribute subset, each sample
     plants the active attribute bases into a few random patches, and Gaussian
-    noise is layered on top.
+    noise is layered on top.  The feature array is allocated once and filled
+    in place.
     """
     spec.validate()
     rng = SeededRng(seed)
-    a, d_feat = spec.num_attributes, spec.d_feat
+    a, d_feat, r = spec.num_attributes, spec.d_feat, spec.r_patches
     c_total = spec.c_seen + spec.c_unseen
 
     # (1) orthonormal-ish attribute bases via Gram-Schmidt
-    basis = rng.normal((a, d_feat))
+    with allocating("the attribute bases",
+                    "synthetic.num_attributes and synthetic.d_feat"):
+        basis = rng.normal((a, d_feat))
     for i in range(a):
         for j in range(i):
             basis[i] -= (basis[i] @ basis[j]) * basis[j]
@@ -132,7 +135,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
 
     # (2) class attribute vectors in [0,1]^A with distinct supports
     supports: set[tuple[int, ...]] = set()
-    class_attr = np.zeros((c_total, a))
+    with allocating("the class attributes", "synthetic.c_seen, "
+                    "synthetic.c_unseen and synthetic.num_attributes"):
+        class_attr = np.zeros((c_total, a))
     for c in range(c_total):
         for _ in range(1000):
             mask = rng.uniform((a,)) < 0.5
@@ -149,23 +154,31 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
                                  rng.uniform((a,), 0.0, 0.4))
 
     # (5) attribute semantic vectors, fixed per dataset
-    attr_vectors = rng.normal((a, spec.tau))
+    with allocating("the attribute semantic vectors",
+                    "synthetic.num_attributes and synthetic.tau"):
+        attr_vectors = rng.normal((a, spec.tau))
 
-    # (3)+(4) samples
-    features, labels = [], []
-    for c in range(c_total):
-        for _ in range(spec.samples_per_class):
-            patches = rng.normal((spec.r_patches, d_feat), scale=spec.noise_std) \
-                if spec.noise_std > 0 else np.zeros((spec.r_patches, d_feat))
-            for attr in range(a):
-                if class_attr[c, attr] > 0.5:
-                    chosen = rng.choice(spec.r_patches,
-                                        spec.signal_patches_per_attribute)
-                    patches[chosen] += class_attr[c, attr] * basis[attr]
-            features.append(patches)
-            labels.append(c)
-    features = np.asarray(features)
-    labels = np.asarray(labels)
+    # (3)+(4) samples: each draws its noise, then a few patches for each
+    # active attribute of its class; the bases are planted after the draws
+    with allocating("the samples", "synthetic.c_seen, synthetic.c_unseen, "
+                    "synthetic.samples_per_class, synthetic.r_patches and "
+                    "synthetic.d_feat"):
+        labels = np.repeat(np.arange(c_total), spec.samples_per_class)
+        features = np.zeros((labels.size, r, d_feat))
+    active = [np.nonzero(row > 0.5)[0].tolist() for row in class_attr]
+    rows: list[list[int]] = [[] for _ in range(a)]  # sample * r + patch
+    for i, c in enumerate(labels.tolist()):
+        if spec.noise_std > 0:
+            features[i] = rng.normal((r, d_feat), scale=spec.noise_std)
+        for attr in active[c]:
+            chosen = rng.choice(r, spec.signal_patches_per_attribute)
+            rows[attr].extend((i * r + chosen).tolist())
+    # attribute by attribute in ascending order, so every patch adds its
+    # products to its noise in the order a per-sample loop would
+    flat = features.reshape(-1, d_feat)
+    for attr, idx in enumerate(rows):
+        idx = np.array(idx, dtype=np.int64)
+        flat[idx] += class_attr[labels[idx // r], attr][:, None] * basis[attr]
 
     seen = list(range(spec.c_seen))
     unseen = list(range(spec.c_seen, c_total))
@@ -207,7 +220,7 @@ def save_dataset(dataset: ZslDataset, path) -> None:
             "endianness": "little"}
     (path / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2)
                                     + "\n", encoding="utf-8")
-    dataset.features.astype("<f8").tofile(path / "features.bin")
+    np.asarray(dataset.features, dtype="<f8").tofile(path / "features.bin")
 
     header = ",".join(f"a{i}" for i in range(a))
     rows = [header] + [",".join(repr(float(v)) for v in row)
@@ -273,11 +286,12 @@ def load_features(path) -> ZslDataset:
     np_dtype = {"f32": "<f4", "f64": "<f8"}[meta["dtype"]]
     itemsize = 4 if meta["dtype"] == "f32" else 8
     expected = n * r * d_feat * itemsize
-    raw = (path / "features.bin").read_bytes()
-    _require(len(raw) == expected,
-             f"features.bin holds {len(raw)} bytes, expected {expected}")
-    features = np.frombuffer(raw, dtype=np_dtype).astype(np.float64)
-    features = features.reshape(n, r, d_feat)
+    size = (path / "features.bin").stat().st_size
+    _require(size == expected,
+             f"features.bin holds {size} bytes, expected {expected}")
+    # the array read is the one kept; only an f32 file is converted
+    features = np.fromfile(path / "features.bin", dtype=np_dtype)
+    features = features.astype(np.float64, copy=False).reshape(n, r, d_feat)
     _require(bool(np.all(np.isfinite(features))),
              "features.bin contains non-finite values")
 

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``allocating``, which
+names the config keys behind an array that cannot be allocated.
 
 The CLI maps these onto exit codes: validation problems (DimensionError,
 ConfigError, DataFormatError) exit 1, numeric failures (NumericError) exit 2.
 """
+
+from contextlib import contextmanager
 
 
 class DimensionError(ValueError):
@@ -19,3 +22,15 @@ class ConfigError(ValueError):
 
 class DataFormatError(ValueError):
     """A dataset directory or checkpoint violates its declared format."""
+
+
+@contextmanager
+def allocating(what: str, keys: str):
+    """Turn a MemoryError raised inside into a ConfigError naming ``what``
+    was being allocated and the config ``keys`` that size it, followed by
+    numpy's message."""
+    try:
+        yield
+    except MemoryError as e:
+        raise ConfigError(f"cannot allocate {what}, sized by {keys}: "
+                          f"{e}") from e

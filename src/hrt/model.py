@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, allocating
 from .tensor import Tensor
 from .rng import SeededRng
 from .encoder import AlignedFeatures, encode
@@ -47,6 +47,17 @@ def param_shapes(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
     }
 
 
+# the config fields each shape in ``param_shapes`` is built from, named when
+# a parameter cannot be allocated
+SIZED_BY = {
+    "enc.proj": "model.d_feat, model.n_primary and model.d_cap",
+    "enc.act_proj": "model.d_feat and model.n_primary",
+    "enc.vote_transforms": "model.num_attributes and model.d_cap",
+    "dec.w_beta": "model.tau and model.d_feat",
+    "dec.w_d": "model.d_feat and model.tau",
+}
+
+
 @dataclass
 class ForwardResult:
     scores: Tensor            # [C]
@@ -85,9 +96,11 @@ class HrtModel:
         shapes = param_shapes(config)
         if arrays is None:
             rng = SeededRng(seed)
-            arrays = {name: rng.uniform(shape, -1.0 / np.sqrt(fan_in),
-                                        1.0 / np.sqrt(fan_in))
-                      for name, (shape, fan_in) in shapes.items()}
+            arrays = {}
+            for name, (shape, fan_in) in shapes.items():
+                with allocating(f"parameter {name!r}", SIZED_BY[name]):
+                    arrays[name] = rng.uniform(shape, -1.0 / np.sqrt(fan_in),
+                                               1.0 / np.sqrt(fan_in))
         self.params: dict[str, Tensor] = {
             name: Tensor(arrays[name], requires_grad=True) for name in shapes}
 

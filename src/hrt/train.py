@@ -74,9 +74,12 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
           optimizer_config: OptimizerConfig, epochs: int,
           seed: int = DEFAULTS["train"]["seed"],
           batch_size: int = DEFAULTS["train"]["batch_size"]) -> list[EpochStats]:
-    """Train on the seen-class train split; deterministic for a fixed seed."""
-    feats, labels = dataset.split_samples("train")
-    n = feats.shape[0]
+    """Train on the seen-class train split; deterministic for a fixed seed.
+
+    Samples are read from ``dataset.features`` by index, not copied out."""
+    features, labels = dataset.features, dataset.labels
+    train_idx = dataset.splits["train"]
+    n = train_idx.size
     if n == 0:
         raise ConfigError("training split is empty")
     if epochs < 0 or batch_size < 1:
@@ -91,8 +94,8 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             model.zero_grad()
-            for i in batch:
-                result = model.forward(Tensor(feats[i]))
+            for i in train_idx[batch]:
+                result = model.forward(Tensor(features[i]))
                 total, parts = result_loss(model, result, int(labels[i]),
                                            loss_config)
                 correct += int(predict(result.scores) == labels[i])

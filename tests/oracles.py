@@ -204,3 +204,73 @@ def factor_analysis_oracle(x, d, iterations, psi_floor=1e-6):
                          psi_floor)
     beta_mat = np.linalg.inv(np.eye(d) + lam.T @ np.diag(1.0 / psi) @ lam)
     return xc @ np.diag(1.0 / psi) @ lam @ beta_mat
+
+
+def synthetic_oracle(spec, seed):
+    """The synthetic generator as a per-sample loop: each sample's patches are
+    drawn, planted and appended one at a time, then stacked.  Draws come
+    straight from numpy's PCG64 in the order ``hrt.rng.SeededRng`` makes
+    them.  Returns features, labels, splits, class_attr and attr_vectors."""
+    gen = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
+    a, d_feat = spec.num_attributes, spec.d_feat
+    c_total = spec.c_seen + spec.c_unseen
+
+    basis = gen.normal(0.0, 1.0, size=(a, d_feat))
+    for i in range(a):
+        for j in range(i):
+            basis[i] -= (basis[i] @ basis[j]) * basis[j]
+        norm = np.linalg.norm(basis[i])
+        if norm < 1e-8:
+            basis[i] = gen.normal(0.0, 1.0, size=(d_feat,))
+            norm = np.linalg.norm(basis[i])
+        basis[i] /= norm
+
+    supports = set()
+    class_attr = np.zeros((c_total, a))
+    for c in range(c_total):
+        for _ in range(1000):
+            mask = gen.uniform(0.0, 1.0, size=(a,)) < 0.5
+            if not mask.any():
+                continue
+            key = tuple(np.nonzero(mask)[0].tolist())
+            if key not in supports:
+                supports.add(key)
+                break
+        else:
+            raise AssertionError("no distinct supports")
+        class_attr[c] = np.where(mask, gen.uniform(0.6, 1.0, size=(a,)),
+                                 gen.uniform(0.0, 0.4, size=(a,)))
+
+    attr_vectors = gen.normal(0.0, 1.0, size=(a, spec.tau))
+
+    features, labels = [], []
+    for c in range(c_total):
+        for _ in range(spec.samples_per_class):
+            patches = gen.normal(0.0, spec.noise_std,
+                                 size=(spec.r_patches, d_feat)) \
+                if spec.noise_std > 0 else np.zeros((spec.r_patches, d_feat))
+            for attr in range(a):
+                if class_attr[c, attr] > 0.5:
+                    chosen = gen.choice(spec.r_patches,
+                                        size=spec.signal_patches_per_attribute,
+                                        replace=False)
+                    patches[chosen] += class_attr[c, attr] * basis[attr]
+            features.append(patches)
+            labels.append(c)
+    features = np.asarray(features)
+    labels = np.asarray(labels)
+
+    seen = set(range(spec.c_seen))
+    splits = {"train": [], "test_seen": [], "test_unseen": []}
+    for c in range(c_total):
+        idx = np.nonzero(labels == c)[0]
+        idx = idx[gen.permutation(idx.size)]
+        if c in seen:
+            n_train = max(1, min(idx.size - 1,
+                                 int(round(spec.train_fraction * idx.size))))
+            splits["train"].extend(idx[:n_train].tolist())
+            splits["test_seen"].extend(idx[n_train:].tolist())
+        else:
+            splits["test_unseen"].extend(idx.tolist())
+    splits = {k: np.array(sorted(v), dtype=np.int64) for k, v in splits.items()}
+    return features, labels, splits, class_attr, attr_vectors

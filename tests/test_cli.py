@@ -433,11 +433,13 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
-    # sizes this large are refused by numpy before any memory is touched
+    # sizes this large are refused by numpy before any memory is touched;
+    # the generator allocates its features before drawing the first sample
     @pytest.mark.parametrize("command,section,key", [
         ("gen", "synthetic", "d_feat"),
+        ("gen", "synthetic", "samples_per_class"),
         ("train", "model", "n_primary"),
-    ], ids=["gen-d_feat", "train-n_primary"])
+    ], ids=["gen-d_feat", "gen-samples_per_class", "train-n_primary"])
     def test_unallocatable_size_is_validation_error(
             self, workspace, tmp_path, capsys, command, section, key):
         cfg = tmp_path / "config.json"
@@ -449,6 +451,7 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Unable to allocate" in err
+        assert f"{section}.{key}" in err
         assert "Traceback" not in err
 
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrt import (ConfigError, DataFormatError, SyntheticSpec,
-                 generate_synthetic, load_features, save_dataset)
+from hrt import (ConfigError, DataFormatError, HrtModel, LossConfig,
+                 ModelConfig, OptimizerConfig, SyntheticSpec,
+                 generate_synthetic, load_features, save_dataset, train)
+from hrt.config import dataset_dims
+from oracles import synthetic_oracle
+
+
+# the synthetic recipe of bench/run.py's train_wide_grid workload
+WIDE_GRID = dict(r_patches=36, d_feat=128, samples_per_class=20)
 
 
 def small_spec(**overrides):
@@ -27,6 +35,26 @@ class TestGenerateSynthetic:
                      "semantics.csv", "splits.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("recipe", [
+        {}, WIDE_GRID, {"noise_std": 0.0},
+        {"signal_patches_per_attribute": 9},
+        {"r_patches": 1, "signal_patches_per_attribute": 1},
+    ], ids=["default", "wide_grid", "noise_free", "all_patches",
+            "one_patch"])
+    def test_matches_per_sample_oracle(self, recipe, seed):
+        spec = SyntheticSpec(**recipe)
+        ds = generate_synthetic(spec, seed)
+        features, labels, splits, class_attr, attr_vectors = \
+            synthetic_oracle(spec, seed)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+        assert ds.splits.keys() == splits.keys()
+        for name in splits:
+            assert np.array_equal(ds.splits[name], splits[name])
+        assert np.array_equal(ds.semantics.class_attr, class_attr)
+        assert np.array_equal(ds.semantics.attr_vectors, attr_vectors)
 
     def test_no_unseen_classes_rejected(self):
         with pytest.raises(ConfigError):
@@ -93,6 +121,16 @@ class TestRoundtrip:
         with pytest.raises(DataFormatError, match=rf"{len(raw) - 1}.*{len(raw)}"):
             load_features(tmp_path / "d")
 
+    def test_overlong_features_cites_lengths(self, tmp_path):
+        ds = generate_synthetic(small_spec(), seed=7)
+        save_dataset(ds, tmp_path / "d")
+        f = tmp_path / "d" / "features.bin"
+        raw = f.read_bytes()
+        f.write_bytes(raw + b"\0")
+        with pytest.raises(DataFormatError,
+                           match=rf"holds {len(raw) + 1} bytes, expected {len(raw)}"):
+            load_features(tmp_path / "d")
+
     def test_paper_scale_fixture(self, tmp_path):
         # R=49 patches of 2048-dim features, two samples, loads cleanly
         r, d_feat, a, tau, c, n = 49, 2048, 4, 6, 3, 2
@@ -114,6 +152,8 @@ class TestRoundtrip:
             "sample_index,class_index,split\n0,0,train\n1,2,test_unseen\n")
         ds = load_features(d)
         assert ds.features.shape == (n, r, d_feat)
+        assert ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, feats.astype(np.float64))
         assert ds.seen_classes == [0] and ds.unseen_classes == [2]
 
     def test_overlapping_seen_unseen_rejected(self, tmp_path):
@@ -167,3 +207,47 @@ class TestRoundtrip:
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(DataFormatError, match="columns"):
             load_features(tmp_path / "d")
+
+
+def peak_traced_bytes(fn, *args):
+    """The most memory traced at once while ``fn(*args)`` runs, including
+    what it returns."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The data path holds one copy of the features: the high-water mark of
+    each step, over the size of the array it handles."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return generate_synthetic(SyntheticSpec(**WIDE_GRID), seed=0)
+
+    def test_generate(self, wide):
+        peak = peak_traced_bytes(generate_synthetic,
+                                 SyntheticSpec(**WIDE_GRID), 0)
+        assert peak <= 1.5 * wide.features.nbytes
+
+    def test_save(self, wide, tmp_path):
+        peak = peak_traced_bytes(save_dataset, wide, tmp_path / "d")
+        assert peak <= 0.25 * wide.features.nbytes
+
+    def test_load(self, wide, tmp_path):
+        save_dataset(wide, tmp_path / "d")
+        peak = peak_traced_bytes(load_features, tmp_path / "d")
+        assert peak <= 1.25 * wide.features.nbytes
+
+    def test_train_reads_samples_in_place(self, wide):
+        sem = wide.semantics
+        model = HrtModel.build(
+            ModelConfig(**dataset_dims(wide), k_em=1, k_td=3),
+            sem.attr_vectors, sem.class_attr, seed=0)
+        peak = peak_traced_bytes(train, wide, model, LossConfig(),
+                                 OptimizerConfig(), 0)
+        train_bytes = wide.features[wide.splits["train"]].nbytes
+        assert peak <= 0.05 * train_bytes
