@@ -31,8 +31,8 @@ model = HrtModel.build(
 
 gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
 cfg = LossConfig(lambda1=0.1, lambda2=0.033, gamma_per_class=gamma)
-feats, labels = ds.split_samples("train")
-x, label = feats[0], int(labels[0])
+i = ds.splits["train"][0]
+x, label = ds.features[i], int(ds.labels[i])
 
 report = grad_check(lambda: total_loss(model, x, label, cfg)[0],
                     model.params, h=1e-5, tol=1e-4)

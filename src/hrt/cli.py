@@ -127,8 +127,8 @@ def cmd_gradcheck(args) -> int:
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=args.seed)
     loss_config = loss_config_for(config, dataset)
-    feats, labels = dataset.split_samples("train")
-    x, label = feats[0], int(labels[0])
+    i = dataset.splits["train"][0]
+    x, label = dataset.features[i], int(dataset.labels[i])
     report = grad_check(lambda: total_loss(model, x, label, loss_config)[0],
                         model.params, h=args.h, tol=args.tol)
     print(report.summary())

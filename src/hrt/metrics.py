@@ -37,12 +37,18 @@ def _per_class_accuracy(labels: np.ndarray, predictions: np.ndarray) -> float:
     return float(np.mean(accs))
 
 
-def _score_split(model, features: np.ndarray) -> np.ndarray:
-    scores = np.zeros((features.shape[0], model.config.num_classes))
+def _score_split(model, dataset, split: str):
+    """The scores [n, C] and labels of the samples of ``split``, each read
+    from ``dataset.features`` in place."""
+    idx = dataset.splits[split]
+    if idx.size == 0:
+        raise ConfigError(f"{split} split is empty")
+    scores = np.zeros((idx.size, model.config.num_classes))
+    features = dataset.features
     with no_grad():
-        for i in range(features.shape[0]):
-            scores[i] = model.forward(Tensor(features[i])).scores.data
-    return scores
+        for row, i in enumerate(idx):
+            scores[row] = model.forward(Tensor(features[i])).scores.data
+    return scores, dataset.labels[idx]
 
 
 def evaluate(model, dataset, mode: str = "gzsl",
@@ -56,10 +62,7 @@ def evaluate(model, dataset, mode: str = "gzsl",
     if mode not in ("zsl", "gzsl"):
         raise ConfigError(f"unknown evaluation mode {mode!r}")
     if mode == "zsl":
-        feats, labels = dataset.split_samples("test_unseen")
-        if feats.shape[0] == 0:
-            raise ConfigError("test_unseen split is empty")
-        scores = _score_split(model, feats)
+        scores, labels = _score_split(model, dataset, "test_unseen")
         unseen = np.array(dataset.unseen_classes, dtype=np.int64)
         # argmax restricted to unseen classes, ties to lowest class index
         preds = unseen[np.argmax(scores[:, unseen], axis=1)]
@@ -72,10 +75,7 @@ def evaluate(model, dataset, mode: str = "gzsl",
                              f"{model.config.num_classes} classes")
     accs = {}
     for split in ("test_seen", "test_unseen"):
-        feats, labels = dataset.split_samples(split)
-        if feats.shape[0] == 0:
-            raise ConfigError(f"{split} split is empty")
-        scores = _score_split(model, feats)
+        scores, labels = _score_split(model, dataset, split)
         # ties resolve to the lowest class index, as in losses.predict
         preds = np.argmax(scores + gamma, axis=1)
         accs[split] = _per_class_accuracy(labels, preds)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .rng import SeededRng
 from .encoder import AlignedFeatures, encode
 from .decoder import (adjust_class_attributes, class_scores,
                       content_attribute_scores)
-from .semantics import SemanticSpace, compact_semantics
+from .semantics import COMPACTION_METHODS, SemanticSpace, compact_semantics
 
 
 @dataclass
@@ -34,6 +34,10 @@ class ModelConfig:
                      "d_cap", "n_primary", "k_em", "k_td"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.compaction not in COMPACTION_METHODS:
+            raise ConfigError(f"compaction must be one of "
+                              f"{', '.join(COMPACTION_METHODS)}, "
+                              f"got {self.compaction!r}")
 
 
 def param_shapes(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
@@ -58,6 +62,16 @@ SIZED_BY = {
 }
 
 
+def array_layout(c: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every array a model holds and its shape, in checkpoint payload order:
+    the semantic arrays, then the parameters in name order."""
+    params = param_shapes(c)
+    return {"sem.attr_vectors": (c.num_attributes, c.tau),
+            "sem.compact_vectors": (c.num_attributes, c.d_cap),
+            "sem.class_attr": (c.num_classes, c.num_attributes),
+            **{name: params[name][0] for name in sorted(params)}}
+
+
 @dataclass
 class ForwardResult:
     scores: Tensor            # [C]
@@ -69,7 +83,8 @@ class HrtModel:
     """Encoder + decoder parameters with a seeded-uniform initialization.
 
     Weights are drawn uniformly in +-1/sqrt(fan_in) (``param_shapes``), or
-    taken as they are from ``arrays``, which must be writeable; attribute
+    taken as they are from ``arrays`` by parameter name (other entries are
+    ignored), which must be writeable; attribute
     capsules are initialized from the compacted attribute vectors, which are
     computed once at construction and cached.
     """
@@ -108,6 +123,7 @@ class HrtModel:
     def build(cls, config: ModelConfig, attr_vectors: np.ndarray,
               class_attr: np.ndarray, seed: int = 0) -> "HrtModel":
         """Construct semantics (with compaction) and the model in one go."""
+        config.validate()
         compact = compact_semantics(attr_vectors, config.d_cap,
                                     method=config.compaction)
         semantics = SemanticSpace(attr_vectors=attr_vectors,
@@ -131,6 +147,3 @@ class HrtModel:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def config_dict(self) -> dict:
-        return asdict(self.config)

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
+# PCG64 takes seeds in [0, SEED_BOUND)
+SEED_BOUND = 1 << 64
+
 
 class SeededRng:
     """Deterministic pseudorandom source backed by numpy's PCG64.
@@ -18,7 +23,9 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ConfigError(f"seed {self.seed} is outside [0, 2**64)")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
@@ -38,4 +45,5 @@ class SeededRng:
 
     def spawn(self, key: int) -> "SeededRng":
         """Derive an independent generator keyed off this seed."""
-        return SeededRng(self.seed * 0x9E3779B97F4A7C15 + key + 1)
+        return SeededRng((self.seed * 0x9E3779B97F4A7C15 + key + 1)
+                         % SEED_BOUND)

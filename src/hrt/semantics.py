@@ -108,9 +108,13 @@ def factor_analysis(x: np.ndarray, d: int, iterations: int = 50,
     return scores, loadings, psi
 
 
+# the compaction methods ``compact_semantics`` knows
+COMPACTION_METHODS = ("factor-analysis", "pca")
+
+
 def compact_semantics(v: np.ndarray, d: int, method: str) -> np.ndarray:
     """Reduce attribute vectors [A, tau] to routing dimension [A, d] by
-    ``method``, "factor-analysis" or "pca"."""
+    ``method``, one of ``COMPACTION_METHODS``."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         raise DimensionError(f"attribute vectors must be [A, tau], got {v.shape}")

@@ -7,26 +7,24 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, DimensionError
 from .config import DEFAULTS, fits_type
 from .tensor import Tensor, as_tensor
-from .rng import SeededRng
-from .model import ForwardResult, HrtModel, ModelConfig, param_shapes
+from .rng import SEED_BOUND, SeededRng
+from .model import ForwardResult, HrtModel, ModelConfig, array_layout
 from .semantics import SemanticSpace
 from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
                      cross_entropy, predict)
 from .optim import OptimizerConfig, RmsPropState, optimizer_step
 
 CHECKPOINT_MAGIC = b"HRTC"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 HISTORY_HEADER = "epoch,L_ce,L_cal,L_reg,total,train_acc"
-SEMANTIC_TENSORS = ("sem.attr_vectors", "sem.compact_vectors",
-                    "sem.class_attr")
 
 
 @dataclass
@@ -127,20 +125,11 @@ def write_history(history: list[EpochStats], path) -> None:
 # [4-byte magic "HRTC"][8-byte little-endian header length][UTF-8 JSON header]
 # [float64 little-endian payload]
 #
-# The header declares the format version, tensor names/shapes in payload
-# order, the model config, the init seed, and a hash of the resolved
-# experiment config. Version 2 dropped the encoder's EM ``beta``/``gamma``
-# parameters and the ``em_lambda`` and EM variance-floor model config keys.
-# Version 3 dropped the EM vote transforms and the model config key that laid
-# capsule poses out as matrices or vectors. Version 4 dropped the layer-norm
-# epsilon from the model config; it is the constant ``routing.LAYER_NORM_EPS``.
-# Version 5 dropped the patch count ``r_patches`` from the model config (no
-# parameter is sized by it) and the header's ``dtype`` and ``endianness``
-# fields, which the layout above fixes.  Any other version is rejected.  Each
-# tensor name appears once, names a model parameter or one of the ``sem.*``
-# arrays, and holds only finite values.  The parameters must have the shapes
-# ``model.param_shapes`` gives for the model config; a loaded model is built
-# from them and draws no random numbers.
+# The header holds the format version, the init seed, the model config and a
+# hash of the resolved experiment config, and nothing else: the model config
+# fixes the payload, which is the arrays of ``model.array_layout`` in its
+# order, each holding only finite values. Any other version is rejected. A
+# loaded model is built from the stored arrays and draws no random numbers.
 
 
 def config_hash(config: dict) -> str:
@@ -150,25 +139,30 @@ def config_hash(config: dict) -> str:
 
 def save_checkpoint(model: HrtModel, path,
                     experiment_config: dict | None = None) -> None:
-    names = sorted(model.params)
     sem = model.semantics
-    arrays = [(name, getattr(sem, name.removeprefix("sem.")))
-              for name in SEMANTIC_TENSORS]
-    arrays += [(n, model.params[n].data) for n in names]
+    arrays = {"sem.attr_vectors": sem.attr_vectors,
+              "sem.compact_vectors": sem.compact_vectors,
+              "sem.class_attr": sem.class_attr,
+              **{name: p.data for name, p in model.params.items()}}
+    layout = array_layout(model.config)
+    for name, shape in layout.items():
+        if arrays[name].shape != shape:
+            raise DimensionError(f"array {name!r} has shape "
+                                 f"{arrays[name].shape}, the model config "
+                                 f"gives {shape}")
     header = {
         "version": CHECKPOINT_VERSION,
         "seed": model.seed,
-        "model_config": model.config_dict(),
+        "model_config": asdict(model.config),
         "config_hash": config_hash(experiment_config or {}),
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for name in layout:
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
 
 
 def _field(header, name: str, kind: type):
@@ -200,53 +194,39 @@ def load_checkpoint(path) -> HrtModel:
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version} "
                               f"(expected {CHECKPOINT_VERSION})")
+    seed = _field(header, "seed", int)
+    if not 0 <= seed < SEED_BOUND:
+        raise DataFormatError(f"checkpoint header field 'seed' is {seed}, "
+                              "outside [0, 2**64)")
     model_config = _field(header, "model_config", dict)
     kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     if model_config.keys() != kinds.keys() or not all(
             fits_type(model_config[k], kind) for k, kind in kinds.items()):
         raise DataFormatError("checkpoint header field 'model_config' does "
                               f"not match ModelConfig: {model_config}")
-    seed = _field(header, "seed", int)
-    offset = 12 + hlen
-    tensors = {}
-    for entry in _field(header, "tensors", list):
-        name, shape = _field(entry, "name", str), _field(entry, "shape", list)
-        if not all(fits_type(d, int) and d >= 0 for d in shape):
-            raise DataFormatError(f"tensor {name!r} has bad shape {shape}")
-        if name in tensors:
-            raise DataFormatError(f"checkpoint lists tensor {name!r} twice")
-        end = offset + math.prod(shape) * 8
-        if end > len(raw):
-            raise DataFormatError(f"checkpoint truncated in tensor {name!r}")
-        tensors[name] = np.frombuffer(raw[offset:end],
-                                      dtype="<f8").reshape(shape)
-        if not np.isfinite(tensors[name]).all():
+    config = ModelConfig(**model_config)
+    try:
+        config.validate()
+    except ConfigError as e:
+        raise DataFormatError(
+            f"checkpoint header field 'model_config': {e}") from e
+
+    arrays, offset = {}, 12 + hlen
+    for name, shape in array_layout(config).items():
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
+            raise DataFormatError(f"checkpoint truncated in array {name!r}")
+        # copied: the optimizer updates parameters in place
+        arrays[name] = np.frombuffer(raw, dtype="<f8", count=count,
+                                     offset=offset).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
             raise DataFormatError(
-                f"checkpoint tensor {name!r} holds a non-finite value")
-        offset = end
+                f"checkpoint array {name!r} holds a non-finite value")
+        offset += 8 * count
     if offset != len(raw):
         raise DataFormatError(
             f"checkpoint has {len(raw) - offset} trailing bytes")
-    for name in SEMANTIC_TENSORS:
-        if name not in tensors:
-            raise DataFormatError(f"checkpoint missing tensor {name!r}")
-
-    config = ModelConfig(**model_config)
-    shapes = param_shapes(config)
-    unknown = sorted(tensors.keys() - shapes.keys() - set(SEMANTIC_TENSORS))
-    if unknown:
-        raise DataFormatError(f"checkpoint tensors {unknown} are neither "
-                              "parameters nor semantic arrays")
-    for name, (shape, _) in shapes.items():
-        if name not in tensors:
-            raise DataFormatError(f"checkpoint missing parameter {name!r}")
-        if tensors[name].shape != shape:
-            raise DataFormatError(
-                f"parameter {name!r} has shape {tensors[name].shape}, "
-                f"expected {shape}")
-    semantics = SemanticSpace(attr_vectors=tensors["sem.attr_vectors"],
-                              compact_vectors=tensors["sem.compact_vectors"],
-                              class_attr=tensors["sem.class_attr"])
-    # copied: the optimizer updates parameters in place
-    return HrtModel(config, semantics, seed=seed,
-                    arrays={name: tensors[name].copy() for name in shapes})
+    semantics = SemanticSpace(attr_vectors=arrays["sem.attr_vectors"],
+                              compact_vectors=arrays["sem.compact_vectors"],
+                              class_attr=arrays["sem.class_attr"])
+    return HrtModel(config, semantics, seed=seed, arrays=arrays)

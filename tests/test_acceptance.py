@@ -45,8 +45,8 @@ def test_gradient_suite(capsys):
     ds, model = tiny_gradcheck_setup()
     gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
     cfg = LossConfig(lambda1=0.1, lambda2=0.033, gamma_per_class=gamma)
-    feats, labels = ds.split_samples("train")
-    x, label = feats[0], int(labels[0])
+    i = ds.splits["train"][0]
+    x, label = ds.features[i], int(ds.labels[i])
     start = time.monotonic()
     report = grad_check(lambda: total_loss(model, x, label, cfg)[0],
                         model.params, h=1e-5, tol=1e-4)
@@ -153,8 +153,8 @@ def test_loss_identities(capsys):
     ds, model = tiny_gradcheck_setup(seed=3)
     gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
     cfg = LossConfig(lambda1=0.1, lambda2=0.033, gamma_per_class=gamma)
-    feats, labels = ds.split_samples("train")
-    total, parts = total_loss(model, feats[0], int(labels[0]), cfg)
+    i = ds.splits["train"][0]
+    total, parts = total_loss(model, ds.features[i], int(ds.labels[i]), cfg)
     recomposed = parts["ce"] + 0.1 * parts["cal"] + 0.033 * parts["reg"]
     ok = ok and abs(total.item() - recomposed) < 1e-10
     # predict is exactly invariant to a uniform score shift
@@ -181,9 +181,9 @@ def test_end_to_end_learning(capsys):
     # validate the thresholds first with a nearest-class-attribute linear
     # oracle: least squares from summed patch features to class attributes
     z = ds.semantics.class_attr
-    train_feats, train_labels = ds.split_samples("train")
-    w, *_ = np.linalg.lstsq(train_feats.sum(axis=1), z[train_labels],
-                            rcond=None)
+    train_idx = ds.splits["train"]
+    w, *_ = np.linalg.lstsq(ds.features[train_idx].sum(axis=1),
+                            z[ds.labels[train_idx]], rcond=None)
 
     def oracle_preds(feats, candidates):
         psi = feats.sum(axis=1) @ w
@@ -194,8 +194,9 @@ def test_end_to_end_learning(capsys):
         return float(np.mean([np.mean(preds[labels == c] == c)
                               for c in sorted(set(labels.tolist()))]))
 
-    u_feats, u_labels = ds.split_samples("test_unseen")
-    s_feats, s_labels = ds.split_samples("test_seen")
+    u_idx, s_idx = ds.splits["test_unseen"], ds.splits["test_seen"]
+    u_feats, u_labels = ds.features[u_idx], ds.labels[u_idx]
+    s_feats, s_labels = ds.features[s_idx], ds.labels[s_idx]
     all_classes = list(range(12))
     oracle_t1 = per_class_acc(u_labels, oracle_preds(u_feats,
                                                      ds.unseen_classes))

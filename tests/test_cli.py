@@ -311,42 +311,45 @@ class TestExitCodes:
         written = out / "metrics.json" if command == "eval" else out
         assert not written.exists()
 
-    # version 1 still held the EM beta/gamma parameters, version 2 the EM
-    # vote transforms and pose_mode, version 3 the layer-norm epsilon, and
-    # version 4 r_patches and the dtype/endianness header fields
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
-    def test_eval_rejects_old_checkpoint_version(self, workspace, tmp_path,
-                                                 capsys, version):
+    @staticmethod
+    def eval_edited_checkpoint(workspace, tmp_path, edit):
+        """``hrt eval`` on a copy of the workspace checkpoint whose JSON
+        header is ``edit(header)``; returns the exit code."""
         raw = (workspace / "run" / "model.ckpt").read_bytes()
         (hlen,) = struct.unpack("<Q", raw[4:12])
-        header = json.loads(raw[12:12 + hlen])
-        header["version"] = version
-        blob = json.dumps(header).encode("utf-8")
-        ckpt = tmp_path / f"v{version}.ckpt"
+        blob = json.dumps(edit(json.loads(raw[12:12 + hlen]))).encode("utf-8")
+        ckpt = tmp_path / "edited.ckpt"
         ckpt.write_bytes(raw[:4] + struct.pack("<Q", len(blob)) + blob
                          + raw[12 + hlen:])
-        rc = main(["eval", "--checkpoint", str(ckpt),
-                   "--data", str(workspace / "data"),
-                   "--out", str(tmp_path / "eval")])
+        return main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "data"),
+                     "--out", str(tmp_path / "eval")])
+
+    # version 1 still held the EM beta/gamma parameters, version 2 the EM
+    # vote transforms and pose_mode, version 3 the layer-norm epsilon,
+    # version 4 r_patches and the dtype/endianness header fields, and
+    # version 5 a list of tensor names and shapes
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    def test_eval_rejects_old_checkpoint_version(self, workspace, tmp_path,
+                                                 capsys, version):
+        rc = self.eval_edited_checkpoint(
+            workspace, tmp_path, lambda h: {**h, "version": version})
         assert rc == 1
         err = capsys.readouterr().err
         assert "error:" in err and f"version {version}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("name", ["attr_vectors", "compact_vectors"])
-    def test_eval_rejects_1d_semantic_array(self, workspace, tmp_path, capsys,
-                                            name):
-        # the array keeps only its first column: shape [A] instead of [A, k]
-        model = load_checkpoint(workspace / "run" / "model.ckpt")
-        setattr(model.semantics, name, getattr(model.semantics, name)[:, 0])
-        save_checkpoint(model, tmp_path / "1d.ckpt")
-        rc = main(["eval", "--checkpoint", str(tmp_path / "1d.ckpt"),
-                   "--data", str(workspace / "data"),
-                   "--out", str(tmp_path / "eval")])
+    def test_eval_rejects_unknown_compaction(self, workspace, tmp_path,
+                                             capsys):
+        rc = self.eval_edited_checkpoint(
+            workspace, tmp_path, lambda h: {
+                **h, "model_config": {**h["model_config"],
+                                      "compaction": "bogus"}})
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert name in err
+        assert "compaction must be one of" in err and "'bogus'" in err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_eval_rejects_non_finite_parameter(self, workspace, tmp_path,
                                                capsys):
@@ -419,7 +422,8 @@ class TestExitCodes:
         ("optimizer", "lr", -1.0),
         ("optimizer", "momentum", -3.0),
         ("loss", "lambda1", -1.0),
-    ], ids=["rho", "lr", "momentum", "lambda1"])
+        ("model", "compaction", "bogus"),
+    ], ids=["rho", "lr", "momentum", "lambda1", "compaction"])
     def test_out_of_range_training_setting_names_the_key(
             self, workspace, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "config.json"
@@ -453,6 +457,40 @@ class TestExitCodes:
         assert err.startswith("error:") and "Unable to allocate" in err
         assert f"{section}.{key}" in err
         assert "Traceback" not in err
+
+    # PCG64 seeds are in [0, 2**64); one outside would alias another
+    @pytest.mark.parametrize("seed", [2**64, -1], ids=["2**64", "negative"])
+    @pytest.mark.parametrize("command,given,written", [
+        ("gen", "flag", "out/features.bin"),
+        ("gen", "synthetic", "out/features.bin"),
+        ("train", "flag", "out/model.ckpt"),
+        ("train", "train", "out/model.ckpt"),
+        ("ablate", "flag", "out.csv"),
+        ("ablate", "synthetic", "out.csv"),
+        ("gradcheck", "flag", None),
+    ], ids=["gen-flag", "gen-config", "train-flag", "train-config",
+            "ablate-flag", "ablate-config", "gradcheck-flag"])
+    def test_seed_outside_range_is_validation_error(
+            self, workspace, tmp_path, capsys, seed, command, given, written):
+        cfg = tmp_path / "config.json"
+        config = json.loads(json.dumps(TINY_CONFIG))
+        if given != "flag":
+            config[given]["seed"] = seed
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg)]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / ("out.csv" if command == "ablate"
+                                              else "out"))]
+        if command == "train" or (command, given) == ("ablate", "flag"):
+            argv += ["--data", str(workspace / "data")]
+        if given == "flag":
+            argv += ["--seed", str(seed)]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"seed {seed} is outside" in err
+        assert written is None or not (tmp_path / written).exists()
 
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):
         # keep this quick: a coarse tolerance still exercises the full path

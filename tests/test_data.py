@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrt import (ConfigError, DataFormatError, HrtModel, LossConfig,
-                 ModelConfig, OptimizerConfig, SyntheticSpec,
+                 ModelConfig, OptimizerConfig, SyntheticSpec, evaluate,
                  generate_synthetic, load_features, save_dataset, train)
 from hrt.config import dataset_dims
 from oracles import synthetic_oracle
@@ -82,12 +82,12 @@ class TestGenerateSynthetic:
         spec = small_spec(noise_std=0.0, samples_per_class=3,
                           signal_patches_per_attribute=1)
         ds = generate_synthetic(spec, seed=3)
-        feats, labels = ds.split_samples("test_unseen")
+        unseen_idx, train_idx = ds.splits["test_unseen"], ds.splits["train"]
+        feats, labels = ds.features[unseen_idx], ds.labels[unseen_idx]
         z = ds.semantics.class_attr
         # recover attribute strengths by least squares against summed patches
-        train_feats, train_labels = ds.split_samples("train")
-        x_train = train_feats.sum(axis=1)
-        z_train = z[train_labels]
+        x_train = ds.features[train_idx].sum(axis=1)
+        z_train = z[ds.labels[train_idx]]
         w, *_ = np.linalg.lstsq(x_train, z_train, rcond=None)
         correct = 0
         for x, y in zip(feats, labels):
@@ -171,6 +171,23 @@ class TestRoundtrip:
         with pytest.raises(DataFormatError, match="both seen and"):
             load_features(tmp_path / "d")
 
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, dtype, value):
+        ds = generate_synthetic(small_spec(), seed=7)
+        save_dataset(ds, tmp_path / "d")
+        features = ds.features.copy()
+        features[1, 2, 3] = value
+        features.astype({"f32": "<f4", "f64": "<f8"}[dtype]).tofile(
+            tmp_path / "d" / "features.bin")
+        meta_file = tmp_path / "d" / "meta.json"
+        meta_file.write_text(json.dumps(
+            {**json.loads(meta_file.read_text()), "dtype": dtype}))
+        with pytest.raises(DataFormatError,
+                           match="contains non-finite values"):
+            load_features(tmp_path / "d")
+
     def test_missing_file(self, tmp_path):
         ds = generate_synthetic(small_spec(), seed=7)
         save_dataset(ds, tmp_path / "d")
@@ -240,14 +257,22 @@ class TestMemory:
     def test_load(self, wide, tmp_path):
         save_dataset(wide, tmp_path / "d")
         peak = peak_traced_bytes(load_features, tmp_path / "d")
-        assert peak <= 1.25 * wide.features.nbytes
+        assert peak <= 1.05 * wide.features.nbytes
 
-    def test_train_reads_samples_in_place(self, wide):
+    @pytest.fixture(scope="class")
+    def wide_model(self, wide):
         sem = wide.semantics
-        model = HrtModel.build(
+        return HrtModel.build(
             ModelConfig(**dataset_dims(wide), k_em=1, k_td=3),
             sem.attr_vectors, sem.class_attr, seed=0)
-        peak = peak_traced_bytes(train, wide, model, LossConfig(),
+
+    def test_train_reads_samples_in_place(self, wide, wide_model):
+        peak = peak_traced_bytes(train, wide, wide_model, LossConfig(),
                                  OptimizerConfig(), 0)
         train_bytes = wide.features[wide.splits["train"]].nbytes
         assert peak <= 0.05 * train_bytes
+
+    def test_evaluate_reads_samples_in_place(self, wide, wide_model):
+        peak = peak_traced_bytes(evaluate, wide_model, wide, "zsl")
+        unseen_bytes = wide.features[wide.splits["test_unseen"]].nbytes
+        assert peak <= 0.5 * unseen_bytes

@@ -30,8 +30,8 @@ def tiny_model_and_sample(seed=0, **model):
     model = HrtModel.build(ModelConfig(**{**TINY_MODEL, **model}),
                            ds.semantics.attr_vectors, ds.semantics.class_attr,
                            seed=seed)
-    feats, labels = ds.split_samples("train")
-    return model, feats[0], int(labels[0]), ds
+    i = ds.splits["train"][0]
+    return model, ds.features[i], int(ds.labels[i]), ds
 
 
 class TestCrossEntropy:
@@ -142,8 +142,9 @@ class TestTotalLoss:
         ds = generate_synthetic(SyntheticSpec(samples_per_class=2), seed=0)
         model = HrtModel.build(ModelConfig(), ds.semantics.attr_vectors,
                                ds.semantics.class_attr, seed=0)
-        feats, labels = ds.split_samples("train")
-        total, _ = total_loss(model, feats[0], int(labels[0]), LossConfig())
+        i = ds.splits["train"][0]
+        total, _ = total_loss(model, ds.features[i], int(ds.labels[i]),
+                              LossConfig())
         total.backward()
         missing = [n for n, p in model.params.items() if p.grad is None]
         assert missing == []

@@ -20,16 +20,20 @@ class ScoreTableModel:
 
 
 class TableDataset:
-    """Stand-in dataset backed by explicit per-split arrays."""
+    """Stand-in dataset built from explicit per-split arrays, stacked into
+    one feature array that ``splits`` indexes; a split not given is empty."""
 
     def __init__(self, splits, unseen_classes):
-        self._splits = splits
+        self.splits = {name: np.zeros(0, dtype=np.int64)
+                       for name in ("train", "test_seen", "test_unseen")}
+        rows, labels = [], []
+        for name, (feats, split_labels) in splits.items():
+            self.splits[name] = np.arange(len(rows), len(rows) + len(feats))
+            rows.extend(np.asarray(feats, dtype=np.float64))
+            labels.extend(split_labels)
+        self.features = np.array(rows)
+        self.labels = np.array(labels, dtype=np.int64)
         self.unseen_classes = list(unseen_classes)
-
-    def split_samples(self, name):
-        feats, labels = self._splits.get(name, (np.zeros((0, 1)), np.zeros(0)))
-        return np.asarray(feats, dtype=np.float64), \
-            np.asarray(labels, dtype=np.int64)
 
 
 def one_hot_rows(preds, num_classes):

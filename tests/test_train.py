@@ -1,17 +1,20 @@
 import hashlib
 import json
+import math
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hrt import (DataFormatError, HrtModel, LossConfig, ModelConfig,
-                 OptimizerConfig, SyntheticSpec, Tensor, config_hash,
-                 gamma_profile, generate_synthetic, load_checkpoint, no_grad,
-                 save_checkpoint, total_loss, train, write_history)
+from hrt import (DataFormatError, DimensionError, HrtModel, LossConfig,
+                 ModelConfig, OptimizerConfig, SyntheticSpec, Tensor,
+                 config_hash, gamma_profile, generate_synthetic,
+                 load_checkpoint, no_grad, save_checkpoint, total_loss, train,
+                 write_history)
 from hrt.cli import TINY_MODEL
 from hrt.config import load_config, loss_config_for, model_config_for
+from hrt.model import array_layout
 from hrt.rng import SeededRng
 from hrt.train import HISTORY_HEADER
 
@@ -26,22 +29,22 @@ DEFAULT_RUN_SHA256 = {
 
 
 def poke(header, payload, name, value):
-    """Write ``value`` over the first element of checkpoint tensor ``name``
+    """Write ``value`` over the first element of checkpoint array ``name``
     in ``payload``; return ``header`` unchanged."""
     offset = 0
-    for entry in header["tensors"]:
-        if entry["name"] == name:
+    for entry, shape in array_layout(
+            ModelConfig(**header["model_config"])).items():
+        if entry == name:
             payload[offset:offset + 8] = struct.pack("<d", value)
             return header
-        offset += 8 * int(np.prod(entry["shape"]))
+        offset += 8 * math.prod(shape)
     raise KeyError(name)
 
 
-def huge(field):
-    """A header edit that sets model config ``field`` to a size numpy
-    refuses to allocate at once."""
+def model_config(**changes):
+    """A header edit that sets fields of the model config."""
     return lambda h, _: {**h, "model_config": {**h["model_config"],
-                                              field: 10**12}}
+                                              **changes}}
 
 
 def tiny_setup(seed=0):
@@ -87,13 +90,13 @@ class TestTrain:
         ds, model = tiny_setup(seed=3)
         loss_config = LossConfig(gamma_per_class=gamma_profile(
             7, ds.seen_classes, ds.unseen_classes))
-        feats, labels = ds.split_samples("train")
-        parts = [total_loss(model, x, int(y), loss_config)[1]
-                 for x, y in zip(feats, labels)]
+        train_idx = ds.splits["train"]
+        parts = [total_loss(model, ds.features[i], int(ds.labels[i]),
+                            loss_config)[1] for i in train_idx]
         # one batch holds the whole split, so every sample sees the
         # initial parameters
         history = train(ds, model, loss_config, OptimizerConfig(), epochs=1,
-                        batch_size=feats.shape[0])
+                        batch_size=train_idx.size)
         for key in ("ce", "cal", "reg", "total"):
             assert getattr(history[0], key) == pytest.approx(
                 np.mean([p[key] for p in parts]), abs=1e-12)
@@ -221,21 +224,41 @@ class TestCheckpoint:
         path.write_bytes(b"HRTC" + struct.pack("<Q", len(blob)) + blob
                          + payload)
 
-    def test_header_declares_version_5(self, tmp_path):
+    def test_header_declares_version_6(self, tmp_path):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         header, _ = self.read_header(path)
-        assert header["version"] == 5
+        assert header["version"] == 6
         assert header.keys() == {"version", "seed", "model_config",
-                                 "config_hash", "tensors"}
+                                 "config_hash"}
         assert header["model_config"].keys() == {
             f.name for f in fields(ModelConfig)}
         assert "r_patches" not in header["model_config"]
         assert "em_lambda" not in header["model_config"]
         assert "pose_mode" not in header["model_config"]
         assert "layer_norm_eps" not in header["model_config"]
-        assert "enc.transforms" not in {t["name"] for t in header["tensors"]}
+
+    def test_payload_is_the_layout(self, tmp_path):
+        # the model config fixes the payload: nothing else is stored
+        ds, model = tiny_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[4:12])
+        layout = array_layout(model.config)
+        assert len(raw) == 12 + hlen + 8 * sum(
+            math.prod(shape) for shape in layout.values())
+
+    @pytest.mark.parametrize("name", ["attr_vectors", "compact_vectors"])
+    def test_save_rejects_misshapen_semantic_array(self, tmp_path, name):
+        # the array keeps only its first column: shape [A] instead of [A, k]
+        ds, model = tiny_setup()
+        setattr(model.semantics, name, getattr(model.semantics, name)[:, 0])
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(DimensionError, match=f"'sem.{name}' has shape"):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     def test_shorter_than_header_length(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -256,9 +279,6 @@ class TestCheckpoint:
         (lambda h, _: {**h, "version": 1}, "version"),
         (lambda h, _: {k: v for k, v in h.items() if k != "version"},
          "version"),
-        (lambda h, _: {k: v for k, v in h.items() if k != "tensors"},
-         "tensors"),
-        (lambda h, _: {**h, "tensors": [{"name": "x"}]}, "shape"),
         (lambda h, _: {**h, "model_config": [1, 2]}, "model_config"),
         (lambda h, _: {**h, "model_config": {**h["model_config"],
                                              "em_lambda": 1.0}},
@@ -270,31 +290,28 @@ class TestCheckpoint:
         # true is not the version 1: the error names the field itself
         (lambda h, _: {**h, "version": True}, "field 'version'"),
         (lambda h, _: {**h, "seed": True}, "seed"),
-        (lambda h, _: {**h, "tensors": [
-            {**t, "shape": [True] * len(t["shape"])} for t in h["tensors"]]},
-         "bad shape"),
+        (lambda h, _: {**h, "seed": 2**64},
+         "field 'seed' is 18446744073709551616"),
+        (lambda h, _: {**h, "seed": -1}, "field 'seed' is -1"),
         (lambda h, p: poke(h, p, "enc.proj", np.nan),
          "'enc.proj' holds a non-finite value"),
         (lambda h, p: poke(h, p, "sem.compact_vectors", np.inf),
          "'sem.compact_vectors' holds a non-finite value"),
-        # a zero-size entry needs no payload bytes
-        (lambda h, _: {**h, "tensors": h["tensors"] + [
-            {"name": "enc.transforms", "shape": [0]}]},
-         r"\['enc.transforms'\] are neither"),
-        (lambda h, _: {**h, "tensors": h["tensors"] + [
-            {"name": "enc.vote_transforms", "shape": [0]}]},
-         "'enc.vote_transforms' twice"),
-        # the shapes are checked before anything of that size is allocated
-        (huge("n_primary"), "parameter 'enc.proj'"),
-        (huge("d_feat"), "parameter 'enc.proj'"),
-        (huge("tau"), "parameter 'dec.w_beta'"),
+        # a config whose arrays the file cannot hold names the first of
+        # them, before anything of that size is allocated
+        (model_config(n_primary=10**12), "truncated in array 'enc.act_proj'"),
+        (model_config(d_feat=10**12), "truncated in array 'dec.w_beta'"),
+        (model_config(tau=10**12), "truncated in array 'sem.attr_vectors'"),
+        (model_config(n_primary=4), "trailing"),
+        (model_config(n_primary=-8), "n_primary must be >= 1"),
+        (model_config(compaction="bogus"), "compaction must be one of"),
         (lambda h, _: b"[" * 200000 + b"]" * 200000, "corrupt header"),
-    ], ids=["v1", "no-version", "no-tensors", "bad-tensor-entry",
-            "model-config-not-object", "model-config-unknown-key",
-            "model-config-mistyped", "no-seed", "header-not-object",
-            "bool-version", "bool-seed", "bool-shape", "nan-param",
-            "inf-semantics", "unknown-tensor", "duplicate-tensor",
-            "huge-n_primary", "huge-d_feat", "huge-tau", "nested-json"])
+    ], ids=["v1", "no-version", "model-config-not-object",
+            "model-config-unknown-key", "model-config-mistyped", "no-seed",
+            "header-not-object", "bool-version", "bool-seed", "seed-2**64",
+            "negative-seed", "nan-param", "inf-semantics", "huge-n_primary",
+            "huge-d_feat", "huge-tau", "smaller-n_primary",
+            "negative-n_primary", "bogus-compaction", "nested-json"])
     def test_malformed_header_names_the_field(self, tmp_path, edit, field):
         ds, model = tiny_setup()
         path = tmp_path / "model.ckpt"
