@@ -18,6 +18,7 @@ from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
 from .data import SyntheticSpec, generate_synthetic, load_features, save_dataset
 from .ablation import ablation_csv, run_ablation
 from .gradcheck import grad_check
+from .losses import LossConfig
 from .metrics import evaluate
 from .model import HrtModel, ModelConfig
 from .optim import OptimizerConfig
@@ -77,6 +78,11 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     out = _make_out(args.out)
+    # the configured settings are checked before the dataset is read, with
+    # ModelConfig's defaults standing in for the dimensions the dataset sets
+    ModelConfig(**config["model"]).validate()
+    LossConfig(**config["loss"])
+    optimizer = OptimizerConfig(**config["optimizer"])
     dataset = load_features(args.data)
     if args.seed is not None:
         config["train"]["seed"] = args.seed
@@ -85,8 +91,7 @@ def cmd_train(args) -> int:
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=seed)
     history = train(dataset, model, loss_config_for(config, dataset),
-                    OptimizerConfig(**config["optimizer"]),
-                    epochs=config["train"]["epochs"], seed=seed,
+                    optimizer, epochs=config["train"]["epochs"], seed=seed,
                     batch_size=config["train"]["batch_size"])
     save_checkpoint(model, out / "model.ckpt", experiment_config=config)
     write_history(history, out / "history.csv")

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, allocating
-from .rng import SeededRng
+from .rng import SeededRng, choice_bounds, choices_from_draws
 from .semantics import SemanticSpace
 
 FORMAT_VERSION = 1
@@ -110,6 +110,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
     plants the active attribute bases into a few random patches, and Gaussian
     noise is layered on top.  The feature array is allocated once and filled
     in place.
+
+    Each sample draws its noise, then its patches with one
+    ``SeededRng.integers`` call whose array ``high`` holds, per active
+    attribute, the bounds of one ``Generator.choice(r, k, replace=False)``:
+    one bounded draw per element, in order.  The subsets decoded from the
+    draws equal those ``choice`` calls', and the stream ends where theirs
+    would, so a seed gives the same dataset bytes as drawing each
+    attribute's patches with ``choice``.
     """
     spec.validate()
     rng = SeededRng(seed)
@@ -161,19 +169,25 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
                     "synthetic.d_feat"):
         labels = np.repeat(np.arange(c_total), spec.samples_per_class)
         features = np.zeros((labels.size, r, d_feat))
-    active = [np.nonzero(row > 0.5)[0].tolist() for row in class_attr]
-    rows: list[list[int]] = [[] for _ in range(a)]  # sample * r + patch
+    k = spec.signal_patches_per_attribute
+    active = class_attr > 0.5
+    bounds = choice_bounds(r, k)
+    highs = [np.tile(bounds, row.sum()) for row in active]
+    draws = []
     for i, c in enumerate(labels.tolist()):
         if spec.noise_std > 0:
             features[i] = rng.normal((r, d_feat), scale=spec.noise_std)
-        for attr in active[c]:
-            chosen = rng.choice(r, spec.signal_patches_per_attribute)
-            rows[attr].extend((i * r + chosen).tolist())
+        draws.append(rng.integers(0, highs[c], highs[c].shape))
+    # one row of patches per (sample, active attribute), sample-major
+    chosen = choices_from_draws(np.concatenate(draws).reshape(-1, bounds.size),
+                                r, k)
+    sample, attr_of = np.nonzero(active[labels])
     # attribute by attribute in ascending order, so every patch adds its
     # products to its noise in the order a per-sample loop would
     flat = features.reshape(-1, d_feat)
-    for attr, idx in enumerate(rows):
-        idx = np.array(idx, dtype=np.int64)
+    for attr in range(a):
+        idx = (sample[attr_of == attr, None] * r
+               + chosen[attr_of == attr]).ravel()
         flat[idx] += class_attr[labels[idx // r], attr][:, None] * basis[attr]
 
     seen = list(range(spec.c_seen))

@@ -92,19 +92,14 @@ class HrtModel:
     def __init__(self, config: ModelConfig, semantics: SemanticSpace,
                  seed: int = 0, arrays: dict[str, np.ndarray] | None = None):
         config.validate()
-        if semantics.num_attributes != config.num_attributes:
-            raise ConfigError(
-                f"semantic space has {semantics.num_attributes} attributes, "
-                f"config says {config.num_attributes}")
-        if semantics.class_attr.shape[0] != config.num_classes:
-            raise ConfigError(
-                f"semantic space has {semantics.class_attr.shape[0]} classes, "
-                f"config says {config.num_classes}")
-        if semantics.compact_vectors.shape[1] != config.d_cap:
-            raise ConfigError(
-                f"compacted attribute vectors have dim "
-                f"{semantics.compact_vectors.shape[1]}, routing capsules need "
-                f"{config.d_cap}")
+        layout = array_layout(config)
+        for name, array in (("sem.attr_vectors", semantics.attr_vectors),
+                            ("sem.compact_vectors", semantics.compact_vectors),
+                            ("sem.class_attr", semantics.class_attr)):
+            if array.shape != layout[name]:
+                raise ConfigError(f"semantic array {name!r} has shape "
+                                  f"{array.shape}, config needs "
+                                  f"{layout[name]}")
         self.config = config
         self.semantics = semantics
         self.seed = seed

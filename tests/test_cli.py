@@ -42,6 +42,31 @@ LEARNING_SHA256 = {
         "4ec9d4b65c191de26788d7cf9967e6f7a11a6aea16dcf2d8695e3b0de455360c",
 }
 
+# sha256 of the dataset files `hrt gen` writes at the default config; they
+# change when the synthetic generator's draws or arithmetic do
+GEN_SHA256 = {
+    0: {"meta.json":
+        "0dde280b34b96c6d34186c46ecfcf09299ee749f0cab67567cd5c8f437666100",
+        "features.bin":
+        "65de95bd86f2db34779d3c5217b3db43de5c8fda1b9cc7561885b310b645bd12",
+        "attributes.csv":
+        "f9c788b4a48eb09d0294c0ce9ecbd2a71f4d39b69f4a20d754b2bf9b3722f08b",
+        "semantics.csv":
+        "55e6411ec832db950fcd49bbb5b4c969302d586c5cfc9b760946a048c6fa1c0c",
+        "splits.csv":
+        "4d050a353cd5e9eed38364e87d3dbcd79326c5c90c67912764280ccd9be5aa9d"},
+    3: {"meta.json":
+        "0dde280b34b96c6d34186c46ecfcf09299ee749f0cab67567cd5c8f437666100",
+        "features.bin":
+        "951a521ee0d23f11d5b6d8dd604688c58d3b3f0888fd8caa418f71077e9d4d7f",
+        "attributes.csv":
+        "a9df7e3b0fbf4db13d8638b4803f22697560337bf31e44accbcefeb722c4021c",
+        "semantics.csv":
+        "e9045116215b6ad9d66bfede6b03efff0f6ca260c7e7f6de2677e15fb8c9194f",
+        "splits.csv":
+        "e3c6e19eca62a96402c39a1a15017faf484d613ffd4a7fb950f26c7e983b4c43"},
+}
+
 
 def run_pipeline(root, config: dict, ablate: bool = False):
     """``hrt gen``, ``train`` and ``eval --mode gzsl`` (and, if asked,
@@ -156,6 +181,13 @@ class TestPipeline:
         header = json.loads(raw[12:12 + hlen])
         assert header["seed"] == 7
         assert header["config_hash"] == config_hash(echoed)
+
+    @pytest.mark.parametrize("seed", sorted(GEN_SHA256))
+    def test_gen_outputs_pinned(self, tmp_path, seed):
+        assert main(["gen", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+        for name, digest in GEN_SHA256[seed].items():
+            assert hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_gen_echoes_seed_option(self, workspace, tmp_path):
         data = tmp_path / "data"
@@ -436,6 +468,27 @@ class TestExitCodes:
         assert err.startswith("error:") and f"{key} must be" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "compaction", "bogus"),
+        ("model", "d_cap", 0),
+        ("optimizer", "lr", -1.0),
+        ("loss", "lambda2", -1.0),
+    ], ids=["compaction", "d_cap", "lr", "lambda2"])
+    def test_training_setting_checked_before_dataset_read(
+            self, workspace, tmp_path, capsys, monkeypatch, section, key,
+            value):
+        def no_read(path):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr("hrt.cli.load_features", no_read)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        rc = main(["train", "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     # sizes this large are refused by numpy before any memory is touched;
     # the generator allocates its features before drawing the first sample
