@@ -104,8 +104,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     out = _make_out(args.out)
-    dataset = load_features(args.data)
+    # a missing or corrupt checkpoint fails before the features are read
     model = load_checkpoint(args.checkpoint)
+    dataset = load_features(args.data)
     _check_dims(model, dataset, args)
     gamma = gamma_offsets(config, model.config.num_classes,
                           dataset.seen_classes, dataset.unseen_classes)
@@ -159,8 +160,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_report(args) -> int:
     out = _make_out(args.out, is_file=True)
-    dataset = load_features(args.data)
+    # a missing or corrupt checkpoint fails before the features are read
     model = load_checkpoint(args.checkpoint)
+    dataset = load_features(args.data)
     _check_dims(model, dataset, args)
     a = model.config.num_attributes
     lines = ["sample_index,patch_index," + ",".join(f"a{i}" for i in range(a))]

@@ -72,6 +72,20 @@ def array_layout(c: ModelConfig) -> dict[str, tuple[int, ...]]:
             **{name: params[name][0] for name in sorted(params)}}
 
 
+def _check_semantic_shapes(config: ModelConfig,
+                           arrays: dict[str, np.ndarray]) -> None:
+    """Validate ``config``, then raise a ConfigError naming the first of the
+    semantic ``arrays`` (keyed as in ``array_layout``) whose shape the
+    config does not give."""
+    config.validate()
+    layout = array_layout(config)
+    for name, array in arrays.items():
+        if np.shape(array) != layout[name]:
+            raise ConfigError(f"semantic array {name!r} has shape "
+                              f"{np.shape(array)}, config needs "
+                              f"{layout[name]}")
+
+
 @dataclass
 class ForwardResult:
     scores: Tensor            # [C]
@@ -84,22 +98,17 @@ class HrtModel:
 
     Weights are drawn uniformly in +-1/sqrt(fan_in) (``param_shapes``), or
     taken as they are from ``arrays`` by parameter name (other entries are
-    ignored), which must be writeable; attribute
+    ignored), which must be writeable, finite float64 arrays; attribute
     capsules are initialized from the compacted attribute vectors, which are
     computed once at construction and cached.
     """
 
     def __init__(self, config: ModelConfig, semantics: SemanticSpace,
                  seed: int = 0, arrays: dict[str, np.ndarray] | None = None):
-        config.validate()
-        layout = array_layout(config)
-        for name, array in (("sem.attr_vectors", semantics.attr_vectors),
-                            ("sem.compact_vectors", semantics.compact_vectors),
-                            ("sem.class_attr", semantics.class_attr)):
-            if array.shape != layout[name]:
-                raise ConfigError(f"semantic array {name!r} has shape "
-                                  f"{array.shape}, config needs "
-                                  f"{layout[name]}")
+        _check_semantic_shapes(config, {
+            "sem.attr_vectors": semantics.attr_vectors,
+            "sem.compact_vectors": semantics.compact_vectors,
+            "sem.class_attr": semantics.class_attr})
         self.config = config
         self.semantics = semantics
         self.seed = seed
@@ -112,13 +121,14 @@ class HrtModel:
                     arrays[name] = rng.uniform(shape, -1.0 / np.sqrt(fan_in),
                                                1.0 / np.sqrt(fan_in))
         self.params: dict[str, Tensor] = {
-            name: Tensor(arrays[name], requires_grad=True) for name in shapes}
+            name: Tensor.parameter(arrays[name]) for name in shapes}
 
     @classmethod
     def build(cls, config: ModelConfig, attr_vectors: np.ndarray,
               class_attr: np.ndarray, seed: int = 0) -> "HrtModel":
         """Construct semantics (with compaction) and the model in one go."""
-        config.validate()
+        _check_semantic_shapes(config, {"sem.attr_vectors": attr_vectors,
+                                        "sem.class_attr": class_attr})
         compact = compact_semantics(attr_vectors, config.d_cap,
                                     method=config.compaction)
         semantics = SemanticSpace(attr_vectors=attr_vectors,

@@ -66,6 +66,21 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
+    @classmethod
+    def parameter(cls, data: np.ndarray) -> "Tensor":
+        """A leaf that requires a gradient and holds ``data``, a finite
+        float64 array, as it is.  Unlike the constructor it does not check
+        ``data`` again: that check builds a boolean mask the size of the
+        array, and a model's parameters are drawn finite or checked as a
+        checkpoint is read."""
+        out = cls.__new__(cls)
+        out.data = data
+        out.grad = None
+        out.requires_grad = True
+        out._parents = ()
+        out._backward = None
+        return out
+
     # -- graph construction -------------------------------------------------
 
     @staticmethod

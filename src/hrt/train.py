@@ -6,6 +6,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import stat
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -130,6 +132,11 @@ def write_history(history: list[EpochStats], path) -> None:
 # fixes the payload, which is the arrays of ``model.array_layout`` in its
 # order, each holding only finite values. Any other version is rejected. A
 # loaded model is built from the stored arrays and draws no random numbers.
+#
+# Arrays stream between the file and the model: a save writes each from its
+# own buffer, and a load reads each straight into the array the model keeps,
+# after checking that the file holds it, so a load holds one copy of the
+# payload and a save none.
 
 
 def config_hash(config: dict) -> str:
@@ -162,7 +169,7 @@ def save_checkpoint(model: HrtModel, path,
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name in layout:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8"))
 
 
 def _field(header, name: str, kind: type):
@@ -176,20 +183,54 @@ def _field(header, name: str, kind: type):
 
 
 def load_checkpoint(path) -> HrtModel:
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataFormatError("not a model checkpoint (bad magic)")
-    if len(raw) < 12:
-        raise DataFormatError("checkpoint ends inside its header length")
-    (hlen,) = struct.unpack("<Q", raw[4:12])
-    if 12 + hlen > len(raw):
-        raise DataFormatError(f"checkpoint header length {hlen} runs past "
-                              f"the end of the {len(raw)}-byte file")
-    try:
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
-        raise DataFormatError(f"checkpoint {path} has a corrupt header: "
-                              f"{e}") from e
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise DataFormatError(f"checkpoint {path} is not a regular file")
+        size = st.st_size
+        head = fh.read(12)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise DataFormatError("not a model checkpoint (bad magic)")
+        if len(head) < 12:
+            raise DataFormatError("checkpoint ends inside its header length")
+        (hlen,) = struct.unpack("<Q", head[4:])
+        if 12 + hlen > size:
+            raise DataFormatError(f"checkpoint header length {hlen} runs past "
+                                  f"the end of the {size}-byte file")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise DataFormatError(f"checkpoint {path} has a corrupt header: "
+                                  f"{e}") from e
+        config, seed = _header_config(header)
+
+        arrays, offset = {}, 12 + hlen
+        for name, shape in array_layout(config).items():
+            nbytes = 8 * math.prod(shape)
+            if offset + nbytes > size:
+                raise DataFormatError(f"checkpoint truncated in array {name!r}")
+            # the array read is the one the model keeps: the optimizer
+            # updates parameters in place
+            array = arrays[name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(array) != nbytes:
+                raise DataFormatError(f"checkpoint truncated in array {name!r}")
+            # a NaN carries through min and max, and an infinity is one of
+            # them, so no mask the size of the array is built
+            if not (np.isfinite(array.min()) and np.isfinite(array.max())):
+                raise DataFormatError(
+                    f"checkpoint array {name!r} holds a non-finite value")
+            offset += nbytes
+    if offset != size:
+        raise DataFormatError(f"checkpoint has {size - offset} trailing bytes")
+    semantics = SemanticSpace(attr_vectors=arrays["sem.attr_vectors"],
+                              compact_vectors=arrays["sem.compact_vectors"],
+                              class_attr=arrays["sem.class_attr"])
+    return HrtModel(config, semantics, seed=seed, arrays=arrays)
+
+
+def _header_config(header) -> tuple[ModelConfig, int]:
+    """The model config and init seed of a decoded checkpoint header; a
+    DataFormatError names the field at fault."""
     version = _field(header, "version", int)
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version} "
@@ -210,23 +251,4 @@ def load_checkpoint(path) -> HrtModel:
     except ConfigError as e:
         raise DataFormatError(
             f"checkpoint header field 'model_config': {e}") from e
-
-    arrays, offset = {}, 12 + hlen
-    for name, shape in array_layout(config).items():
-        count = math.prod(shape)
-        if offset + 8 * count > len(raw):
-            raise DataFormatError(f"checkpoint truncated in array {name!r}")
-        # copied: the optimizer updates parameters in place
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=count,
-                                     offset=offset).reshape(shape).copy()
-        if not np.isfinite(arrays[name]).all():
-            raise DataFormatError(
-                f"checkpoint array {name!r} holds a non-finite value")
-        offset += 8 * count
-    if offset != len(raw):
-        raise DataFormatError(
-            f"checkpoint has {len(raw) - offset} trailing bytes")
-    semantics = SemanticSpace(attr_vectors=arrays["sem.attr_vectors"],
-                              compact_vectors=arrays["sem.compact_vectors"],
-                              class_attr=arrays["sem.class_attr"])
-    return HrtModel(config, semantics, seed=seed, arrays=arrays)
+    return config, seed

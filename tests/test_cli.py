@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import struct
 
@@ -395,6 +396,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "'enc.proj' holds a non-finite value" in err
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("checkpoint", ["missing", "truncated"])
+    def test_checkpoint_checked_before_dataset_read(
+            self, workspace, tmp_path, capsys, monkeypatch, command,
+            checkpoint):
+        def no_read(path):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr("hrt.cli.load_features", no_read)
+        ckpt = tmp_path / "model.ckpt"
+        if checkpoint == "truncated":
+            raw = (workspace / "run" / "model.ckpt").read_bytes()
+            ckpt.write_bytes(raw[:-8])
+        out = tmp_path / ("eval" if command == "eval" else "agreement.csv")
+        rc = main([command, "--checkpoint", str(ckpt),
+                   "--data", str(workspace / "data"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert (str(ckpt) if checkpoint == "missing" else "truncated") in err
+
+    @pytest.mark.parametrize("kind", ["device", "directory"])
+    def test_checkpoint_that_is_not_a_regular_file_is_named(
+            self, workspace, tmp_path, capsys, kind):
+        ckpt = os.devnull if kind == "device" else str(tmp_path)
+        rc = main(["eval", "--checkpoint", ckpt,
+                   "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert ckpt in err and "0-byte" not in err
 
     @pytest.mark.parametrize("command,out_name", [
         *(pytest.param(c, "blocker/out", id=c)

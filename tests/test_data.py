@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +10,8 @@ from hrt import (ConfigError, DataFormatError, HrtModel, LossConfig,
                  ModelConfig, OptimizerConfig, SyntheticSpec, evaluate,
                  generate_synthetic, load_features, save_dataset, train)
 from hrt.config import dataset_dims
+from helpers import WIDE_GRID, peak_traced_bytes
 from oracles import synthetic_oracle
-
-
-# the synthetic recipe of bench/run.py's train_wide_grid workload
-WIDE_GRID = dict(r_patches=36, d_feat=128, samples_per_class=20)
 
 
 def small_spec(**overrides):
@@ -224,17 +220,6 @@ class TestRoundtrip:
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(DataFormatError, match="columns"):
             load_features(tmp_path / "d")
-
-
-def peak_traced_bytes(fn, *args):
-    """The most memory traced at once while ``fn(*args)`` runs, including
-    what it returns."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemory:

@@ -36,3 +36,19 @@ def test_semantic_shape_mismatch_rejected_before_drawing(monkeypatch, field,
     config = ModelConfig(**{**TINY_MODEL, field: TINY_MODEL[field] + 2})
     with pytest.raises(ConfigError, match=f"'{array}' has shape"):
         HrtModel(config, tiny_semantics())
+
+
+@pytest.mark.parametrize("field,array", [
+    ("tau", "sem.attr_vectors"),
+    ("num_classes", "sem.class_attr"),
+])
+def test_build_checks_semantic_shapes_before_compaction(monkeypatch, field,
+                                                        array):
+    def no_compaction(*args, **kwargs):
+        raise AssertionError("the attribute vectors were compacted")
+
+    monkeypatch.setattr("hrt.model.compact_semantics", no_compaction)
+    config = ModelConfig(**{**TINY_MODEL, field: TINY_MODEL[field] + 2})
+    semantics = tiny_semantics()
+    with pytest.raises(ConfigError, match=f"'{array}' has shape"):
+        HrtModel.build(config, semantics.attr_vectors, semantics.class_attr)

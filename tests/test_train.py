@@ -13,10 +13,12 @@ from hrt import (DataFormatError, DimensionError, HrtModel, LossConfig,
                  load_checkpoint, no_grad, save_checkpoint, total_loss, train,
                  write_history)
 from hrt.cli import TINY_MODEL
-from hrt.config import load_config, loss_config_for, model_config_for
+from hrt.config import (dataset_dims, load_config, loss_config_for,
+                        model_config_for)
 from hrt.model import array_layout
 from hrt.rng import SeededRng
 from hrt.train import HISTORY_HEADER
+from helpers import WIDE_GRID, peak_traced_bytes
 
 # sha256 of a 2-epoch run at the default config, seed 0: the history rows
 # joined by newlines, and the parameters' bytes in name order
@@ -153,11 +155,18 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, experiment_config={"train": {"epochs": 1}})
         loaded = load_checkpoint(path)
+        semantic = ("attr_vectors", "compact_vectors", "class_attr")
+        arrays = [p.data for p in loaded.params.values()] + [
+            getattr(loaded.semantics, name) for name in semantic]
         for name, p in model.params.items():
-            assert loaded.params[name].data.tobytes() == p.data.tobytes()
-            # the optimizer updates a loaded model's parameters in place
-            assert loaded.params[name].data.flags.writeable
-        for name in ("attr_vectors", "compact_vectors", "class_attr"):
+            data = loaded.params[name].data
+            assert data.tobytes() == p.data.tobytes()
+            # the optimizer updates a loaded model's parameters in place, so
+            # each must be a writeable float64 array of its own
+            assert data.dtype == np.float64 and data.flags.writeable
+            assert not any(np.shares_memory(data, other)
+                           for other in arrays if other is not data)
+        for name in semantic:
             assert getattr(loaded.semantics, name).tobytes() == \
                 getattr(model.semantics, name).tobytes()
         x = ds.features[0]
@@ -329,3 +338,33 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="header"):
             load_checkpoint(path)
+
+
+class TestCheckpointMemory:
+    """A load holds one copy of the payload and a save none: the high-water
+    mark of each, over the payload's size, at the default model shape and
+    at the train_wide_grid workload's."""
+
+    @pytest.fixture(scope="class", params=["default", "wide_grid"])
+    def model(self, request):
+        recipe, overlay = {"default": ({}, {}),
+                           "wide_grid": (WIDE_GRID, {"k_em": 1, "k_td": 3})
+                           }[request.param]
+        ds = generate_synthetic(SyntheticSpec(**recipe), seed=0)
+        return HrtModel.build(ModelConfig(**dataset_dims(ds), **overlay),
+                              ds.semantics.attr_vectors,
+                              ds.semantics.class_attr, seed=0)
+
+    @staticmethod
+    def payload_bytes(model):
+        return 8 * sum(math.prod(shape)
+                       for shape in array_layout(model.config).values())
+
+    def test_save(self, model, tmp_path):
+        peak = peak_traced_bytes(save_checkpoint, model, tmp_path / "m.ckpt")
+        assert peak <= 0.05 * self.payload_bytes(model)
+
+    def test_load(self, model, tmp_path):
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        peak = peak_traced_bytes(load_checkpoint, tmp_path / "m.ckpt")
+        assert peak <= 1.05 * self.payload_bytes(model)
