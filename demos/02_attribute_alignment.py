@@ -16,7 +16,7 @@ parent initializations from raw tau-dimensional attribute vectors.
 
 import numpy as np
 
-from hrt import SeededRng, SemanticSpace, Tensor, compact_semantics, encode
+from hrt import SeededRng, Tensor, compact_semantics, encode
 
 rng = SeededRng(3)
 R, D_FEAT, A, TAU, N_PRIMARY, D_CAP = 6, 16, 4, 12, 8, 4
@@ -28,16 +28,16 @@ attr_vectors = rng.normal((A, TAU))
 compact = compact_semantics(attr_vectors, D_CAP, method="factor-analysis")
 print("compacted attribute vectors:", attr_vectors.shape, "->", compact.shape)
 
-semantics = SemanticSpace(attr_vectors=attr_vectors, compact_vectors=compact,
-                          class_attr=rng.uniform((5, A)))
-# the encoder weights, in encode's order: proj, act_proj, vote_transforms,
-# then the number of top-down routing iterations
+# the encoder reads the compacted vectors as a constant tensor, then the
+# encoder weights in encode's order: proj, act_proj, vote_transforms, and the
+# number of top-down routing iterations
+parents = Tensor(compact)
 params = (Tensor(rng.normal((D_FEAT, N_PRIMARY * D_CAP), scale=0.3)),
           Tensor(rng.normal((D_FEAT, N_PRIMARY), scale=0.3)),
           Tensor(rng.normal((A, D_CAP, D_CAP))), 2)
 
 features = rng.normal((R, D_FEAT))
-out = encode(Tensor(features), semantics, *params)
+out = encode(Tensor(features), parents, *params)
 
 print()
 print("attention over patches, one column per attribute:")
@@ -57,7 +57,7 @@ print("so each aligned feature is literally a convex mix of the patches.")
 base = out.attention.data[:, 0].copy()
 spiked = features.copy()
 spiked[2] *= 5.0
-out2 = encode(Tensor(spiked), semantics, *params)
+out2 = encode(Tensor(spiked), parents, *params)
 print()
 print("after amplifying patch 2, attribute-0 attention moved from")
 print(" ", np.round(base, 3), "to", np.round(out2.attention.data[:, 0], 3))

@@ -204,9 +204,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
         else:
             test_unseen_idx.extend(idx.tolist())
 
-    semantics = SemanticSpace(attr_vectors=attr_vectors,
-                              compact_vectors=np.zeros((a, 1)),
-                              class_attr=class_attr)
+    semantics = SemanticSpace(attr_vectors=attr_vectors, class_attr=class_attr)
     return ZslDataset(features=features, labels=labels, semantics=semantics,
                       seen_classes=seen, unseen_classes=unseen,
                       splits={"train": np.array(sorted(train_idx), dtype=np.int64),
@@ -339,9 +337,7 @@ def load_features(path) -> ZslDataset:
              f"classes {sorted(set(seen) & set(unseen))} appear in both seen and "
              f"unseen splits")
 
-    semantics = SemanticSpace(attr_vectors=attr_vectors,
-                              compact_vectors=np.zeros((a, 1)),
-                              class_attr=class_attr)
+    semantics = SemanticSpace(attr_vectors=attr_vectors, class_attr=class_attr)
     return ZslDataset(features=features, labels=labels, semantics=semantics,
                       seen_classes=seen, unseen_classes=unseen,
                       splits={k: np.array(v, dtype=np.int64)

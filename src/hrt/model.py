@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,13 +98,18 @@ class HrtModel:
 
     Weights are drawn uniformly in +-1/sqrt(fan_in) (``param_shapes``), or
     taken as they are from ``arrays`` by parameter name (other entries are
-    ignored), which must be writeable, finite float64 arrays; attribute
-    capsules are initialized from the compacted attribute vectors, which are
-    computed once at construction and cached.
+    ignored), which must be writeable, finite float64 arrays.  ``semantics``
+    must carry the compacted attribute vectors (``build`` computes them); the
+    model wraps them, the attribute vectors and the class attribute rows as
+    constant tensors once, and every forward reads those.
     """
 
     def __init__(self, config: ModelConfig, semantics: SemanticSpace,
                  seed: int = 0, arrays: dict[str, np.ndarray] | None = None):
+        if semantics.compact_vectors is None:
+            raise ConfigError("semantic array 'sem.compact_vectors' is "
+                              "missing: the attribute vectors are not "
+                              "compacted (HrtModel.build compacts them)")
         _check_semantic_shapes(config, {
             "sem.attr_vectors": semantics.attr_vectors,
             "sem.compact_vectors": semantics.compact_vectors,
@@ -122,30 +127,35 @@ class HrtModel:
                                                1.0 / np.sqrt(fan_in))
         self.params: dict[str, Tensor] = {
             name: Tensor.parameter(arrays[name]) for name in shapes}
+        # the semantic constants; lam is a view whose columns are the v_a
+        self.compact = Tensor(semantics.compact_vectors)   # [A, d_cap]
+        self.lam = Tensor(semantics.attr_vectors.T)        # [tau, A]
+        self.class_attr = Tensor(semantics.class_attr)     # [C, A]
 
     @classmethod
     def build(cls, config: ModelConfig, attr_vectors: np.ndarray,
               class_attr: np.ndarray, seed: int = 0) -> "HrtModel":
-        """Construct semantics (with compaction) and the model in one go."""
+        """Check the semantic arrays, compact the attribute vectors and
+        build the model over semantics that carry them."""
         _check_semantic_shapes(config, {"sem.attr_vectors": attr_vectors,
                                         "sem.class_attr": class_attr})
-        compact = compact_semantics(attr_vectors, config.d_cap,
-                                    method=config.compaction)
         semantics = SemanticSpace(attr_vectors=attr_vectors,
-                                  compact_vectors=compact,
                                   class_attr=class_attr)
-        return cls(config, semantics, seed=seed)
+        compact = compact_semantics(semantics.attr_vectors, config.d_cap,
+                                    method=config.compaction)
+        return cls(config, replace(semantics, compact_vectors=compact),
+                   seed=seed)
 
     # -- forward -------------------------------------------------------------
 
     def forward(self, patch_features: Tensor) -> ForwardResult:
         p = self.params
-        aligned = encode(patch_features, self.semantics, p["enc.proj"],
+        aligned = encode(patch_features, self.compact, p["enc.proj"],
                          p["enc.act_proj"], p["enc.vote_transforms"],
                          self.config.k_td)
-        z_tilde = adjust_class_attributes(aligned.h, self.semantics,
-                                          p["dec.w_beta"])
-        psi = content_attribute_scores(aligned.h, self.semantics, p["dec.w_d"])
+        z_tilde = adjust_class_attributes(aligned.h, self.lam,
+                                          self.class_attr, p["dec.w_beta"])
+        psi = content_attribute_scores(aligned.h, self.lam, p["dec.w_d"])
         scores = class_scores(psi, z_tilde)
         return ForwardResult(scores=scores, psi=psi, aligned=aligned)
 

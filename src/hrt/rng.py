@@ -18,8 +18,7 @@ SEED_BOUND = 1 << 64
 class SeededRng:
     """Deterministic pseudorandom source backed by numpy's PCG64.
 
-    The same seed always reproduces the same scalar stream; independent
-    sub-streams for unrelated concerns are obtained with :meth:`spawn`.
+    The same seed always reproduces the same stream.
     """
 
     def __init__(self, seed: int):
@@ -49,11 +48,6 @@ class SeededRng:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
-
-    def spawn(self, key: int) -> "SeededRng":
-        """Derive an independent generator keyed off this seed."""
-        return SeededRng((self.seed * 0x9E3779B97F4A7C15 + key + 1)
-                         % SEED_BOUND)
 
 
 # Generator.choice(n, k, replace=False) takes a sample with Floyd's algorithm

@@ -16,31 +16,36 @@ from .errors import DimensionError, NumericError
 
 @dataclass
 class SemanticSpace:
-    """Attribute vectors, their compacted versions, and class attribute rows."""
+    """Attribute vectors and class attribute rows, and the compacted
+    attribute vectors once a model has computed them: a dataset's semantics
+    leave ``compact_vectors`` None, a model's always carry them."""
 
-    attr_vectors: np.ndarray     # [A, tau]
-    compact_vectors: np.ndarray  # [A, d]
-    class_attr: np.ndarray       # [C, A]
+    attr_vectors: np.ndarray                   # [A, tau]
+    class_attr: np.ndarray                     # [C, A]
+    compact_vectors: np.ndarray | None = None  # [A, d]
 
     def __post_init__(self):
-        self.attr_vectors = np.asarray(self.attr_vectors, dtype=np.float64)
-        self.compact_vectors = np.asarray(self.compact_vectors, dtype=np.float64)
-        self.class_attr = np.asarray(self.class_attr, dtype=np.float64)
-        for name in ("attr_vectors", "compact_vectors"):
-            shape = getattr(self, name).shape
-            if len(shape) != 2:
-                raise DimensionError(f"{name} must be 2-D, got shape {shape}")
+        held = ("attr_vectors", "class_attr") + (
+            () if self.compact_vectors is None else ("compact_vectors",))
+        for name in held:
+            array = np.asarray(getattr(self, name), dtype=np.float64)
+            if array.ndim != 2:
+                raise DimensionError(f"{name} must be 2-D, got shape {array.shape}")
+            setattr(self, name, array)
         a = self.attr_vectors.shape[0]
         if a < 1:
             raise DimensionError("need at least one attribute")
-        if self.class_attr.ndim != 2 or self.class_attr.shape[0] < 2:
+        if self.class_attr.shape[0] < 2:
             raise DimensionError("need a [C, A] class attribute matrix with C >= 2")
-        if self.class_attr.shape[1] != a or self.compact_vectors.shape[0] != a:
+        compact = self.compact_vectors
+        if self.class_attr.shape[1] != a or (compact is not None
+                                             and compact.shape[0] != a):
             raise DimensionError(
                 f"attribute counts disagree: vectors {self.attr_vectors.shape}, "
-                f"compact {self.compact_vectors.shape}, class_attr {self.class_attr.shape}")
-        if not np.all(np.isfinite(self.class_attr)):
-            raise NumericError("class attribute matrix contains non-finite values")
+                f"compact {np.shape(compact)}, class_attr {self.class_attr.shape}")
+        for name in held:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NumericError(f"{name} contains non-finite values")
 
     @property
     def num_attributes(self) -> int:

@@ -176,9 +176,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, neg(as_tensor(other)))
 
-    def __rsub__(self, other):
-        return add(as_tensor(other), neg(self))
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
@@ -187,23 +184,14 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, as_tensor(other))
 
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     def __getitem__(self, idx):
         return take(self, idx)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
 
 def as_tensor(x) -> Tensor:

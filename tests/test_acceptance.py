@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from hrt import (HrtModel, LossConfig, ModelConfig, OptimizerConfig,
-                 SeededRng, SemanticSpace, SyntheticSpec, Tensor, calibration_loss, cross_entropy,
-                 encode, evaluate, gamma_profile, generate_synthetic,
+                 SeededRng, SyntheticSpec, Tensor, calibration_loss,
+                 cross_entropy, encode, evaluate, gamma_profile, generate_synthetic,
                  grad_check, harmonic_mean, inverted_routing, predict,
                  run_ablation, total_loss, train)
 from hrt.cli import TINY_MODEL, main
@@ -114,10 +114,8 @@ def test_simplex_convexity_invariants(capsys):
     for setup_seed in range(50):
         rng = SeededRng(1000 + setup_seed)
         r_patches, d_feat, n_attr = 4, 8, 3
-        tau, n_primary, d_cap = 5, 3, 4
-        semantics = SemanticSpace(attr_vectors=rng.normal((n_attr, tau)),
-                                  compact_vectors=rng.normal((n_attr, d_cap)),
-                                  class_attr=rng.uniform((4, n_attr)))
+        n_primary, d_cap = 3, 4
+        compact = Tensor(rng.normal((n_attr, d_cap)))
         # (proj, act_proj, vote_transforms, iterations), in encode's order
         params = (Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
                   Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
@@ -125,7 +123,7 @@ def test_simplex_convexity_invariants(capsys):
                   2)
         for _ in range(20):
             features = rng.normal((r_patches, d_feat))
-            out = encode(Tensor(features), semantics, *params)
+            out = encode(Tensor(features), compact, *params)
             att = out.attention.data
             worst_sum = max(worst_sum,
                             float(np.max(np.abs(att.sum(axis=0) - 1.0))))

@@ -1,82 +1,95 @@
 import numpy as np
 import pytest
 
-from hrt import (DimensionError, SeededRng, SemanticSpace, Tensor,
-                 adjust_class_attributes, class_scores,
-                 content_attribute_scores)
+from hrt import (DimensionError, SeededRng, Tensor, adjust_class_attributes,
+                 class_scores, content_attribute_scores)
 
 
 def build_setup(seed, d_feat=6, n_attr=4, n_classes=3, tau=5):
+    """h, lam (columns v_a), the class attribute rows, w_beta and w_d."""
     rng = SeededRng(seed)
-    semantics = SemanticSpace(attr_vectors=rng.normal((n_attr, tau)),
-                              compact_vectors=rng.normal((n_attr, 2)),
-                              class_attr=rng.uniform((n_classes, n_attr)))
+    lam = Tensor(rng.normal((n_attr, tau)).T)
+    class_attr = Tensor(rng.uniform((n_classes, n_attr)))
     h = Tensor(rng.normal((d_feat, n_attr)))
     w_beta = Tensor(rng.normal((tau, d_feat)))
     w_d = Tensor(rng.normal((d_feat, tau)))
-    return h, semantics, w_beta, w_d
+    return h, lam, class_attr, w_beta, w_d
 
 
 class TestAdjustClassAttributes:
     def test_zero_weights_gate_half(self):
-        h, semantics, w_beta, _ = build_setup(1)
+        h, lam, z, w_beta, _ = build_setup(1)
         w_beta = Tensor(np.zeros_like(w_beta.data))
-        z_tilde = adjust_class_attributes(h, semantics, w_beta)
-        assert np.array_equal(z_tilde.data, 0.5 * semantics.class_attr)
+        z_tilde = adjust_class_attributes(h, lam, z, w_beta)
+        assert np.array_equal(z_tilde.data, 0.5 * z.data)
 
     def test_zero_class_row_annihilates(self):
-        h, semantics, w_beta, _ = build_setup(2)
-        semantics.class_attr[1] = 0.0
-        z_tilde = adjust_class_attributes(h, semantics, w_beta)
+        h, lam, z, w_beta, _ = build_setup(2)
+        z.data[1] = 0.0
+        z_tilde = adjust_class_attributes(h, lam, z, w_beta)
         assert np.array_equal(z_tilde.data[1], np.zeros(4))
 
     def test_matches_loop_oracle(self):
-        h, semantics, w_beta, _ = build_setup(9)
-        z_tilde = adjust_class_attributes(h, semantics, w_beta)
+        h, lam, z, w_beta, _ = build_setup(9)
+        z_tilde = adjust_class_attributes(h, lam, z, w_beta)
         for a in range(4):
-            v_a = semantics.attr_vectors[a]
+            v_a = lam.data[:, a]
             gate = 1.0 / (1.0 + np.exp(-(v_a @ w_beta.data @ h.data[:, a])))
             for c in range(3):
                 assert z_tilde.data[c, a] == pytest.approx(
-                    gate * semantics.class_attr[c, a], abs=1e-12)
+                    gate * z.data[c, a], abs=1e-12)
 
     def test_gates_shrink_magnitudes(self):
-        h, semantics, w_beta, _ = build_setup(3)
-        z_tilde = adjust_class_attributes(h, semantics, w_beta)
-        assert np.all(np.abs(z_tilde.data) <= np.abs(semantics.class_attr))
+        h, lam, z, w_beta, _ = build_setup(3)
+        z_tilde = adjust_class_attributes(h, lam, z, w_beta)
+        assert np.all(np.abs(z_tilde.data) <= np.abs(z.data))
 
     def test_dim_mismatch(self):
-        h, semantics, _, _ = build_setup(4)
+        h, lam, z, _, _ = build_setup(4)
         w_beta = Tensor(np.zeros((5, 7)))
         with pytest.raises(DimensionError):
-            adjust_class_attributes(h, semantics, w_beta)
+            adjust_class_attributes(h, lam, z, w_beta)
+
+    @pytest.mark.parametrize("name", ["lam", "class_attr"])
+    def test_semantic_dim_mismatch(self, name):
+        # one attribute too few in lam or the class attribute rows
+        h, lam, z, w_beta, _ = build_setup(4)
+        args = {"lam": lam, "class_attr": z}
+        args[name] = Tensor(args[name].data[:, :-1])
+        with pytest.raises(DimensionError, match=f"{name} has shape"):
+            adjust_class_attributes(h, args["lam"], args["class_attr"], w_beta)
 
 
 class TestContentAttributeScores:
     def test_zero_weights(self):
-        h, semantics, _, w_d = build_setup(5)
+        h, lam, _, _, w_d = build_setup(5)
         w_d = Tensor(np.zeros_like(w_d.data))
-        psi = content_attribute_scores(h, semantics, w_d)
+        psi = content_attribute_scores(h, lam, w_d)
         assert np.array_equal(psi.data, np.zeros(4))
 
     def test_identity_embedding(self):
         # D_feat == tau, identity W_d, h_a == v_a => psi_a = ||v_a||^2
-        rng = SeededRng(6)
-        semantics = SemanticSpace(attr_vectors=rng.normal((4, 6)),
-                                  compact_vectors=rng.normal((4, 2)),
-                                  class_attr=rng.uniform((3, 4)))
-        h = Tensor(semantics.attr_vectors.T)
+        attr_vectors = SeededRng(6).normal((4, 6))
+        h = Tensor(attr_vectors.T)
         w_d = Tensor(np.eye(6))
-        psi = content_attribute_scores(h, semantics, w_d)
-        expected = (semantics.attr_vectors ** 2).sum(axis=1)
+        psi = content_attribute_scores(h, Tensor(attr_vectors.T), w_d)
+        expected = (attr_vectors ** 2).sum(axis=1)
         assert np.allclose(psi.data, expected, atol=1e-9)
 
     def test_matches_loop_oracle(self):
-        h, semantics, _, w_d = build_setup(9)
-        psi = content_attribute_scores(h, semantics, w_d)
+        h, lam, _, _, w_d = build_setup(9)
+        psi = content_attribute_scores(h, lam, w_d)
         for a in range(4):
-            expected = h.data[:, a] @ w_d.data @ semantics.attr_vectors[a]
+            expected = h.data[:, a] @ w_d.data @ lam.data[:, a]
             assert psi.data[a] == pytest.approx(expected, abs=1e-10)
+
+    def test_dim_mismatch(self):
+        h, lam, _, _, _ = build_setup(4)
+        with pytest.raises(DimensionError, match="w_d has shape"):
+            content_attribute_scores(h, lam, Tensor(np.zeros((5, 7))))
+        with pytest.raises(DimensionError, match="lam has shape"):
+            content_attribute_scores(h, Tensor(lam.data[:, :-1]),
+                                     Tensor(np.zeros((6, 5))))
 
 
 class TestClassScores:
@@ -123,15 +136,13 @@ class TestClassScores:
 
 class TestScaleInvariance:
     def test_positive_scaling_preserves_argmax(self):
-        h, semantics, w_beta, w_d = build_setup(11)
-        psi = content_attribute_scores(h, semantics, w_d)
-        z_tilde = adjust_class_attributes(h, semantics, w_beta)
+        h, lam, z, w_beta, w_d = build_setup(11)
+        psi = content_attribute_scores(h, lam, w_d)
+        z_tilde = adjust_class_attributes(h, lam, z, w_beta)
         s = class_scores(psi, z_tilde).data
         kappa = 3.7
-        scaled = SemanticSpace(attr_vectors=semantics.attr_vectors,
-                               compact_vectors=semantics.compact_vectors,
-                               class_attr=kappa * semantics.class_attr)
-        z_tilde_k = adjust_class_attributes(h, scaled, w_beta)
+        z_tilde_k = adjust_class_attributes(h, lam, Tensor(kappa * z.data),
+                                            w_beta)
         s_k = class_scores(psi, z_tilde_k).data
         assert np.allclose(s_k, kappa * s, atol=1e-9)
         assert np.argmax(s_k) == np.argmax(s)

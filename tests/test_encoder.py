@@ -1,32 +1,30 @@
 import numpy as np
 import pytest
 
-from hrt import DimensionError, SeededRng, SemanticSpace, Tensor, encode
+from hrt import DimensionError, SeededRng, Tensor, encode
 
 from oracles import encoder_oracle
 
 
-def build_setup(seed, r_patches=4, d_feat=8, n_attr=3, n_classes=4,
-                tau=5, n_primary=3, d_cap=4, k_td=2):
+def build_setup(seed, r_patches=4, d_feat=8, n_attr=3, n_primary=3, d_cap=4,
+                k_td=2):
     rng = SeededRng(seed)
-    semantics = SemanticSpace(attr_vectors=rng.normal((n_attr, tau)),
-                              compact_vectors=rng.normal((n_attr, d_cap)),
-                              class_attr=rng.uniform((n_classes, n_attr)))
+    compact = Tensor(rng.normal((n_attr, d_cap)))
     # (proj, act_proj, vote_transforms, iterations), in encode's order
     params = (Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
               Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
               Tensor(rng.normal((n_attr, d_cap, d_cap))),
               k_td)
     features = rng.normal((r_patches, d_feat))
-    return features, semantics, params
+    return features, compact, params
 
 
 class TestEncode:
     def test_single_patch(self):
-        features, semantics, params = build_setup(1, r_patches=1)
-        out = encode(Tensor(features), semantics, *params)
+        features, compact, params = build_setup(1, r_patches=1)
+        out = encode(Tensor(features), compact, *params)
         assert np.allclose(out.attention.data, 1.0, atol=1e-12)
-        for a in range(semantics.num_attributes):
+        for a in range(compact.data.shape[0]):
             assert np.allclose(out.h.data[:, a], features[0], atol=1e-9)
 
     def test_saturated_softmax_selects_one_patch(self):
@@ -43,8 +41,8 @@ class TestEncode:
         assert np.allclose(h.data[:, 0], features[1], atol=1e-9)
 
     def test_matches_composed_oracle(self):
-        features, semantics, params = build_setup(21)
-        out = encode(Tensor(features), semantics, *params)
+        features, compact, params = build_setup(21)
+        out = encode(Tensor(features), compact, *params)
         # beta, gamma, lam and sigma_floor feed only the oracle's activation,
         # which the encoder does not compute; its pose is the same for any
         # k_em. The encoder's primary poses vote as they are: identity
@@ -53,7 +51,7 @@ class TestEncode:
         n_primary = act_proj.data.shape[1]
         d_cap = proj.data.shape[1] // n_primary
         h, attention, agreement = encoder_oracle(
-            features, semantics.compact_vectors,
+            features, compact.data,
             proj.data, act_proj.data,
             np.stack([np.eye(d_cap)] * n_primary), 0.1, 0.05, 1.0, 2,
             iterations, 1e-6,
@@ -63,37 +61,34 @@ class TestEncode:
         assert np.allclose(out.h.data, h, atol=1e-9)
 
     def test_capsule_dim_mismatch(self):
-        features, semantics, params = build_setup(3)
-        bad = SemanticSpace(attr_vectors=semantics.attr_vectors,
-                            compact_vectors=np.zeros((3, 6)),
-                            class_attr=semantics.class_attr)
-        with pytest.raises(DimensionError):
-            encode(Tensor(features), bad, *params)
+        features, _, params = build_setup(3)
+        with pytest.raises(DimensionError, match="capsule dims disagree"):
+            encode(Tensor(features), Tensor(np.zeros((3, 6))), *params)
 
 
 class TestEncodeInvariants:
     def test_simplex_and_convex_hull(self):
         for seed in range(30):
-            features, semantics, params = build_setup(100 + seed)
-            out = encode(Tensor(features), semantics, *params)
+            features, compact, params = build_setup(100 + seed)
+            out = encode(Tensor(features), compact, *params)
             att = out.attention.data
             assert np.all(att >= 0)
             assert np.allclose(att.sum(axis=0), 1.0, atol=1e-9)
             assert np.allclose(out.h.data, features.T @ att, atol=1e-9)
 
     def test_patch_permutation_equivariance(self):
-        features, semantics, params = build_setup(7, r_patches=5)
-        out = encode(Tensor(features), semantics, *params)
+        features, compact, params = build_setup(7, r_patches=5)
+        out = encode(Tensor(features), compact, *params)
         perm = SeededRng(0).permutation(5)
-        out_p = encode(Tensor(features[perm]), semantics, *params)
+        out_p = encode(Tensor(features[perm]), compact, *params)
         assert np.allclose(out.attention.data[perm], out_p.attention.data,
                            atol=1e-9)
         assert np.allclose(out.h.data, out_p.h.data, atol=1e-9)
 
     def test_shapes_scale_with_dims(self):
-        features, semantics, params = build_setup(8, r_patches=6, d_feat=12,
-                                                  n_attr=5, tau=7)
-        out = encode(Tensor(features), semantics, *params)
+        features, compact, params = build_setup(8, r_patches=6, d_feat=12,
+                                                n_attr=5)
+        out = encode(Tensor(features), compact, *params)
         assert out.h.data.shape == (12, 5)
         assert out.attention.data.shape == (6, 5)
         assert np.allclose(out.attention.data.sum(axis=0), 1.0, atol=1e-9)

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hrt import ConfigError, HrtModel, ModelConfig
+from hrt import (ConfigError, HrtModel, ModelConfig, NumericError,
+                 SyntheticSpec, Tensor, generate_synthetic, load_features,
+                 no_grad, save_dataset)
 from hrt.cli import TINY_MODEL
+from hrt.config import dataset_dims
 from hrt.rng import SeededRng
 from hrt.semantics import SemanticSpace
 
@@ -14,6 +19,13 @@ def tiny_semantics():
     return SemanticSpace(attr_vectors=rng.normal(size=(a, TINY_MODEL["tau"])),
                          compact_vectors=rng.normal(size=(a, TINY_MODEL["d_cap"])),
                          class_attr=rng.uniform(size=(c, a)))
+
+
+def fail(what):
+    """A stand-in for a function that must not be called."""
+    def patched(*args, **kwargs):
+        raise AssertionError(what)
+    return patched
 
 
 def test_tiny_semantics_fit_tiny_model():
@@ -28,11 +40,8 @@ def test_tiny_semantics_fit_tiny_model():
 ])
 def test_semantic_shape_mismatch_rejected_before_drawing(monkeypatch, field,
                                                          array):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("a parameter was drawn")
-
     for name in ("normal", "uniform", "integers", "permutation", "choice"):
-        monkeypatch.setattr(SeededRng, name, no_draw)
+        monkeypatch.setattr(SeededRng, name, fail("a parameter was drawn"))
     config = ModelConfig(**{**TINY_MODEL, field: TINY_MODEL[field] + 2})
     with pytest.raises(ConfigError, match=f"'{array}' has shape"):
         HrtModel(config, tiny_semantics())
@@ -44,11 +53,88 @@ def test_semantic_shape_mismatch_rejected_before_drawing(monkeypatch, field,
 ])
 def test_build_checks_semantic_shapes_before_compaction(monkeypatch, field,
                                                         array):
-    def no_compaction(*args, **kwargs):
-        raise AssertionError("the attribute vectors were compacted")
-
-    monkeypatch.setattr("hrt.model.compact_semantics", no_compaction)
+    monkeypatch.setattr("hrt.model.compact_semantics",
+                        fail("the attribute vectors were compacted"))
     config = ModelConfig(**{**TINY_MODEL, field: TINY_MODEL[field] + 2})
     semantics = tiny_semantics()
     with pytest.raises(ConfigError, match=f"'{array}' has shape"):
         HrtModel.build(config, semantics.attr_vectors, semantics.class_attr)
+
+
+@pytest.mark.parametrize("name", ["attr_vectors", "class_attr"])
+def test_build_rejects_nonfinite_semantics_before_compaction(monkeypatch,
+                                                             name):
+    monkeypatch.setattr("hrt.model.compact_semantics",
+                        fail("the attribute vectors were compacted"))
+    semantics = tiny_semantics()
+    arrays = {"attr_vectors": semantics.attr_vectors.copy(),
+              "class_attr": semantics.class_attr.copy()}
+    arrays[name][0, 0] = np.nan
+    with pytest.raises(NumericError, match=f"{name} contains non-finite"):
+        HrtModel.build(ModelConfig(**TINY_MODEL), **arrays)
+
+
+def test_nonfinite_compact_vectors_rejected_at_construction():
+    semantics = tiny_semantics()
+    compact = semantics.compact_vectors.copy()
+    compact[0, 0] = np.inf
+    with pytest.raises(NumericError, match="compact_vectors contains"):
+        HrtModel(ModelConfig(**TINY_MODEL),
+                 replace(semantics, compact_vectors=compact))
+
+
+def test_dataset_semantics_are_not_compacted(tmp_path):
+    # a dataset holds the attribute vectors and class rows; only
+    # HrtModel.build compacts, so a model over a dataset's semantics is
+    # refused by name
+    spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6,
+                         r_patches=4, d_feat=16, tau=8, samples_per_class=2)
+    generated = generate_synthetic(spec, 0)
+    save_dataset(generated, tmp_path)
+    for dataset in (generated, load_features(tmp_path)):
+        assert dataset.semantics.compact_vectors is None
+        with pytest.raises(ConfigError, match="'sem.compact_vectors'"):
+            HrtModel(ModelConfig(**TINY_MODEL), dataset.semantics)
+
+
+def test_forward_wraps_no_semantic_array(monkeypatch):
+    # the model wraps its semantic constants once, at construction: a
+    # forward constructs no tensor beyond its input
+    dataset = generate_synthetic(SyntheticSpec(), 0)
+    model = HrtModel.build(ModelConfig(**dataset_dims(dataset)),
+                           dataset.semantics.attr_vectors,
+                           dataset.semantics.class_attr)
+    constructed = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    with no_grad():
+        model.forward(Tensor(dataset.features[0]))
+    assert len(constructed) == 1
+
+
+def test_model_over_built_semantics_draws_the_built_parameters(monkeypatch):
+    # a model over another model's semantics, as the benchmark builds its
+    # fresh training copies, neither compacts again nor draws anything but
+    # the parameters HrtModel.build draws at the same seed
+    semantics = tiny_semantics()
+    config = ModelConfig(**TINY_MODEL)
+    built = {seed: HrtModel.build(config, semantics.attr_vectors,
+                                  semantics.class_attr, seed=seed)
+             for seed in (0, 7)}
+    monkeypatch.setattr("hrt.model.compact_semantics",
+                        fail("the attribute vectors were compacted"))
+    model = built[0]
+    x = Tensor(np.random.default_rng(1).normal(size=(4, TINY_MODEL["d_feat"])))
+    for seed, expected in built.items():
+        copy = HrtModel(model.config, model.semantics, seed=seed)
+        assert copy.params.keys() == expected.params.keys()
+        for name, p in expected.params.items():
+            assert copy.params[name].data.tobytes() == p.data.tobytes()
+        with no_grad():
+            assert copy.forward(x).scores.data.tobytes() == \
+                expected.forward(x).scores.data.tobytes()

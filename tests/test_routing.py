@@ -115,10 +115,9 @@ class TestEmRouting:
 
     def test_parent_pose_within_vote_hull(self):
         rng = SeededRng(9)
-        for seed in range(20):
-            r = rng.spawn(seed)
-            poses = r.normal((6, 3))
-            acts = r.uniform((6,), 0.1, 1.0)
+        for _ in range(20):
+            poses = rng.normal((6, 3))
+            acts = rng.uniform((6,), 0.1, 1.0)
             out = route_one(poses, acts)
             assert np.all(out >= poses.min(axis=0) - 1e-9)
             assert np.all(out <= poses.max(axis=0) + 1e-9)
