@@ -12,12 +12,12 @@ from .optim import OptimizerConfig
 from .train import train
 
 ABLATION_HEADER = "axis,value,tr,ts,h"
+K_TD_VALUES = (1, 2, 3, 4, 5)
 
 
-def run_ablation(dataset: ZslDataset, config: dict,
-                 values=(1, 2, 3, 4, 5)) -> list[dict]:
-    """Train and evaluate once per top-down routing iteration count ``k_td``;
-    returns GZSL rows.
+def run_ablation(dataset: ZslDataset, config: dict) -> list[dict]:
+    """Train and evaluate once per top-down routing iteration count ``k_td``
+    in ``K_TD_VALUES``; returns GZSL rows.
 
     As in ``hrt train``, ``config["train"]["seed"]`` both initialises each
     model and orders its training data, so the row at the configured ``k_td``
@@ -27,9 +27,9 @@ def run_ablation(dataset: ZslDataset, config: dict,
     loss_config = loss_config_for(config, dataset)
     seed = config["train"]["seed"]
     rows = []
-    for value in values:
+    for value in K_TD_VALUES:
         cfg = copy.deepcopy(config)
-        cfg["model"]["k_td"] = int(value)
+        cfg["model"]["k_td"] = value
         model = HrtModel.build(model_config_for(cfg, dataset),
                                dataset.semantics.attr_vectors,
                                dataset.semantics.class_attr, seed=seed)
@@ -38,7 +38,7 @@ def run_ablation(dataset: ZslDataset, config: dict,
               batch_size=cfg["train"]["batch_size"])
         metrics = evaluate(model, dataset, mode="gzsl",
                            gamma=loss_config.gamma_per_class)
-        rows.append({"axis": "k_td", "value": int(value), "tr": metrics.tr,
+        rows.append({"axis": "k_td", "value": value, "tr": metrics.tr,
                      "ts": metrics.ts, "h": metrics.h})
     return rows
 

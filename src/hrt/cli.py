@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
 from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
                      loss_config_for, model_config_for)
@@ -22,6 +24,7 @@ from .losses import LossConfig
 from .metrics import evaluate
 from .model import HrtModel, ModelConfig
 from .optim import OptimizerConfig
+from .rng import check_seed
 from .tensor import Tensor, no_grad
 from .train import (load_checkpoint, save_checkpoint, total_loss, train,
                     write_history)
@@ -51,15 +54,32 @@ def _make_out(path: str, is_file: bool = False) -> Path:
     return out
 
 
-def _check_dims(model: HrtModel, dataset, args) -> None:
-    """Reject a dataset whose dimensions differ from the checkpoint's; the
-    patch count is free, as no parameter is sized by it."""
+def _check_matches(model: HrtModel, dataset, args) -> None:
+    """Reject a dataset whose dimensions or semantic arrays differ from the
+    checkpoint's; the patch count is free, as no parameter is sized by it."""
     for name, given in dataset_dims(dataset).items():
         have = getattr(model.config, name)
         if have != given:
             raise DataFormatError(
                 f"checkpoint {args.checkpoint} has {name} {have}, "
                 f"dataset {args.data} has {given}")
+    for name in ("attr_vectors", "class_attr"):
+        if not np.array_equal(getattr(model.semantics, name),
+                              getattr(dataset.semantics, name)):
+            raise DataFormatError(
+                f"checkpoint {args.checkpoint} and dataset {args.data} "
+                f"hold different {name}")
+
+
+def _train_settings(config: dict, args) -> None:
+    """Apply ``--seed``, then check ``train`` before a dataset is loaded."""
+    if args.seed is not None:
+        config["train"]["seed"] = args.seed
+    epochs, batch_size = config["train"]["epochs"], config["train"]["batch_size"]
+    if epochs < 0 or batch_size < 1:
+        raise ConfigError("need train.epochs >= 0 and train.batch_size >= 1, "
+                          f"got {epochs} and {batch_size}")
+    check_seed(config["train"]["seed"])
 
 
 def cmd_gen(args) -> int:
@@ -83,9 +103,8 @@ def cmd_train(args) -> int:
     ModelConfig(**config["model"]).validate()
     LossConfig(**config["loss"])
     optimizer = OptimizerConfig(**config["optimizer"])
+    _train_settings(config, args)
     dataset = load_features(args.data)
-    if args.seed is not None:
-        config["train"]["seed"] = args.seed
     seed = config["train"]["seed"]
     model = HrtModel.build(model_config_for(config, dataset),
                            dataset.semantics.attr_vectors,
@@ -107,7 +126,7 @@ def cmd_eval(args) -> int:
     # a missing or corrupt checkpoint fails before the features are read
     model = load_checkpoint(args.checkpoint)
     dataset = load_features(args.data)
-    _check_dims(model, dataset, args)
+    _check_matches(model, dataset, args)
     gamma = gamma_offsets(config, model.config.num_classes,
                           dataset.seen_classes, dataset.unseen_classes)
     metrics = evaluate(model, dataset, mode=args.mode, gamma=gamma)
@@ -144,13 +163,12 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     out = _make_out(args.out, is_file=True)
+    _train_settings(config, args)
     if args.data:
         dataset = load_features(args.data)
     else:
         spec, seed = _synthetic_spec(config)
         dataset = generate_synthetic(spec, seed)
-    if args.seed is not None:
-        config["train"]["seed"] = args.seed
     rows = run_ablation(dataset, config)
     out.write_text(ablation_csv(rows), encoding="utf-8")
     echo_config(config, out.with_name(out.stem + ".config.json"))
@@ -163,7 +181,7 @@ def cmd_report(args) -> int:
     # a missing or corrupt checkpoint fails before the features are read
     model = load_checkpoint(args.checkpoint)
     dataset = load_features(args.data)
-    _check_dims(model, dataset, args)
+    _check_matches(model, dataset, args)
     a = model.config.num_attributes
     lines = ["sample_index,patch_index," + ",".join(f"a{i}" for i in range(a))]
     with no_grad():

@@ -11,15 +11,16 @@ A dataset directory holds:
   splits.csv      header "sample_index,class_index,split"; split is one of
                   train, test_seen, test_unseen
 
-Every invariant (shape consistency, finite values, disjoint seen/unseen,
-train labels within seen) is validated on load, and violations name the
-offending record.
+The seen classes are those of the train and test_seen samples, the unseen
+classes those of the test_unseen samples. Every invariant (shape
+consistency, finite values, each sample in one split, disjoint seen and
+unseen classes) is validated on load, and violations name the record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,29 +74,24 @@ class SyntheticSpec:
 
 @dataclass
 class ZslDataset:
-    features: np.ndarray           # [n_samples, R, D_feat]
-    labels: np.ndarray             # [n_samples] int
-    semantics: SemanticSpace
-    seen_classes: list[int]
-    unseen_classes: list[int]
-    splits: dict[str, np.ndarray] = field(default_factory=dict)  # name -> sample indices
+    """Features, labels, semantics and split indices; the seen and unseen
+    classes are read from the splits. ``generate_synthetic`` and
+    ``load_features`` make it valid, so it checks nothing itself."""
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        seen, unseen = set(self.seen_classes), set(self.unseen_classes)
-        if seen & unseen:
-            raise DataFormatError(
-                f"seen and unseen classes overlap: {sorted(seen & unseen)}")
-        if "train" in self.splits:
-            train_labels = set(self.labels[self.splits["train"]].tolist())
-            if not train_labels <= seen:
-                raise DataFormatError(
-                    f"train labels outside seen classes: {sorted(train_labels - seen)}")
-        n_classes = self.semantics.class_attr.shape[0]
-        for c in seen | unseen:
-            if not 0 <= c < n_classes:
-                raise DataFormatError(f"class index {c} has no attribute row")
+    features: np.ndarray           # [n_samples, R, D_feat] float64
+    labels: np.ndarray             # [n_samples] int64
+    semantics: SemanticSpace
+    splits: dict[str, np.ndarray]  # split name -> sample indices
+
+    # sorted sets: the first np.unique call imports ~0.9 MB of modules
+    @property
+    def seen_classes(self) -> list[int]:
+        return sorted(set(self.labels[self.splits["train"]].tolist())
+                      | set(self.labels[self.splits["test_seen"]].tolist()))
+
+    @property
+    def unseen_classes(self) -> list[int]:
+        return sorted(set(self.labels[self.splits["test_unseen"]].tolist()))
 
     @property
     def d_feat(self) -> int:
@@ -190,13 +186,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
                + chosen[attr_of == attr]).ravel()
         flat[idx] += class_attr[labels[idx // r], attr][:, None] * basis[attr]
 
-    seen = list(range(spec.c_seen))
-    unseen = list(range(spec.c_seen, c_total))
     train_idx, test_seen_idx, test_unseen_idx = [], [], []
     for c in range(c_total):
         idx = np.nonzero(labels == c)[0]
         idx = idx[rng.permutation(idx.size)]
-        if c in set(seen):
+        if c < spec.c_seen:
             n_train = max(1, min(idx.size - 1,
                                  int(round(spec.train_fraction * idx.size))))
             train_idx.extend(idx[:n_train].tolist())
@@ -206,7 +200,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
 
     semantics = SemanticSpace(attr_vectors=attr_vectors, class_attr=class_attr)
     return ZslDataset(features=features, labels=labels, semantics=semantics,
-                      seen_classes=seen, unseen_classes=unseen,
                       splits={"train": np.array(sorted(train_idx), dtype=np.int64),
                               "test_seen": np.array(sorted(test_seen_idx), dtype=np.int64),
                               "test_unseen": np.array(sorted(test_unseen_idx), dtype=np.int64)})
@@ -239,14 +232,11 @@ def save_dataset(dataset: ZslDataset, path) -> None:
             for row in dataset.semantics.attr_vectors]
     (path / "semantics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    lines = ["sample_index,class_index,split"]
-    assignment = {}
-    for name in SPLIT_NAMES:
-        for i in dataset.splits.get(name, np.array([], dtype=np.int64)):
-            assignment[int(i)] = name
-    for i in range(n):
-        if i in assignment:
-            lines.append(f"{i},{int(dataset.labels[i])},{assignment[i]}")
+    # every sample lies in exactly one split
+    split_of = {i: name for name in SPLIT_NAMES
+                for i in dataset.splits[name].tolist()}
+    lines = ["sample_index,class_index,split"] + [
+        f"{i},{c},{split_of[i]}" for i, c in enumerate(dataset.labels.tolist())]
     (path / "splits.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -330,18 +320,14 @@ def load_features(path) -> ZslDataset:
 
     _require(bool(np.all(labels >= 0)),
              f"splits.csv does not cover sample(s) {np.nonzero(labels < 0)[0][:5].tolist()}")
-    seen = sorted(set(labels[splits["train"]].tolist())
-                  | set(labels[splits["test_seen"]].tolist()))
-    unseen = sorted(set(labels[splits["test_unseen"]].tolist()))
-    _require(not set(seen) & set(unseen),
-             f"classes {sorted(set(seen) & set(unseen))} appear in both seen and "
-             f"unseen splits")
 
     semantics = SemanticSpace(attr_vectors=attr_vectors, class_attr=class_attr)
-    return ZslDataset(features=features, labels=labels, semantics=semantics,
-                      seen_classes=seen, unseen_classes=unseen,
-                      splits={k: np.array(v, dtype=np.int64)
-                              for k, v in splits.items()})
+    dataset = ZslDataset(features=features, labels=labels, semantics=semantics,
+                         splits={k: np.array(v, dtype=np.int64)
+                                 for k, v in splits.items()})
+    overlap = sorted(set(dataset.seen_classes) & set(dataset.unseen_classes))
+    _require(not overlap, f"classes {overlap} appear in both seen and unseen splits")
+    return dataset
 
 
 def _read_csv_matrix(file: Path, rows: int, cols: int, header: bool) -> np.ndarray:

@@ -15,6 +15,14 @@ from .errors import ConfigError
 SEED_BOUND = 1 << 64
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; a ConfigError unless PCG64 takes it."""
+    seed = int(seed)
+    if not 0 <= seed < SEED_BOUND:
+        raise ConfigError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
 class SeededRng:
     """Deterministic pseudorandom source backed by numpy's PCG64.
 
@@ -22,9 +30,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        if not 0 <= self.seed < SEED_BOUND:
-            raise ConfigError(f"seed {self.seed} is outside [0, 2**64)")
+        self.seed = check_seed(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:

@@ -125,9 +125,7 @@ class Tensor:
                     stack.append((p, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+            g = grads.pop(id(node))
             if node._backward is None:
                 # a copy, as add hands one array to both of its parents
                 if node.grad is None:
@@ -152,10 +150,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -183,9 +177,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, idx):
         return take(self, idx)

@@ -103,8 +103,6 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
                 sums += [parts[k] for k in ("ce", "cal", "reg", "total")]
             # each leaf owns its gradient array, so the mean is formed in place
             for p in model.params.values():
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
                 p.grad /= batch.size
             optimizer_step(state, model.params,
                            {name: p.grad for name, p in model.params.items()})

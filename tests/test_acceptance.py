@@ -260,7 +260,7 @@ def test_ablation_harness(capsys):
     })
     ds = generate_synthetic(SyntheticSpec(**{
         k: v for k, v in config["synthetic"].items() if k != "seed"}), seed=0)
-    rows = run_ablation(ds, config, values=(1, 2, 3, 4, 5))
+    rows = run_ablation(ds, config)
     finite = all(np.all(np.isfinite([r["tr"], r["ts"], r["h"]]))
                  for r in rows)
     ok = len(rows) == 5 and finite

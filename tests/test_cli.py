@@ -344,6 +344,39 @@ class TestExitCodes:
         written = out / "metrics.json" if command == "eval" else out
         assert not written.exists()
 
+    # a dataset of the checkpoint's dimensions whose attribute vectors or
+    # class attribute rows are not the ones the model was trained with
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("source,array", [
+        ("other-seed", "attr_vectors"),
+        ("semantics.csv", "attr_vectors"),
+        ("attributes.csv", "class_attr"),
+    ], ids=["other-seed", "attr_vectors", "class_attr"])
+    def test_checkpoint_dataset_semantics_mismatch_names_both(
+            self, workspace, tmp_path, capsys, command, source, array):
+        data = tmp_path / "data"
+        if source == "other-seed":
+            assert main(["gen", "--out", str(data), "--seed", "1",
+                         "--config", str(workspace / "config.json")]) == 0
+        else:
+            shutil.copytree(workspace / "data", data)
+            lines = (data / source).read_text().splitlines()
+            row = 1 if source == "attributes.csv" else 0
+            first, rest = lines[row].split(",", 1)
+            lines[row] = f"{float(first) + 1.0!r},{rest}"
+            (data / source).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        ckpt = workspace / "run" / "model.ckpt"
+        out = tmp_path / ("eval" if command == "eval" else "agreement.csv")
+        rc = main([command, "--checkpoint", str(ckpt), "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert array in err and str(ckpt) in err and str(data) in err
+        written = out / "metrics.json" if command == "eval" else out
+        assert not written.exists()
+
     @staticmethod
     def eval_edited_checkpoint(workspace, tmp_path, edit):
         """``hrt eval`` on a copy of the workspace checkpoint whose JSON
@@ -508,7 +541,11 @@ class TestExitCodes:
         ("model", "d_cap", 0),
         ("optimizer", "lr", -1.0),
         ("loss", "lambda2", -1.0),
-    ], ids=["compaction", "d_cap", "lr", "lambda2"])
+        ("train", "epochs", -1),
+        ("train", "batch_size", 0),
+        ("train", "seed", -1),
+    ], ids=["compaction", "d_cap", "lr", "lambda2", "epochs", "batch_size",
+            "seed"])
     def test_training_setting_checked_before_dataset_read(
             self, workspace, tmp_path, capsys, monkeypatch, section, key,
             value):
@@ -523,6 +560,54 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    # --seed is applied before the check; ablate without --data generates
+    # its dataset, and that too comes after the check
+    @pytest.mark.parametrize("command,data", [
+        ("train", True), ("ablate", True), ("ablate", False),
+    ], ids=["train", "ablate-data", "ablate-synthetic"])
+    def test_seed_flag_checked_before_dataset_read(
+            self, workspace, tmp_path, capsys, monkeypatch, command, data):
+        def no_read(*args):
+            raise AssertionError("the dataset was read or generated")
+
+        monkeypatch.setattr("hrt.cli.load_features", no_read)
+        monkeypatch.setattr("hrt.cli.generate_synthetic", no_read)
+        argv = [command, "--out", str(tmp_path / "out"), "--seed", "-1"]
+        if data:
+            argv += ["--data", str(workspace / "data")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed -1 is outside" in err
+
+    def test_empty_training_split_is_validation_error(self, workspace,
+                                                      tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        splits = data / "splits.csv"
+        splits.write_text(splits.read_text().replace(",train\n",
+                                                     ",test_seen\n"))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   "--config", str(workspace / "config.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "training split is empty" in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    # one step at this rate sends the parameters past float64's range, so
+    # the next forward overflows; the test suite turns numpy's overflow
+    # warnings into errors, so none may be raised on the way
+    def test_numeric_failure_exits_2(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "optimizer": {"lr": 1e300}}))
+        rc = main(["train", "--data", str(workspace / "data"),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "Traceback" not in err
+        assert "non-finite value produced by einsum" in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     # sizes this large are refused by numpy before any memory is touched;
     # the generator allocates its features before drawing the first sample
