@@ -71,8 +71,13 @@ def _check_matches(model: HrtModel, dataset, args) -> None:
                 f"hold different {name}")
 
 
-def _train_settings(config: dict, args) -> None:
-    """Apply ``--seed``, then check ``train`` before a dataset is loaded."""
+def _train_settings(config: dict, args) -> OptimizerConfig:
+    """Apply ``--seed``, then check the model (with default dimensions),
+    loss, optimizer and train sections before a dataset is read or
+    generated. Returns the optimizer config."""
+    ModelConfig(**config["model"]).validate()
+    LossConfig(**config["loss"])
+    optimizer = OptimizerConfig(**config["optimizer"])
     if args.seed is not None:
         config["train"]["seed"] = args.seed
     epochs, batch_size = config["train"]["epochs"], config["train"]["batch_size"]
@@ -80,6 +85,7 @@ def _train_settings(config: dict, args) -> None:
         raise ConfigError("need train.epochs >= 0 and train.batch_size >= 1, "
                           f"got {epochs} and {batch_size}")
     check_seed(config["train"]["seed"])
+    return optimizer
 
 
 def cmd_gen(args) -> int:
@@ -98,12 +104,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     out = _make_out(args.out)
-    # the configured settings are checked before the dataset is read, with
-    # ModelConfig's defaults standing in for the dimensions the dataset sets
-    ModelConfig(**config["model"]).validate()
-    LossConfig(**config["loss"])
-    optimizer = OptimizerConfig(**config["optimizer"])
-    _train_settings(config, args)
+    optimizer = _train_settings(config, args)
     dataset = load_features(args.data)
     seed = config["train"]["seed"]
     model = HrtModel.build(model_config_for(config, dataset),

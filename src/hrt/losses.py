@@ -44,7 +44,7 @@ def cross_entropy(s: Tensor, label: int) -> Tensor:
         raise DimensionError(f"scores must be a vector, got shape {s.shape}")
     if not 0 <= label < s.data.shape[0]:
         raise IndexError(f"label {label} out of range for {s.data.shape[0]} classes")
-    return T.logsumexp(s) - s[int(label)]
+    return T.log_softmax_nll(s, int(label))
 
 
 def calibration_loss(s: Tensor, label: int, gamma: np.ndarray) -> Tensor:
@@ -62,7 +62,7 @@ def attribute_regression_loss(psi: Tensor, z_true) -> Tensor:
     if psi.data.shape != z_true.data.shape:
         raise DimensionError(
             f"attribute vectors disagree: {psi.shape} vs {z_true.shape}")
-    return T.tsum(T.square(psi - z_true))
+    return T.squared_distance(psi, z_true)
 
 
 def predict(s) -> int:

@@ -20,11 +20,15 @@ Design notes:
     in which the contributions to a shared node's gradient are summed.  Float
     addition is not associative, so the visiting order is part of the byte
     contract: changing it changes trained weights in the last bits.
+  * each loss term is one node whose backward forms, bit for bit, the sum the
+    composed ops formed; Tensor subtraction and indexing, ``logsumexp``,
+    ``take``, ``square`` and ``neg`` are gone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -138,7 +142,8 @@ class Tensor:
             for parent, contrib in zip(node._parents, node._backward(g)):
                 if contrib is None:
                     continue
-                contrib = _unbroadcast(contrib, parent.data.shape)
+                if contrib.shape != parent.data.shape:
+                    contrib = _unbroadcast(contrib, parent.data.shape)
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + contrib
@@ -167,9 +172,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, neg(as_tensor(other)))
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
@@ -177,9 +179,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, as_tensor(other))
-
-    def __getitem__(self, idx):
-        return take(self, idx)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -191,9 +190,6 @@ def as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
-    if type(grad) is np.ndarray and grad.shape == shape:
-        return grad
-    grad = np.asarray(grad, dtype=np.float64)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, extent in enumerate(shape):
@@ -211,10 +207,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 g if b.requires_grad else None)
 
     return Tensor._from_op(a.data + b.data, (a, b), backward, "add")
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor._from_op(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -239,16 +231,11 @@ def exp(a: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a,), lambda g: (g * out_data,), "exp")
 
 
-def square(a: Tensor) -> Tensor:
-    return Tensor._from_op(a.data ** 2, (a,), lambda g: (g * 2.0 * a.data,),
-                           "square")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic function, elementwise."""
     x = a.data
     e = np.exp(-np.abs(x))
-    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_data = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return Tensor._from_op(out_data, (a,),
                            lambda g: (g * out_data * (1.0 - out_data),),
                            "sigmoid")
@@ -261,10 +248,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        full = np.empty(a.data.shape)
+        full[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (full,)
 
     return Tensor._from_op(out_data, (a,), backward, "sum")
 
@@ -272,17 +258,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     return Tensor._from_op(a.data.reshape(shape), (a,),
                            lambda g: (g.reshape(a.data.shape),), "reshape")
-
-
-def take(a: Tensor, idx) -> Tensor:
-    out_data = a.data[idx]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return Tensor._from_op(out_data, (a,), backward, "take")
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -307,19 +282,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a, b), backward, "matmul")
 
 
+@functools.cache
+def _grad_subscripts(subscripts: str) -> tuple[str, str]:
+    """The subscripts of the two operand gradients of a two-operand einsum."""
+    inputs, out_sub = subscripts.replace(" ", "").split("->")
+    a_sub, b_sub = inputs.split(",")
+    return f"{out_sub},{b_sub}->{a_sub}", f"{out_sub},{a_sub}->{b_sub}"
+
+
 def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     """Two-operand einsum where each index letter appears at most once per
     operand; the gradient is the einsum with subscripts swapped accordingly."""
-    inputs, out_sub = subscripts.replace(" ", "").split("->")
-    a_sub, b_sub = inputs.split(",")
     out_data = np.einsum(subscripts, a.data, b.data, optimize=False)
 
     def backward(g):
-        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data,
-                       optimize=False) if a.requires_grad else None
-        gb = np.einsum(f"{out_sub},{a_sub}->{b_sub}", g, a.data,
-                       optimize=False) if b.requires_grad else None
-        return (ga, gb)
+        ga_sub, gb_sub = _grad_subscripts(subscripts)
+        return (np.einsum(ga_sub, g, b.data, optimize=False)
+                if a.requires_grad else None,
+                np.einsum(gb_sub, g, a.data, optimize=False)
+                if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), backward, "einsum")
 
@@ -342,16 +323,32 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, "softmax")
 
 
-def logsumexp(a: Tensor) -> Tensor:
-    """log sum exp over a 1-D tensor, stable form."""
-    m = a.data.max()
-    out_data = m + np.log(np.exp(a.data - m).sum())
-    soft = np.exp(a.data - out_data)
+def log_softmax_nll(s: Tensor, label: int) -> Tensor:
+    """-log softmax(s)[label] of a 1-D tensor, in stable log-sum-exp form."""
+    m = s.data.max()
+    lse = m + np.log(np.exp(s.data - m).sum())
+    soft = np.exp(s.data - lse)
 
     def backward(g):
-        return (g * soft,)
+        grad = g * soft
+        grad[label] += -g
+        return (grad,)
 
-    return Tensor._from_op(out_data, (a,), backward, "logsumexp")
+    return Tensor._from_op(lse + -s.data[label], (s,), backward,
+                           "log_softmax_nll")
+
+
+def squared_distance(a: Tensor, target: Tensor) -> Tensor:
+    """Squared Euclidean distance sum((a - target) ** 2)."""
+    d = a.data + -target.data
+
+    def backward(g):
+        grad = g * 2.0 * d
+        return (grad if a.requires_grad else None,
+                -grad if target.requires_grad else None)
+
+    return Tensor._from_op((d ** 2).sum(), (a, target), backward,
+                           "squared_distance")
 
 
 def layer_norm(a: Tensor, eps: float) -> Tensor:

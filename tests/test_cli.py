@@ -580,6 +580,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed -1 is outside" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "d_cap", 0),
+        ("loss", "lambda1", -1.0),
+        ("optimizer", "lr", -1.0),
+    ], ids=["d_cap", "lambda1", "lr"])
+    def test_ablate_setting_checked_before_dataset_generation(
+            self, tmp_path, capsys, monkeypatch, section, key, value):
+        calls = []
+        monkeypatch.setattr("hrt.cli.generate_synthetic",
+                            lambda *args: calls.append(args))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        rc = main(["ablate", "--out", str(tmp_path / "ablation.csv"),
+                   "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be" in err
+        assert calls == []
+
     def test_empty_training_split_is_validation_error(self, workspace,
                                                       tmp_path, capsys):
         data = tmp_path / "data"

@@ -5,7 +5,7 @@ import pytest
 
 from hrt import (LossConfig, SeededRng, Tensor, attribute_regression_loss,
                  calibration_loss, cross_entropy, gamma_profile, predict,
-                 total_loss)
+                 no_grad, total_loss)
 from hrt import DimensionError
 from hrt.cli import TINY_MODEL
 from hrt.data import SyntheticSpec, generate_synthetic
@@ -148,6 +148,30 @@ class TestTotalLoss:
         total.backward()
         missing = [n for n, p in model.params.items() if p.grad is None]
         assert missing == []
+
+    def test_graph_size_at_default_config(self, monkeypatch):
+        # a change that grows the graph of a training sample fails here
+        ds = generate_synthetic(SyntheticSpec(samples_per_class=2), seed=0)
+        model = HrtModel.build(ModelConfig(), ds.semantics.attr_vectors,
+                               ds.semantics.class_attr, seed=0)
+        i = ds.splits["train"][0]
+        built = []
+        from_op = Tensor._from_op
+
+        def counting(data, parents, backward, what):
+            built.append(what)
+            return from_op(data, parents, backward, what)
+
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
+        with no_grad():
+            model.forward(Tensor(ds.features[i]))
+        assert len(built) == 22
+        built.clear()
+        total_loss(model, ds.features[i], int(ds.labels[i]), LossConfig())
+        assert len(built) == 30
+        # one node per loss term, the calibration offset, and the weighted sum
+        assert built[22:] == ["log_softmax_nll", "add", "log_softmax_nll",
+                              "squared_distance", "mul", "add", "mul", "add"]
 
     @pytest.mark.parametrize("k_td", [1, 2, 3])
     def test_every_op_output_is_read_by_the_loss(self, monkeypatch, k_td):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrt import DimensionError, NumericError, SeededRng, Tensor
+from hrt import (DimensionError, NumericError, SeededRng, Tensor,
+                 attribute_regression_loss, grad_check)
 from hrt import tensor as T
 
 from oracles import naive_matmul
@@ -231,3 +232,37 @@ class TestBackwardBasics:
         (a + b).sum().backward()
         assert np.array_equal(a.grad, 2 * once)
         assert np.array_equal(b.grad, 2 * once)
+
+
+class TestLossOps:
+    """grad_check of the two loss ops with respect to their own inputs."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3], ids=["random", "spread"])
+    @pytest.mark.parametrize("label", [0, 5], ids=["first", "last"])
+    def test_log_softmax_nll_gradient(self, scale, label):
+        # spread by 1e3, softmax saturates to 0 and 1
+        s = Tensor(SeededRng(11).normal((6,), scale=scale), requires_grad=True)
+        report = grad_check(lambda: T.log_softmax_nll(s, label), {"s": s})
+        assert report.passed, report.summary()
+
+    def test_log_softmax_nll_saturates(self):
+        s = Tensor(SeededRng(11).normal((6,), scale=1e3), requires_grad=True)
+        label = int(np.argmin(s.data))
+        T.log_softmax_nll(s, label).backward()
+        expected = np.zeros(6)
+        expected[np.argmax(s.data)] = 1.0
+        expected[label] = -1.0
+        assert np.allclose(s.grad, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["array", "tensor"])
+    def test_squared_distance_gradient(self, wrap):
+        # attribute_regression_loss takes its target as an array or a Tensor
+        rng = SeededRng(12)
+        a = Tensor(rng.normal((6,)), requires_grad=True)
+        target = rng.normal((6,))
+        params = {"a": a}
+        if wrap:
+            target = params["target"] = Tensor(target, requires_grad=True)
+        report = grad_check(lambda: attribute_regression_loss(a, target),
+                            params)
+        assert report.passed, report.summary()

@@ -6,10 +6,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hrt import (DataFormatError, DimensionError, HrtModel, LossConfig,
-                 ModelConfig, OptimizerConfig, SyntheticSpec, Tensor,
-                 config_hash, gamma_profile, generate_synthetic,
+from hrt import (ConfigError, DataFormatError, DimensionError, HrtModel,
+                 LossConfig, ModelConfig, OptimizerConfig, SyntheticSpec,
+                 Tensor, config_hash, gamma_profile, generate_synthetic,
                  load_checkpoint, no_grad, save_checkpoint, total_loss, train,
                  write_history)
 from hrt.cli import TINY_MODEL
@@ -338,6 +340,59 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="header"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """(bytes of a valid TINY_MODEL checkpoint, its header length, a path
+    to write mutated copies to)."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(tiny_setup()[1], path)
+    raw = path.read_bytes()
+    return raw, struct.unpack("<Q", raw[4:12])[0], path
+
+
+class TestCheckpointFuzz:
+    """Whatever a checkpoint file holds, loading it returns a model or
+    raises one of the errors ``hrt`` reports with exit 1."""
+
+    ALLOWED = (DataFormatError, ConfigError, DimensionError)
+
+    def load(self, tiny_checkpoint, blob):
+        path = tiny_checkpoint[2]
+        path.write_bytes(blob)
+        try:
+            assert isinstance(load_checkpoint(path), HrtModel)
+        except self.ALLOWED:
+            pass
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated(self, tiny_checkpoint, data):
+        raw = tiny_checkpoint[0]
+        end = data.draw(st.integers(0, len(raw) - 1))
+        self.load(tiny_checkpoint, raw[:end])
+
+    @given(st.binary(min_size=1, max_size=64))
+    @settings(max_examples=30, deadline=None)
+    def test_extended(self, tiny_checkpoint, extra):
+        self.load(tiny_checkpoint, tiny_checkpoint[0] + extra)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_flipped(self, tiny_checkpoint, data):
+        # half of the flips land in the magic, length and JSON header, which
+        # are a small part of the file
+        raw, hlen, _ = tiny_checkpoint
+        header_end = 12 + hlen
+        position = st.one_of(st.integers(0, header_end - 1),
+                             st.integers(0, len(raw) - 1))
+        flips = data.draw(st.lists(st.tuples(position, st.integers(1, 255)),
+                                   min_size=1, max_size=4))
+        blob = bytearray(raw)
+        for i, mask in flips:
+            blob[i] ^= mask
+        self.load(tiny_checkpoint, bytes(blob))
 
 
 class TestCheckpointMemory:
