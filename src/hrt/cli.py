@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
 from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
-                     loss_config_for, model_config_for)
+                     loss_config_for)
 from .data import SyntheticSpec, generate_synthetic, load_features, save_dataset
 from .ablation import ablation_csv, run_ablation
 from .gradcheck import grad_check
@@ -26,8 +26,8 @@ from .model import HrtModel, ModelConfig
 from .optim import OptimizerConfig
 from .rng import check_seed
 from .tensor import Tensor, no_grad
-from .train import (load_checkpoint, save_checkpoint, total_loss, train,
-                    write_history)
+from .train import (load_checkpoint, save_checkpoint, total_loss,
+                    train_from_config, write_history)
 
 # tiny verification setup: small enough that a full finite-difference sweep of
 # every parameter finishes in seconds
@@ -71,13 +71,13 @@ def _check_matches(model: HrtModel, dataset, args) -> None:
                 f"hold different {name}")
 
 
-def _train_settings(config: dict, args) -> OptimizerConfig:
+def _train_settings(config: dict, args) -> None:
     """Apply ``--seed``, then check the model (with default dimensions),
     loss, optimizer and train sections before a dataset is read or
-    generated. Returns the optimizer config."""
-    ModelConfig(**config["model"]).validate()
+    generated."""
+    ModelConfig(**config["model"])
     LossConfig(**config["loss"])
-    optimizer = OptimizerConfig(**config["optimizer"])
+    OptimizerConfig(**config["optimizer"])
     if args.seed is not None:
         config["train"]["seed"] = args.seed
     epochs, batch_size = config["train"]["epochs"], config["train"]["batch_size"]
@@ -85,7 +85,6 @@ def _train_settings(config: dict, args) -> OptimizerConfig:
         raise ConfigError("need train.epochs >= 0 and train.batch_size >= 1, "
                           f"got {epochs} and {batch_size}")
     check_seed(config["train"]["seed"])
-    return optimizer
 
 
 def cmd_gen(args) -> int:
@@ -104,15 +103,9 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     out = _make_out(args.out)
-    optimizer = _train_settings(config, args)
+    _train_settings(config, args)
     dataset = load_features(args.data)
-    seed = config["train"]["seed"]
-    model = HrtModel.build(model_config_for(config, dataset),
-                           dataset.semantics.attr_vectors,
-                           dataset.semantics.class_attr, seed=seed)
-    history = train(dataset, model, loss_config_for(config, dataset),
-                    optimizer, epochs=config["train"]["epochs"], seed=seed,
-                    batch_size=config["train"]["batch_size"])
+    model, history = train_from_config(config, dataset)
     save_checkpoint(model, out / "model.ckpt", experiment_config=config)
     write_history(history, out / "history.csv")
     echo_config(config, out / "config.json")

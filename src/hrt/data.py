@@ -33,9 +33,10 @@ FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "test_seen", "test_unseen")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe parameters for the synthetic zero-shot task."""
+    """Recipe parameters for the synthetic zero-shot task. A recipe that
+    cannot be generated raises a ConfigError naming the field when built."""
 
     c_seen: int = 8
     c_unseen: int = 4
@@ -48,28 +49,29 @@ class SyntheticSpec:
     signal_patches_per_attribute: int = 2
     train_fraction: float = 0.75
 
-    def validate(self) -> None:
-        if self.c_seen < 2:
-            raise ConfigError("need at least 2 seen classes")
-        if self.c_unseen < 1:
-            raise ConfigError("need at least 1 unseen class")
-        if self.num_attributes < 2:
-            raise ConfigError("need at least 2 attributes")
-        if self.samples_per_class < 2:
-            raise ConfigError("need samples_per_class >= 2 for a train/test split")
-        for name in ("tau", "d_feat"):
-            if getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+    def __post_init__(self):
+        # samples_per_class 2 is the least that gives a train/test split
+        for name, least in (("c_seen", 2), ("c_unseen", 1),
+                            ("num_attributes", 2), ("r_patches", 1),
+                            ("d_feat", 1), ("tau", 1),
+                            ("samples_per_class", 2),
+                            ("signal_patches_per_attribute", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, "
+                                  f"got {getattr(self, name)}")
         if not self.noise_std >= 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if not 0 < self.train_fraction < 1:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.num_attributes > self.d_feat:
-            raise ConfigError("attribute bases need num_attributes <= d_feat")
-        if not 1 <= self.signal_patches_per_attribute <= self.r_patches:
-            raise ConfigError("signal_patches_per_attribute out of range")
+            raise ConfigError(
+                f"num_attributes must be <= d_feat {self.d_feat} (one "
+                f"attribute basis per feature), got {self.num_attributes}")
+        if self.signal_patches_per_attribute > self.r_patches:
+            raise ConfigError(
+                f"signal_patches_per_attribute must be <= r_patches "
+                f"{self.r_patches}, got {self.signal_patches_per_attribute}")
 
 
 @dataclass
@@ -115,7 +117,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
     would, so a seed gives the same dataset bytes as drawing each
     attribute's patches with ``choice``.
     """
-    spec.validate()
     rng = SeededRng(seed)
     a, d_feat, r = spec.num_attributes, spec.d_feat, spec.r_patches
     c_total = spec.c_seen + spec.c_unseen
@@ -259,7 +260,10 @@ def load_features(path) -> ZslDataset:
     path = Path(path)
     for name in ("meta.json", "features.bin", "attributes.csv", "splits.csv",
                  "semantics.csv"):
-        _require((path / name).exists(), f"missing dataset file {name}")
+        file = path / name
+        _require(file.exists(), f"missing dataset file {file}")
+        # opening a named pipe would wait for a writer
+        _require(file.is_file(), f"dataset file {file} is not a regular file")
     try:
         meta = json.loads(_read_text(path / "meta.json"))
     except (json.JSONDecodeError, RecursionError) as e:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError
 from . import tensor as T
 from .tensor import Tensor
 from .routing import (batched_em_routing, batched_primary_capsules,
@@ -40,9 +39,6 @@ def encode(patch_features: Tensor, compact: Tensor, proj: Tensor,
     attribute capsules, and vote_transforms [A, d_cap, d_cap] and iterations
     drive the top-down routing.
     """
-    if patch_features.data.ndim != 2:
-        raise DimensionError(
-            f"patch features must be [R, D_feat], got {patch_features.shape}")
     poses, acts = batched_primary_capsules(patch_features, proj, act_proj)
     g_poses = batched_em_routing(poses, acts)                       # [R, d]
     agreement = inverted_routing(g_poses, compact, vote_transforms,

@@ -15,9 +15,10 @@ from .decoder import (adjust_class_attributes, class_scores,
 from .semantics import COMPACTION_METHODS, SemanticSpace, compact_semantics
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Shape and routing configuration; desk-scale defaults."""
+    """Shape and routing configuration; desk-scale defaults. A config that
+    is out of range raises a ConfigError when built."""
 
     d_feat: int = 64
     num_attributes: int = 12
@@ -29,7 +30,7 @@ class ModelConfig:
     k_td: int = 2
     compaction: str = "factor-analysis"  # or "pca"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("d_feat", "num_attributes", "num_classes", "tau",
                      "d_cap", "n_primary", "k_em", "k_td"):
             if getattr(self, name) < 1:
@@ -74,10 +75,8 @@ def array_layout(c: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def _check_semantic_shapes(config: ModelConfig,
                            arrays: dict[str, np.ndarray]) -> None:
-    """Validate ``config``, then raise a ConfigError naming the first of the
-    semantic ``arrays`` (keyed as in ``array_layout``) whose shape the
-    config does not give."""
-    config.validate()
+    """Raise a ConfigError naming the first of the semantic ``arrays``
+    (keyed as in ``array_layout``) whose shape ``config`` does not give."""
     layout = array_layout(config)
     for name, array in arrays.items():
         if np.shape(array) != layout[name]:

@@ -20,9 +20,8 @@ Design notes:
     in which the contributions to a shared node's gradient are summed.  Float
     addition is not associative, so the visiting order is part of the byte
     contract: changing it changes trained weights in the last bits.
-  * each loss term is one node whose backward forms, bit for bit, the sum the
-    composed ops formed; Tensor subtraction and indexing, ``logsumexp``,
-    ``take``, ``square`` and ``neg`` are gone.
+  * each loss term is one node (``log_softmax_nll``, ``squared_distance``)
+    with its own backward.
 """
 
 from __future__ import annotations

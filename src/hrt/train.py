@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError
-from .config import DEFAULTS, fits_type
+from .config import DEFAULTS, fits_type, loss_config_for, model_config_for
 from .tensor import Tensor, as_tensor
 from .rng import SEED_BOUND, SeededRng
 from .model import ForwardResult, HrtModel, ModelConfig, array_layout
@@ -115,6 +115,22 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
     return history
 
 
+def train_from_config(config: dict,
+                      dataset) -> tuple[HrtModel, list[EpochStats]]:
+    """Build the model a resolved experiment config gives for ``dataset``,
+    initialised from ``train.seed``, and train it as ``config`` says. Both
+    ``hrt train`` and each ``hrt ablate`` row take this path."""
+    settings = config["train"]
+    model = HrtModel.build(model_config_for(config, dataset),
+                           dataset.semantics.attr_vectors,
+                           dataset.semantics.class_attr, seed=settings["seed"])
+    history = train(dataset, model, loss_config_for(config, dataset),
+                    OptimizerConfig(**config["optimizer"]),
+                    epochs=settings["epochs"], seed=settings["seed"],
+                    batch_size=settings["batch_size"])
+    return model, history
+
+
 def write_history(history: list[EpochStats], path) -> None:
     lines = [HISTORY_HEADER] + [h.csv_row() for h in history]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -181,11 +197,13 @@ def _field(header, name: str, kind: type):
 
 
 def load_checkpoint(path) -> HrtModel:
+    # the type is checked before the file is opened: opening a named pipe
+    # waits for a writer
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        raise DataFormatError(f"checkpoint {path} is not a regular file")
+    size = st.st_size
     with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise DataFormatError(f"checkpoint {path} is not a regular file")
-        size = st.st_size
         head = fh.read(12)
         if head[:4] != CHECKPOINT_MAGIC:
             raise DataFormatError("not a model checkpoint (bad magic)")
@@ -243,10 +261,8 @@ def _header_config(header) -> tuple[ModelConfig, int]:
             fits_type(model_config[k], kind) for k, kind in kinds.items()):
         raise DataFormatError("checkpoint header field 'model_config' does "
                               f"not match ModelConfig: {model_config}")
-    config = ModelConfig(**model_config)
     try:
-        config.validate()
+        return ModelConfig(**model_config), seed
     except ConfigError as e:
         raise DataFormatError(
             f"checkpoint header field 'model_config': {e}") from e
-    return config, seed

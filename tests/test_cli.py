@@ -1,14 +1,22 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hrt import config_hash, load_checkpoint, save_checkpoint
-from hrt.cli import main
+from hrt.cli import build_parser, main
+from hrt.config import DEFAULTS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 NOT_UTF8 = b"a0,a1\n\xff\xfe,1\n"
 # deeper than the JSON decoder's recursion limit
@@ -463,6 +471,38 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert ckpt in err and "0-byte" not in err
 
+    # in a subprocess with a timeout, as opening a named pipe blocks until
+    # a writer comes: a command that opens one fails here instead of hanging
+    @pytest.mark.parametrize("kind", ["checkpoint-fifo", "checkpoint-directory",
+                                      "checkpoint-device", "splits-fifo"])
+    def test_input_that_is_not_a_regular_file_fails_without_opening(
+            self, workspace, tmp_path, kind):
+        data = workspace / "data"
+        if kind == "splits-fifo":
+            data = tmp_path / "data"
+            shutil.copytree(workspace / "data", data)
+            (data / "splits.csv").unlink()
+            os.mkfifo(data / "splits.csv")
+            path = str(data / "splits.csv")
+            argv = ["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                    "--config", str(workspace / "config.json")]
+        else:
+            path = {"checkpoint-fifo": str(tmp_path / "model.ckpt"),
+                    "checkpoint-directory": str(tmp_path),
+                    "checkpoint-device": os.devnull}[kind]
+            if kind == "checkpoint-fifo":
+                os.mkfifo(path)
+            argv = ["eval", "--checkpoint", path, "--data", str(data),
+                    "--out", str(tmp_path / "eval")]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from hrt.cli import main; sys.exit(main())", *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert f"{path} is not a regular file" in proc.stderr
+
     @pytest.mark.parametrize("command,out_name", [
         *(pytest.param(c, "blocker/out", id=c)
           for c in ("eval", "train", "gen", "report", "ablate")),
@@ -476,8 +516,8 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             pytest.fail(f"{command} did work although --out is unusable")
 
-        for name in ("generate_synthetic", "load_checkpoint", "train",
-                     "evaluate", "run_ablation"):
+        for name in ("generate_synthetic", "load_checkpoint",
+                     "train_from_config", "evaluate", "run_ablation"):
             monkeypatch.setattr(f"hrt.cli.{name}", no_work)
         (tmp_path / "blocker").write_text("")
         (tmp_path / "a_dir").mkdir()
@@ -498,12 +538,24 @@ class TestExitCodes:
         assert err.startswith("error:") and str(out) in err
         assert "Traceback" not in err
 
+    # one case per rule of SyntheticSpec
     @pytest.mark.parametrize("synthetic,key", [
         ({"tau": 0}, "tau"),
         ({"d_feat": 0}, "d_feat"),
         ({"noise_std": -1.0}, "noise_std"),
         ({"train_fraction": -3.0}, "train_fraction"),
-    ], ids=["tau", "d_feat", "noise_std", "train_fraction"])
+        ({"c_seen": 1}, "c_seen"),
+        ({"c_unseen": 0}, "c_unseen"),
+        ({"num_attributes": 1}, "num_attributes"),
+        ({"r_patches": 0}, "r_patches"),
+        ({"samples_per_class": 1}, "samples_per_class"),
+        ({"signal_patches_per_attribute": 0}, "signal_patches_per_attribute"),
+        ({"d_feat": 8}, "num_attributes"),
+        ({"signal_patches_per_attribute": 10}, "signal_patches_per_attribute"),
+    ], ids=["tau", "d_feat", "noise_std", "train_fraction", "c_seen",
+            "c_unseen", "num_attributes", "r_patches", "samples_per_class",
+            "signal_patches", "attributes_above_d_feat",
+            "signal_patches_above_r_patches"])
     def test_impossible_synthetic_recipe_names_the_key(
             self, tmp_path, capsys, synthetic, key):
         cfg = tmp_path / "config.json"
@@ -513,6 +565,9 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{key} must be" in err
+        # the value at fault is given, and it is the key's own
+        value = synthetic.get(key, DEFAULTS["synthetic"][key])
+        assert err.rstrip().endswith(f"got {value}")
         assert "Traceback" not in err
         assert not (tmp_path / "data" / "meta.json").exists()
 
@@ -737,3 +792,27 @@ class TestAblate:
         assert exc.value.code == 2
         assert "k_em" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_readme_synopsis_matches_parser():
+    # the README's CLI synopsis lists every subcommand and flag, with the
+    # optional ones in brackets
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    documented = {}
+    for line in block.split("```", 1)[0].splitlines():
+        _, command, usage = line.split(maxsplit=2)
+        optional = set(re.findall(r"\[(--[\w-]+)", usage))
+        required = set(re.findall(r"--[\w-]+",
+                                  re.sub(r"\[[^]]*\]", "", usage)))
+        documented[command] = required, optional
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsed = {}
+    for command, parser in subparsers.choices.items():
+        flags = [a for a in parser._actions
+                 if a.option_strings and a.dest != "help"]
+        parsed[command] = ({a.option_strings[0] for a in flags if a.required},
+                           {a.option_strings[0] for a in flags
+                            if not a.required})
+    assert documented == parsed

@@ -44,3 +44,15 @@ def test_pose_mode_is_an_unknown_key():
     # the primary poses vote as they are; there is no pose layout to pick
     with pytest.raises(ConfigError, match="unknown config key 'model.pose_mode'"):
         load_config(overrides={"model": {"pose_mode": "vector"}})
+
+
+def test_section_that_is_not_an_object_rejected():
+    with pytest.raises(ConfigError, match="config key 'model' must be an object"):
+        load_config(overrides={"model": 3})
+
+
+def test_config_file_that_is_not_an_object_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must hold a JSON object"):
+        load_config(path)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrt import (ConfigError, DataFormatError, HrtModel, LossConfig,
-                 ModelConfig, OptimizerConfig, SyntheticSpec, evaluate,
-                 generate_synthetic, load_features, save_dataset, train)
+from hrt import (ConfigError, DataFormatError, DimensionError, HrtModel,
+                 LossConfig, ModelConfig, OptimizerConfig, SyntheticSpec,
+                 evaluate, generate_synthetic, load_features, save_dataset,
+                 train)
 from hrt.config import dataset_dims
 from helpers import WIDE_GRID, peak_traced_bytes
 from oracles import synthetic_oracle
@@ -54,7 +55,7 @@ class TestGenerateSynthetic:
 
     def test_no_unseen_classes_rejected(self):
         with pytest.raises(ConfigError):
-            small_spec(c_unseen=0).validate()
+            small_spec(c_unseen=0)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ConfigError):
@@ -220,6 +221,59 @@ class TestRoundtrip:
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(DataFormatError, match="columns"):
             load_features(tmp_path / "d")
+
+
+TEXT_FILES = ("meta.json", "attributes.csv", "semantics.csv", "splits.csv")
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset_dir(tmp_path_factory):
+    """(the bytes of each text file of a small saved dataset, its
+    directory): a test may rewrite a file if it puts the bytes back."""
+    path = tmp_path_factory.mktemp("fuzz") / "d"
+    save_dataset(generate_synthetic(small_spec(), seed=7), path)
+    return {name: (path / name).read_bytes() for name in TEXT_FILES}, path
+
+
+class TestLoaderFuzz:
+    """Whatever a dataset's text files hold, loading it returns a dataset
+    or raises one of the errors ``hrt`` reports with exit 1."""
+
+    ALLOWED = (DataFormatError, ConfigError, DimensionError)
+
+    def load(self, tiny_dataset_dir, name, blob):
+        raw, path = tiny_dataset_dir
+        (path / name).write_bytes(blob)
+        try:
+            load_features(path)
+        except self.ALLOWED:
+            pass
+        finally:
+            (path / name).write_bytes(raw[name])
+
+    @given(st.sampled_from(TEXT_FILES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated(self, tiny_dataset_dir, name, data):
+        raw = tiny_dataset_dir[0][name]
+        end = data.draw(st.integers(0, len(raw) - 1))
+        self.load(tiny_dataset_dir, name, raw[:end])
+
+    @given(st.sampled_from(TEXT_FILES), st.binary(min_size=1, max_size=32))
+    @settings(max_examples=40, deadline=None)
+    def test_extended(self, tiny_dataset_dir, name, extra):
+        raw = tiny_dataset_dir[0][name]
+        self.load(tiny_dataset_dir, name, raw + extra)
+
+    @given(st.sampled_from(TEXT_FILES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_flipped(self, tiny_dataset_dir, name, data):
+        blob = bytearray(tiny_dataset_dir[0][name])
+        flips = data.draw(st.lists(
+            st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)),
+            min_size=1, max_size=4))
+        for i, mask in flips:
+            blob[i] ^= mask
+        self.load(tiny_dataset_dir, name, bytes(blob))
 
 
 class TestMemory:

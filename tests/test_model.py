@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,15 @@ def tiny_semantics():
     return SemanticSpace(attr_vectors=rng.normal(size=(a, TINY_MODEL["tau"])),
                          compact_vectors=rng.normal(size=(a, TINY_MODEL["d_cap"])),
                          class_attr=rng.uniform(size=(c, a)))
+
+
+@pytest.mark.parametrize("config_class,field", [
+    (ModelConfig, "d_cap"), (SyntheticSpec, "c_unseen")])
+def test_config_checks_itself_when_built_and_is_frozen(config_class, field):
+    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+        config_class(**{field: 0})
+    with pytest.raises(FrozenInstanceError):
+        setattr(config_class(), field, 0)
 
 
 def fail(what):
