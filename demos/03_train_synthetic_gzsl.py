@@ -13,26 +13,20 @@ seen classes only and then evaluate:
 Runs in about half a minute on one core.
 """
 
-import numpy as np
+from hrt import evaluate, generate_synthetic, harmonic_mean
+from hrt.config import gamma_offsets, load_config, synthetic_spec_for
+from hrt.train import train_from_config
 
-from hrt import (HrtModel, LossConfig, ModelConfig, OptimizerConfig,
-                 SyntheticSpec, evaluate, gamma_profile, generate_synthetic,
-                 harmonic_mean, train)
-
-spec = SyntheticSpec(c_seen=8, c_unseen=4, num_attributes=12, r_patches=9,
-                     d_feat=64, tau=32, samples_per_class=40, noise_std=0.1)
-ds = generate_synthetic(spec, seed=0)
+# the default experiment config (the default synthetic task, model, loss and
+# optimizer) with a short training run
+config = load_config(overrides={"train": {"epochs": 12}})
+ds = generate_synthetic(*synthetic_spec_for(config))
 print(f"dataset: {ds.features.shape[0]} samples, "
       f"{len(ds.seen_classes)} seen / {len(ds.unseen_classes)} unseen classes")
 
-model = HrtModel.build(
-    ModelConfig(d_feat=64, num_attributes=12, num_classes=12, tau=32),
-    ds.semantics.attr_vectors, ds.semantics.class_attr, seed=0)
-
-gamma = gamma_profile(12, ds.seen_classes, ds.unseen_classes)
-history = train(ds, model,
-                LossConfig(lambda1=0.1, lambda2=0.033, gamma_per_class=gamma),
-                OptimizerConfig(), epochs=12, seed=0)
+model, history = train_from_config(config, ds)
+gamma = gamma_offsets(config, ds.semantics.num_classes, ds.seen_classes,
+                      ds.unseen_classes)
 
 print()
 print("epoch   L_ce    L_cal   L_reg   total   train_acc")

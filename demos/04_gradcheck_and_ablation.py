@@ -11,31 +11,17 @@ Two maintenance tools in one tour:
      closed form, so k_em does not change the model.
 
 Both are the same code paths the `hrt gradcheck` and `hrt ablate` commands
-use.
+use: `check_model_gradients` and `run_ablation`.
 """
 
-from hrt import (HrtModel, LossConfig, ModelConfig, SyntheticSpec,
-                 gamma_profile, generate_synthetic, grad_check,
-                 run_ablation, total_loss)
-from hrt.config import load_config
+from hrt import generate_synthetic, grad_check, run_ablation
+from hrt.config import load_config, synthetic_spec_for
+from hrt.gradcheck import check_model_gradients
 
 # --- gradient check on a tiny model ---------------------------------------
-spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
-                     d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
-                     signal_patches_per_attribute=1)
-ds = generate_synthetic(spec, seed=0)
-model = HrtModel.build(
-    ModelConfig(d_feat=16, num_attributes=6, num_classes=7, tau=8, d_cap=8,
-                n_primary=8, k_em=2, k_td=2, compaction="pca"),
-    ds.semantics.attr_vectors, ds.semantics.class_attr, seed=0)
-
-gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
-cfg = LossConfig(lambda1=0.1, lambda2=0.033, gamma_per_class=gamma)
-i = ds.splits["train"][0]
-x, label = ds.features[i], int(ds.labels[i])
-
-report = grad_check(lambda: total_loss(model, x, label, cfg)[0],
-                    model.params, h=1e-5, tol=1e-4)
+# the tiny problem at seed 0 with the default loss weights and the default
+# step and tolerance: exactly what `hrt gradcheck` runs
+report = check_model_gradients(load_config(), 0, **grad_check.__kwdefaults__)
 print(report.summary())
 print()
 
@@ -47,8 +33,7 @@ config = load_config(overrides={
                   "r_patches": 4, "d_feat": 16, "tau": 8,
                   "samples_per_class": 8},
 })
-ds_small = generate_synthetic(SyntheticSpec(**{
-    k: v for k, v in config["synthetic"].items() if k != "seed"}), seed=0)
+ds_small = generate_synthetic(*synthetic_spec_for(config))
 
 print("sweep over k_td:")
 print("  value    tr      ts      h")

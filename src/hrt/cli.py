@@ -16,37 +16,27 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
 from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
-                     loss_config_for)
-from .data import SyntheticSpec, generate_synthetic, load_features, save_dataset
+                     synthetic_spec_for)
+from .data import generate_synthetic, load_features, save_dataset
 from .ablation import ablation_csv, run_ablation
-from .gradcheck import grad_check
+from .gradcheck import check_model_gradients, grad_check
 from .losses import LossConfig
 from .metrics import evaluate
 from .model import HrtModel, ModelConfig
 from .optim import OptimizerConfig
 from .rng import check_seed
 from .tensor import Tensor, no_grad
-from .train import (load_checkpoint, save_checkpoint, total_loss,
-                    train_from_config, write_history)
-
-# tiny verification setup: small enough that a full finite-difference sweep of
-# every parameter finishes in seconds
-TINY_MODEL = dict(d_feat=16, num_attributes=6, num_classes=7, tau=8, d_cap=8,
-                  n_primary=8, k_em=2, k_td=2, compaction="pca")
-
-
-def _synthetic_spec(config: dict) -> tuple[SyntheticSpec, int]:
-    params = dict(config["synthetic"])
-    seed = params.pop("seed")
-    return SyntheticSpec(**params), seed
+from .train import (load_checkpoint, save_checkpoint, train_from_config,
+                    write_history)
 
 
 def _make_out(path: str, is_file: bool = False) -> Path:
     """Create the ``--out`` directory (or, for a file, its parent) before any
     work is done, so an unusable path fails fast and is named as given."""
     out = Path(path)
-    if is_file and out.is_dir():
-        raise ConfigError(f"--out {path} is a directory, not a file")
+    # writing to a named pipe would wait for a reader
+    if is_file and out.exists() and not out.is_file():
+        raise ConfigError(f"--out {path} is not a regular file")
     try:
         (out.parent if is_file else out).mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -92,8 +82,7 @@ def cmd_gen(args) -> int:
     _make_out(args.out)
     if args.seed is not None:
         config["synthetic"]["seed"] = args.seed
-    spec, seed = _synthetic_spec(config)
-    dataset = generate_synthetic(spec, seed)
+    dataset = generate_synthetic(*synthetic_spec_for(config))
     save_dataset(dataset, args.out)
     echo_config(config, Path(args.out) / "config.json")
     print(f"wrote {dataset.features.shape[0]} samples to {args.out}")
@@ -137,19 +126,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--h must be a positive finite number, got {args.h}")
     if not args.tol >= 0:
         raise ConfigError(f"--tol must be >= 0, got {args.tol}")
-    config = load_config(args.config)
-    spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
-                         d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
-                         signal_patches_per_attribute=1)
-    dataset = generate_synthetic(spec, seed=args.seed)
-    model = HrtModel.build(ModelConfig(**TINY_MODEL),
-                           dataset.semantics.attr_vectors,
-                           dataset.semantics.class_attr, seed=args.seed)
-    loss_config = loss_config_for(config, dataset)
-    i = dataset.splits["train"][0]
-    x, label = dataset.features[i], int(dataset.labels[i])
-    report = grad_check(lambda: total_loss(model, x, label, loss_config)[0],
-                        model.params, h=args.h, tol=args.tol)
+    report = check_model_gradients(load_config(args.config), args.seed,
+                                   h=args.h, tol=args.tol)
     print(report.summary())
     return 0 if report.passed else 2
 
@@ -161,8 +139,7 @@ def cmd_ablate(args) -> int:
     if args.data:
         dataset = load_features(args.data)
     else:
-        spec, seed = _synthetic_spec(config)
-        dataset = generate_synthetic(spec, seed)
+        dataset = generate_synthetic(*synthetic_spec_for(config))
     rows = run_ablation(dataset, config)
     out.write_text(ablation_csv(rows), encoding="utf-8")
     echo_config(config, out.with_name(out.stem + ".config.json"))

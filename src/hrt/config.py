@@ -12,6 +12,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import stat
 from dataclasses import fields
 from pathlib import Path
 
@@ -75,6 +77,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
+            # opening a named pipe would wait for a writer
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                raise ConfigError(f"config {path} is not a regular file")
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError,
                 RecursionError) as e:
@@ -103,6 +108,13 @@ def dataset_dims(dataset) -> dict:
 def model_config_for(config: dict, dataset) -> ModelConfig:
     """Combine configured routing settings with the dataset's dimensions."""
     return ModelConfig(**dataset_dims(dataset), **config["model"])
+
+
+def synthetic_spec_for(config: dict) -> tuple[SyntheticSpec, int]:
+    """The configured synthetic recipe and the seed to generate it from."""
+    params = dict(config["synthetic"])
+    seed = params.pop("seed")
+    return SyntheticSpec(**params), seed
 
 
 def loss_config_for(config: dict, dataset) -> LossConfig:

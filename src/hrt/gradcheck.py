@@ -4,6 +4,9 @@ Central differences (f(x+h) - f(x-h)) / 2h are compared against the gradients
 produced by reverse-mode accumulation, per parameter group. The relative error
 uses a unit floor in the denominator so that near-zero gradient pairs compare
 on absolute terms.
+
+``check_model_gradients`` runs the check over the full training loss of the
+tiny problem (``TINY_SPEC`` and ``TINY_MODEL``), as ``hrt gradcheck`` does.
 """
 
 from __future__ import annotations
@@ -13,8 +16,20 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .config import loss_config_for
+from .data import SyntheticSpec, ZslDataset, generate_synthetic
 from .errors import NumericError
+from .model import HrtModel, ModelConfig
 from .tensor import Tensor, no_grad
+from .train import total_loss
+
+# the tiny problem: small enough that a full finite-difference sweep of every
+# parameter finishes in seconds
+TINY_SPEC = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
+                          d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
+                          signal_patches_per_attribute=1)
+TINY_MODEL = dict(d_feat=16, num_attributes=6, num_classes=7, tau=8, d_cap=8,
+                  n_primary=8, k_em=2, k_td=2, compaction="pca")
 
 
 @dataclass
@@ -76,3 +91,26 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor], *,
     max_rel = max(per_group.values()) if per_group else 0.0
     return GradCheckReport(passed=max_rel <= tol, tol=tol, h=h,
                            max_rel_error=max_rel, per_group=per_group)
+
+
+def tiny_problem(seed: int) -> tuple[ZslDataset, HrtModel]:
+    """The ``TINY_SPEC`` dataset and a ``TINY_MODEL`` over it, both drawn
+    from ``seed``."""
+    dataset = generate_synthetic(TINY_SPEC, seed)
+    model = HrtModel.build(ModelConfig(**TINY_MODEL),
+                           dataset.semantics.attr_vectors,
+                           dataset.semantics.class_attr, seed=seed)
+    return dataset, model
+
+
+def check_model_gradients(config: dict, seed: int, *, h: float,
+                          tol: float) -> GradCheckReport:
+    """Check every parameter's gradient of the training loss, with the
+    ``loss`` and ``gamma`` sections of ``config``, on the first ``train``
+    sample of ``tiny_problem(seed)``."""
+    dataset, model = tiny_problem(seed)
+    loss_config = loss_config_for(config, dataset)
+    i = dataset.splits["train"][0]
+    x, label = dataset.features[i], int(dataset.labels[i])
+    return grad_check(lambda: total_loss(model, x, label, loss_config)[0],
+                      model.params, h=h, tol=tol)

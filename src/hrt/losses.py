@@ -11,7 +11,7 @@ from . import tensor as T
 from .tensor import Tensor, as_tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     lambda1: float = 0.1        # weight of the calibration term
     lambda2: float = 0.033      # weight of the attribute regression term
@@ -22,9 +22,6 @@ class LossConfig:
             if not getattr(self, name) >= 0:
                 raise ConfigError(
                     f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.gamma_per_class is not None:
-            self.gamma_per_class = np.asarray(self.gamma_per_class,
-                                              dtype=np.float64)
 
 
 def gamma_profile(num_classes: int, seen_classes, unseen_classes, *,

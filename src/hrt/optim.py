@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericError
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     lr: float = 1e-3
     momentum: float = 0.9

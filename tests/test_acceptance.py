@@ -12,9 +12,11 @@ import numpy as np
 from hrt import (HrtModel, LossConfig, ModelConfig, OptimizerConfig,
                  SeededRng, SyntheticSpec, Tensor, calibration_loss,
                  cross_entropy, encode, evaluate, gamma_profile, generate_synthetic,
-                 grad_check, harmonic_mean, inverted_routing, predict,
-                 run_ablation, total_loss, train)
-from hrt.cli import TINY_MODEL, main
+                 harmonic_mean, inverted_routing, predict, run_ablation,
+                 total_loss, train)
+from hrt.cli import main
+from hrt.config import load_config, synthetic_spec_for
+from hrt.gradcheck import check_model_gradients, tiny_problem
 from hrt.routing import batched_em_routing, batched_primary_capsules
 
 from oracles import (em_routing_oracle, fold_vote_transforms,
@@ -28,28 +30,11 @@ def check(capsys, name, ok, detail=""):
     assert ok, f"{name}{': ' + detail if detail else ''}"
 
 
-def tiny_gradcheck_setup(seed=0):
-    spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
-                         d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
-                         signal_patches_per_attribute=1)
-    ds = generate_synthetic(spec, seed)
-    model = HrtModel.build(ModelConfig(**TINY_MODEL),
-                           ds.semantics.attr_vectors, ds.semantics.class_attr,
-                           seed=seed)
-    return ds, model
-
-
 def test_gradient_suite(capsys):
     # tiny configuration: R=4, D_feat=16, d=8 capsules, A=6, C_s=5,
     # C_u=2, tau=8, k_EM=2, k_TD=2; full loss with the default weights
-    ds, model = tiny_gradcheck_setup()
-    gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
-    cfg = LossConfig(lambda1=0.1, lambda2=0.033, gamma_per_class=gamma)
-    i = ds.splits["train"][0]
-    x, label = ds.features[i], int(ds.labels[i])
     start = time.monotonic()
-    report = grad_check(lambda: total_loss(model, x, label, cfg)[0],
-                        model.params, h=1e-5, tol=1e-4)
+    report = check_model_gradients(load_config(), 0, h=1e-5, tol=1e-4)
     elapsed = time.monotonic() - start
     ok = report.passed and elapsed < 60.0
     check(capsys, "gradient suite",
@@ -148,7 +133,7 @@ def test_loss_identities(capsys):
                    - cross_entropy(Tensor(s), label).item())
         ok = ok and diff < 1e-10
     # total-loss decomposition additivity
-    ds, model = tiny_gradcheck_setup(seed=3)
+    ds, model = tiny_problem(3)
     gamma = gamma_profile(7, ds.seen_classes, ds.unseen_classes)
     cfg = LossConfig(lambda1=0.1, lambda2=0.033, gamma_per_class=gamma)
     i = ds.splits["train"][0]
@@ -250,7 +235,6 @@ def test_determinism(capsys, tmp_path):
 
 
 def test_ablation_harness(capsys):
-    from hrt.config import load_config
     config = load_config(overrides={
         "model": {"d_cap": 4, "n_primary": 8, "compaction": "pca"},
         "train": {"epochs": 1, "batch_size": 8},
@@ -258,8 +242,7 @@ def test_ablation_harness(capsys):
                       "r_patches": 4, "d_feat": 12, "tau": 8,
                       "samples_per_class": 4},
     })
-    ds = generate_synthetic(SyntheticSpec(**{
-        k: v for k, v in config["synthetic"].items() if k != "seed"}), seed=0)
+    ds = generate_synthetic(*synthetic_spec_for(config))
     rows = run_ablation(ds, config)
     finite = all(np.all(np.isfinite([r["tr"], r["ts"], r["h"]]))
                  for r in rows)

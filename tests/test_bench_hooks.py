@@ -8,7 +8,7 @@ load the hooks module as it is and install its hooks over the package.
 import ast
 import importlib.util
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +81,10 @@ def test_traced_epoch_keeps_the_bench_contract(hooks):
     ``train_default`` run, on one epoch of a tiny dataset: per sample one
     forward pass, one backward pass and one call of each loss, one optimizer
     step per minibatch, and the same op counts for every sample."""
-    from hrt import (HrtModel, LossConfig, ModelConfig, SyntheticSpec,
-                     generate_synthetic, train)
-    from hrt.cli import TINY_MODEL
+    from hrt import HrtModel, LossConfig, generate_synthetic, train
+    from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 
-    spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
-                         d_feat=16, tau=8, samples_per_class=4, noise_std=0.1,
-                         signal_patches_per_attribute=1)
-    dataset = generate_synthetic(spec, 0)
+    dataset = generate_synthetic(replace(TINY_SPEC, samples_per_class=4), 0)
     model = HrtModel.build(ModelConfig(**TINY_MODEL),
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=0)
@@ -132,14 +128,12 @@ def bench_workloads() -> dict:
 @pytest.mark.parametrize("name", sorted(bench_workloads()))
 def test_workload_overlay_builds_a_model_config(name):
     # a config key the benchmark still sets must stay loadable
-    from hrt import SyntheticSpec, generate_synthetic
-    from hrt.config import load_config, model_config_for
+    from hrt import generate_synthetic
+    from hrt.config import load_config, model_config_for, synthetic_spec_for
 
     _kind, overlay = bench_workloads()[name]
     config = load_config(overrides=overlay)
-    params = dict(config["synthetic"])
-    seed = params.pop("seed")
-    dataset = generate_synthetic(SyntheticSpec(**params), seed)
+    dataset = generate_synthetic(*synthetic_spec_for(config))
     model_config_for(config, dataset)
 
 

@@ -472,28 +472,38 @@ class TestExitCodes:
         assert ckpt in err and "0-byte" not in err
 
     # in a subprocess with a timeout, as opening a named pipe blocks until
-    # a writer comes: a command that opens one fails here instead of hanging
+    # a writer (or, to write, a reader) comes: a command that opens one fails
+    # here instead of hanging
     @pytest.mark.parametrize("kind", ["checkpoint-fifo", "checkpoint-directory",
-                                      "checkpoint-device", "splits-fifo"])
+                                      "checkpoint-device", "splits-fifo",
+                                      "config-fifo", "report-out-fifo",
+                                      "ablate-out-fifo"])
     def test_input_that_is_not_a_regular_file_fails_without_opening(
             self, workspace, tmp_path, kind):
         data = workspace / "data"
+        checkpoint = str(workspace / "run" / "model.ckpt")
+        config = str(workspace / "config.json")
+        fifo = str(tmp_path / "named.pipe")
         if kind == "splits-fifo":
             data = tmp_path / "data"
             shutil.copytree(workspace / "data", data)
             (data / "splits.csv").unlink()
-            os.mkfifo(data / "splits.csv")
-            path = str(data / "splits.csv")
-            argv = ["train", "--data", str(data), "--out", str(tmp_path / "run"),
-                    "--config", str(workspace / "config.json")]
-        else:
-            path = {"checkpoint-fifo": str(tmp_path / "model.ckpt"),
-                    "checkpoint-directory": str(tmp_path),
-                    "checkpoint-device": os.devnull}[kind]
-            if kind == "checkpoint-fifo":
-                os.mkfifo(path)
-            argv = ["eval", "--checkpoint", path, "--data", str(data),
-                    "--out", str(tmp_path / "eval")]
+            fifo = str(data / "splits.csv")
+        path = {"checkpoint-directory": str(tmp_path),
+                "checkpoint-device": os.devnull}.get(kind, fifo)
+        if path == fifo:
+            os.mkfifo(path)
+        argv = {
+            "splits-fifo": ["train", "--data", str(data), "--config", config,
+                            "--out", str(tmp_path / "run")],
+            "config-fifo": ["gen", "--config", path,
+                            "--out", str(tmp_path / "gen")],
+            "report-out-fifo": ["report", "--checkpoint", checkpoint,
+                                "--data", str(data), "--out", path],
+            "ablate-out-fifo": ["ablate", "--data", str(data),
+                                "--config", config, "--out", path],
+        }.get(kind, ["eval", "--checkpoint", path, "--data", str(data),
+                     "--out", str(tmp_path / "eval")])
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from hrt.cli import main; sys.exit(main())", *argv],

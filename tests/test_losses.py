@@ -7,8 +7,8 @@ from hrt import (LossConfig, SeededRng, Tensor, attribute_regression_loss,
                  calibration_loss, cross_entropy, gamma_profile, predict,
                  no_grad, total_loss)
 from hrt import DimensionError
-from hrt.cli import TINY_MODEL
 from hrt.data import SyntheticSpec, generate_synthetic
+from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 from hrt.model import HrtModel, ModelConfig
 
 
@@ -23,10 +23,7 @@ def bigfloat_cross_entropy(s, label, gamma=None):
 
 
 def tiny_model_and_sample(seed=0, **model):
-    spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
-                         d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
-                         signal_patches_per_attribute=1)
-    ds = generate_synthetic(spec, seed)
+    ds = generate_synthetic(TINY_SPEC, seed)
     model = HrtModel.build(ModelConfig(**{**TINY_MODEL, **model}),
                            ds.semantics.attr_vectors, ds.semantics.class_attr,
                            seed=seed)

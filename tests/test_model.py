@@ -3,11 +3,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from hrt import (ConfigError, HrtModel, ModelConfig, NumericError,
-                 SyntheticSpec, Tensor, generate_synthetic, load_features,
-                 no_grad, save_dataset)
-from hrt.cli import TINY_MODEL
+from hrt import (ConfigError, HrtModel, LossConfig, ModelConfig,
+                 NumericError, OptimizerConfig, SyntheticSpec, Tensor,
+                 generate_synthetic, load_features, no_grad, save_dataset)
 from hrt.config import dataset_dims
+from hrt.gradcheck import TINY_MODEL
 from hrt.rng import SeededRng
 from hrt.semantics import SemanticSpace
 
@@ -21,13 +21,19 @@ def tiny_semantics():
                          class_attr=rng.uniform(size=(c, a)))
 
 
-@pytest.mark.parametrize("config_class,field", [
-    (ModelConfig, "d_cap"), (SyntheticSpec, "c_unseen")])
-def test_config_checks_itself_when_built_and_is_frozen(config_class, field):
-    with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
-        config_class(**{field: 0})
+@pytest.mark.parametrize("config_class,field,bad,message", [
+    (ModelConfig, "d_cap", 0, "d_cap must be >= 1"),
+    (SyntheticSpec, "c_unseen", 0, "c_unseen must be >= 1"),
+    (LossConfig, "lambda1", -5.0, "lambda1 must be >= 0"),
+    (OptimizerConfig, "lr", -1.0, "lr must be >= 0"),
+], ids=["ModelConfig-d_cap", "SyntheticSpec-c_unseen", "LossConfig-lambda1",
+        "OptimizerConfig-lr"])
+def test_config_checks_itself_when_built_and_is_frozen(config_class, field,
+                                                       bad, message):
+    with pytest.raises(ConfigError, match=message):
+        config_class(**{field: bad})
     with pytest.raises(FrozenInstanceError):
-        setattr(config_class(), field, 0)
+        setattr(config_class(), field, bad)
 
 
 def fail(what):

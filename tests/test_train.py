@@ -14,9 +14,9 @@ from hrt import (ConfigError, DataFormatError, DimensionError, HrtModel,
                  Tensor, config_hash, gamma_profile, generate_synthetic,
                  load_checkpoint, no_grad, save_checkpoint, total_loss, train,
                  write_history)
-from hrt.cli import TINY_MODEL
 from hrt.config import (dataset_dims, load_config, loss_config_for,
-                        model_config_for)
+                        model_config_for, synthetic_spec_for)
+from hrt.gradcheck import tiny_problem
 from hrt.model import array_layout
 from hrt.rng import SeededRng
 from hrt.train import HISTORY_HEADER
@@ -51,20 +51,9 @@ def model_config(**changes):
                                               **changes}}
 
 
-def tiny_setup(seed=0):
-    spec = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
-                         d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
-                         signal_patches_per_attribute=1)
-    ds = generate_synthetic(spec, seed)
-    model = HrtModel.build(ModelConfig(**TINY_MODEL),
-                           ds.semantics.attr_vectors, ds.semantics.class_attr,
-                           seed=seed)
-    return ds, model
-
-
 class TestTrain:
     def test_zero_epochs_is_noop(self):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         before = {n: p.data.copy() for n, p in model.params.items()}
         history = train(ds, model, LossConfig(), OptimizerConfig(), epochs=0)
         assert history == []
@@ -72,7 +61,7 @@ class TestTrain:
             assert np.array_equal(p.data, before[n])
 
     def test_loss_drops_when_memorizing_train_split(self):
-        ds, model = tiny_setup(seed=4)
+        ds, model = tiny_problem(4)
         history = train(ds, model, LossConfig(lambda1=0.0, lambda2=0.0),
                         OptimizerConfig(), epochs=60, batch_size=1)
         assert history[-1].total < 0.1
@@ -82,7 +71,7 @@ class TestTrain:
     def test_fixed_seed_reproduces_history_bitwise(self, tmp_path):
         rows = []
         for run in range(2):
-            ds, model = tiny_setup(seed=2)
+            ds, model = tiny_problem(2)
             history = train(ds, model, LossConfig(), OptimizerConfig(),
                             epochs=3, seed=9)
             path = tmp_path / f"history_{run}.csv"
@@ -91,7 +80,7 @@ class TestTrain:
         assert rows[0] == rows[1]
 
     def test_one_batch_epoch_history_is_mean_of_total_loss(self):
-        ds, model = tiny_setup(seed=3)
+        ds, model = tiny_problem(3)
         loss_config = LossConfig(gamma_per_class=gamma_profile(
             7, ds.seen_classes, ds.unseen_classes))
         train_idx = ds.splits["train"]
@@ -106,7 +95,7 @@ class TestTrain:
                 np.mean([p[key] for p in parts]), abs=1e-12)
 
     def test_history_csv_layout(self, tmp_path):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         history = train(ds, model, LossConfig(), OptimizerConfig(), epochs=2)
         write_history(history, tmp_path / "h.csv")
         lines = (tmp_path / "h.csv").read_text().splitlines()
@@ -121,9 +110,7 @@ class TestTrain:
         # history rows and every parameter's bytes must not move when
         # backward or the optimizer is reworked
         config = load_config()
-        spec = dict(config["synthetic"])
-        seed = spec.pop("seed")
-        ds = generate_synthetic(SyntheticSpec(**spec), seed)
+        ds = generate_synthetic(*synthetic_spec_for(config))
         model = HrtModel.build(model_config_for(config, ds),
                                ds.semantics.attr_vectors,
                                ds.semantics.class_attr,
@@ -152,7 +139,7 @@ class TestConfigHash:
 
 class TestCheckpoint:
     def test_roundtrip_preserves_params_and_outputs(self, tmp_path):
-        ds, model = tiny_setup(seed=6)
+        ds, model = tiny_problem(6)
         train(ds, model, LossConfig(), OptimizerConfig(), epochs=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, experiment_config={"train": {"epochs": 1}})
@@ -180,7 +167,7 @@ class TestCheckpoint:
     def test_load_draws_nothing(self, tmp_path, monkeypatch):
         # a loaded model is built from the stored arrays, with no throw-away
         # initialisation
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
 
@@ -200,7 +187,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         raw = path.read_bytes()
@@ -209,7 +196,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
@@ -236,7 +223,7 @@ class TestCheckpoint:
                          + payload)
 
     def test_header_declares_version_6(self, tmp_path):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         header, _ = self.read_header(path)
@@ -252,7 +239,7 @@ class TestCheckpoint:
 
     def test_payload_is_the_layout(self, tmp_path):
         # the model config fixes the payload: nothing else is stored
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         raw = path.read_bytes()
@@ -264,7 +251,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name", ["attr_vectors", "compact_vectors"])
     def test_save_rejects_misshapen_semantic_array(self, tmp_path, name):
         # the array keeps only its first column: shape [A] instead of [A, k]
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         setattr(model.semantics, name, getattr(model.semantics, name)[:, 0])
         path = tmp_path / "model.ckpt"
         with pytest.raises(DimensionError, match=f"'sem.{name}' has shape"):
@@ -278,7 +265,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_header_length_past_end_of_file(self, tmp_path):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         raw = path.read_bytes()
@@ -324,7 +311,7 @@ class TestCheckpoint:
             "huge-d_feat", "huge-tau", "smaller-n_primary",
             "negative-n_primary", "bogus-compaction", "nested-json"])
     def test_malformed_header_names_the_field(self, tmp_path, edit, field):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         self.rewrite_header(path, edit)
@@ -332,7 +319,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_corrupt_header_json(self, tmp_path):
-        ds, model = tiny_setup()
+        ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         raw = bytearray(path.read_bytes())
@@ -347,7 +334,7 @@ def tiny_checkpoint(tmp_path_factory):
     """(bytes of a valid TINY_MODEL checkpoint, its header length, a path
     to write mutated copies to)."""
     path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
-    save_checkpoint(tiny_setup()[1], path)
+    save_checkpoint(tiny_problem(0)[1], path)
     raw = path.read_bytes()
     return raw, struct.unpack("<Q", raw[4:12])[0], path
 
