@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
 from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
                      synthetic_spec_for)
-from .data import generate_synthetic, load_features, save_dataset
+from .data import DATASET_FILES, generate_synthetic, load_features, save_dataset
 from .ablation import ablation_csv, run_ablation
 from .gradcheck import check_model_gradients, grad_check
 from .losses import LossConfig
@@ -30,15 +30,18 @@ from .train import (load_checkpoint, save_checkpoint, train_from_config,
                     write_history)
 
 
-def _make_out(path: str, is_file: bool = False) -> Path:
+def _make_out(path: str, *names: str, is_file: bool = False) -> Path:
     """Create the ``--out`` directory (or, for a file, its parent) before any
-    work is done, so an unusable path fails fast and is named as given."""
+    work is done, so an unusable path fails fast and is named as given. A
+    file ``--out`` and the ``names`` the command writes there must not exist
+    as anything but a regular file: writing to a named pipe blocks."""
     out = Path(path)
-    # writing to a named pipe would wait for a reader
-    if is_file and out.exists() and not out.is_file():
-        raise ConfigError(f"--out {path} is not a regular file")
+    home = out.parent if is_file else out
+    for file in [out] * is_file + [home / name for name in names]:
+        if file.exists() and not file.is_file():
+            raise ConfigError(f"--out {path}: {file} is not a regular file")
     try:
-        (out.parent if is_file else out).mkdir(parents=True, exist_ok=True)
+        home.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create --out {path}: {e}") from e
     return out
@@ -79,7 +82,7 @@ def _train_settings(config: dict, args) -> None:
 
 def cmd_gen(args) -> int:
     config = load_config(args.config)
-    _make_out(args.out)
+    _make_out(args.out, *DATASET_FILES, "config.json")
     if args.seed is not None:
         config["synthetic"]["seed"] = args.seed
     dataset = generate_synthetic(*synthetic_spec_for(config))
@@ -91,7 +94,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    out = _make_out(args.out)
+    out = _make_out(args.out, "model.ckpt", "history.csv", "config.json")
     _train_settings(config, args)
     dataset = load_features(args.data)
     model, history = train_from_config(config, dataset)
@@ -105,7 +108,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    out = _make_out(args.out)
+    out = _make_out(args.out, "metrics.json", "config.json")
     # a missing or corrupt checkpoint fails before the features are read
     model = load_checkpoint(args.checkpoint)
     dataset = load_features(args.data)
@@ -134,7 +137,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
-    out = _make_out(args.out, is_file=True)
+    echo = Path(args.out).stem + ".config.json"
+    out = _make_out(args.out, echo, is_file=True)
     _train_settings(config, args)
     if args.data:
         dataset = load_features(args.data)
@@ -142,7 +146,7 @@ def cmd_ablate(args) -> int:
         dataset = generate_synthetic(*synthetic_spec_for(config))
     rows = run_ablation(dataset, config)
     out.write_text(ablation_csv(rows), encoding="utf-8")
-    echo_config(config, out.with_name(out.stem + ".config.json"))
+    echo_config(config, out.with_name(echo))
     print(f"wrote {len(rows)} ablation rows to {out}")
     return 0
 

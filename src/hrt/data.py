@@ -31,6 +31,8 @@ from .semantics import SemanticSpace
 
 FORMAT_VERSION = 1
 SPLIT_NAMES = ("train", "test_seen", "test_unseen")
+DATASET_FILES = ("meta.json", "features.bin", "attributes.csv", "splits.csv",
+                 "semantics.csv")
 
 
 @dataclass(frozen=True)
@@ -258,8 +260,7 @@ def _read_text(file: Path) -> str:
 def load_features(path) -> ZslDataset:
     """Load and fully validate a dataset directory."""
     path = Path(path)
-    for name in ("meta.json", "features.bin", "attributes.csv", "splits.csv",
-                 "semantics.csv"):
+    for name in DATASET_FILES:
         file = path / name
         _require(file.exists(), f"missing dataset file {file}")
         # opening a named pipe would wait for a writer

@@ -35,13 +35,13 @@ def gamma_profile(num_classes: int, seen_classes, unseen_classes, *,
     return gamma
 
 
-def cross_entropy(s: Tensor, label: int) -> Tensor:
-    """-log softmax(s)[label] in stable log-sum-exp form."""
+def cross_entropy(s: Tensor, label: int, offset=None) -> Tensor:
+    """-log softmax(s + offset)[label] in stable log-sum-exp form."""
     if s.data.ndim != 1:
         raise DimensionError(f"scores must be a vector, got shape {s.shape}")
     if not 0 <= label < s.data.shape[0]:
         raise IndexError(f"label {label} out of range for {s.data.shape[0]} classes")
-    return T.log_softmax_nll(s, int(label))
+    return T.log_softmax_nll(s, int(label), offset)
 
 
 def calibration_loss(s: Tensor, label: int, gamma: np.ndarray) -> Tensor:
@@ -50,7 +50,7 @@ def calibration_loss(s: Tensor, label: int, gamma: np.ndarray) -> Tensor:
     if gamma.shape != s.data.shape:
         raise DimensionError(
             f"gamma shape {gamma.shape} does not match scores {s.shape}")
-    return cross_entropy(s + Tensor(gamma), label)
+    return cross_entropy(s, label, gamma)
 
 
 def attribute_regression_loss(psi: Tensor, z_true) -> Tensor:

@@ -7,21 +7,24 @@ checker in ``gradcheck.py`` validates.
 
 Design notes:
   * float64 everywhere; central differences are meaningless at float32.
-  * matmul is computed with non-optimized ``np.einsum`` so the reduction over
-    the inner axis happens in a fixed left-to-right order (bit-reproducible,
-    and it matches a naive triple loop).
+  * every contraction is a non-optimized ``np.einsum``, so the reduction over
+    an inner axis happens in a fixed left-to-right order (bit-reproducible,
+    and it matches a naive triple loop).  ``matmul`` is the 2-D spelling
+    ``ik,kj->ij`` of the same contraction as ``einsum``, with shape checks.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
-  * backward computes only the gradients something reads: a binary op's
-    closure returns None for an operand that does not require a gradient, and
-    a leaf accumulates into a gradient array it owns.
+  * backward computes only the gradients something reads: an op's closure
+    returns None for an operand that does not require a gradient, and a leaf
+    accumulates into a gradient array it owns.
   * backward visits the graph in one fixed order (a depth-first topological
     sort over the parents in argument order), and that order fixes the order
     in which the contributions to a shared node's gradient are summed.  Float
     addition is not associative, so the visiting order is part of the byte
     contract: changing it changes trained weights in the last bits.
   * each loss term is one node (``log_softmax_nll``, ``squared_distance``)
-    with its own backward.
+    with its own backward, and the weighted loss total is one more
+    (``weighted_sum``).  Constants such as the calibration offsets and the
+    loss weights enter a node as arrays or floats, never as tensors.
 """
 
 from __future__ import annotations
@@ -111,26 +114,27 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 topo.append(node)
                 continue
-            if id(node) in seen or not node.requires_grad:
+            if node in seen or not node.requires_grad:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             # a parent that needs no gradient would be popped and skipped
             for p in node._parents:
                 if p.requires_grad:
                     stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node))
+            g = grads.pop(node)
             if node._backward is None:
-                # a copy, as add hands one array to both of its parents
+                # a copy: the array a closure hands back may be a view of
+                # another (reshape's is), and training scales .grad in place
                 if node.grad is None:
                     node.grad = g.copy()
                 else:
@@ -143,11 +147,10 @@ class Tensor:
                     continue
                 if contrib.shape != parent.data.shape:
                     contrib = _unbroadcast(contrib, parent.data.shape)
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + contrib
+                if parent in grads:
+                    grads[parent] = grads[parent] + contrib
                 else:
-                    grads[key] = contrib
+                    grads[parent] = contrib
 
     # -- convenience --------------------------------------------------------
 
@@ -165,16 +168,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return div(self, as_tensor(other))
@@ -198,22 +191,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- elementwise ops --------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return (g if a.requires_grad else None,
-                g if b.requires_grad else None)
-
-    return Tensor._from_op(a.data + b.data, (a, b), backward, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return (g * b.data if a.requires_grad else None,
-                g * a.data if b.requires_grad else None)
-
-    return Tensor._from_op(a.data * b.data, (a, b), backward, "mul")
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -270,15 +247,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
             f"matmul inner extents differ: {a.data.shape} x {b.data.shape}")
-    out_data = np.einsum("ik,kj->ij", a.data, b.data, optimize=False)
+    return _contract("ik,kj->ij", a, b, "matmul")
 
-    def backward(g):
-        return (np.einsum("ij,kj->ik", g, b.data, optimize=False)
-                if a.requires_grad else None,
-                np.einsum("ik,ij->kj", a.data, g, optimize=False)
-                if b.requires_grad else None)
 
-    return Tensor._from_op(out_data, (a, b), backward, "matmul")
+def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand einsum where each index letter appears at most once per
+    operand; the gradient is the einsum with subscripts swapped accordingly."""
+    return _contract(subscripts, a, b, "einsum")
 
 
 @functools.cache
@@ -289,9 +264,9 @@ def _grad_subscripts(subscripts: str) -> tuple[str, str]:
     return f"{out_sub},{b_sub}->{a_sub}", f"{out_sub},{a_sub}->{b_sub}"
 
 
-def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum where each index letter appears at most once per
-    operand; the gradient is the einsum with subscripts swapped accordingly."""
+def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
+    # matmul and einsum share this body: one public op calling the other
+    # would count as two ops to a tracer that wraps each
     out_data = np.einsum(subscripts, a.data, b.data, optimize=False)
 
     def backward(g):
@@ -301,7 +276,7 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
                 np.einsum(gb_sub, g, a.data, optimize=False)
                 if b.requires_grad else None)
 
-    return Tensor._from_op(out_data, (a, b), backward, "einsum")
+    return Tensor._from_op(out_data, (a, b), backward, what)
 
 
 # -- composite primitives ---------------------------------------------------
@@ -322,19 +297,35 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return Tensor._from_op(out_data, (a,), backward, "softmax")
 
 
-def log_softmax_nll(s: Tensor, label: int) -> Tensor:
-    """-log softmax(s)[label] of a 1-D tensor, in stable log-sum-exp form."""
-    m = s.data.max()
-    lse = m + np.log(np.exp(s.data - m).sum())
-    soft = np.exp(s.data - lse)
+def log_softmax_nll(s: Tensor, label: int, offset=None) -> Tensor:
+    """-log softmax(s + offset)[label] of a 1-D tensor, in stable log-sum-exp
+    form; ``offset``, if given, is a constant array shaped like ``s``."""
+    z = s.data if offset is None else _check_finite(s.data + offset,
+                                                    "log_softmax_nll offset")
+    m = z.max()
+    lse = m + np.log(np.exp(z - m).sum())
+    soft = np.exp(z - lse)
 
     def backward(g):
         grad = g * soft
         grad[label] += -g
         return (grad,)
 
-    return Tensor._from_op(lse + -s.data[label], (s,), backward,
-                           "log_softmax_nll")
+    return Tensor._from_op(lse + -z[label], (s,), backward, "log_softmax_nll")
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """sum(w * t) over the terms and their float weights, added left to
+    right."""
+    total = terms[0].data * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        total = total + t.data * w
+
+    def backward(g):
+        return tuple(g * w if t.requires_grad else None
+                     for t, w in zip(terms, weights))
+
+    return Tensor._from_op(total, terms, backward, "weighted_sum")
 
 
 def squared_distance(a: Tensor, target: Tensor) -> Tensor:

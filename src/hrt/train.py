@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError
 from .config import DEFAULTS, fits_type, loss_config_for, model_config_for
+from . import tensor as T
 from .tensor import Tensor, as_tensor
 from .rng import SEED_BOUND, SeededRng
 from .model import ForwardResult, HrtModel, ModelConfig, array_layout
@@ -57,7 +58,8 @@ def result_loss(model: HrtModel, result: ForwardResult, label: int,
     l_cal = calibration_loss(s, label, gamma)
     l_reg = attribute_regression_loss(result.psi,
                                       model.semantics.class_attr[label])
-    total = l_ce + loss_config.lambda1 * l_cal + loss_config.lambda2 * l_reg
+    total = T.weighted_sum((l_ce, l_cal, l_reg),
+                           (1.0, loss_config.lambda1, loss_config.lambda2))
     parts = {"ce": l_ce.item(), "cal": l_cal.item(), "reg": l_reg.item(),
              "total": total.item()}
     return total, parts

@@ -513,6 +513,43 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert f"{path} is not a regular file" in proc.stderr
 
+    @pytest.mark.parametrize("command,pipe", [
+        ("gen", "config.json"), ("gen", "features.bin"),
+        ("train", "model.ckpt"), ("train", "history.csv"),
+        ("eval", "metrics.json"), ("ablate", "a.config.json")])
+    def test_named_pipe_among_outputs_refused_before_work(
+            self, workspace, tmp_path, command, pipe):
+        # in a subprocess with a timeout, as writing to a named pipe blocks
+        # until a reader comes; every step that generates, reads, trains or
+        # writes fails with a traceback if it is reached
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / pipe)
+        data = ["--data", str(workspace / "data")]
+        config = ["--config", str(workspace / "config.json")]
+        argv = {
+            "gen": config + ["--out", str(out)],
+            "train": config + data + ["--out", str(out)],
+            "eval": ["--checkpoint", str(workspace / "run" / "model.ckpt"),
+                     *data, "--out", str(out)],
+            "ablate": config + data + ["--out", str(out / "a.csv")],
+        }[command]
+        work = ("generate_synthetic", "save_dataset", "load_features",
+                "load_checkpoint", "train_from_config", "save_checkpoint",
+                "run_ablation", "evaluate")
+        code = ("import sys\nimport hrt.cli as cli\n"
+                "def work(*a, **k): raise AssertionError('work was done')\n"
+                f"for name in {work!r}: setattr(cli, name, work)\n"
+                "sys.exit(cli.main())")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, command, *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert f"{out / pipe} is not a regular file" in proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == [pipe]
+
     @pytest.mark.parametrize("command,out_name", [
         *(pytest.param(c, "blocker/out", id=c)
           for c in ("eval", "train", "gen", "report", "ablate")),

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from hrt import NumericError, Tensor, grad_check
+from hrt import tensor as T
+
+
+def square(t):
+    return T.einsum(",->", t, t)
 
 
 def test_quadratic():
     theta = Tensor(3.0, requires_grad=True)
-    report = grad_check(lambda: theta * theta, {"theta": theta}, h=1e-5)
+    report = grad_check(lambda: square(theta), {"theta": theta}, h=1e-5)
     assert report.passed
     assert report.max_rel_error <= 1e-9
     assert theta.grad == pytest.approx(6.0)
@@ -14,7 +19,8 @@ def test_quadratic():
 
 def test_constant_function():
     theta = Tensor([1.0, -2.0], requires_grad=True)
-    report = grad_check(lambda: (theta * 0.0).sum(), {"theta": theta})
+    report = grad_check(lambda: T.weighted_sum((theta.sum(),), (0.0,)),
+                        {"theta": theta})
     assert report.passed
     assert report.max_rel_error == 0.0
 
@@ -22,14 +28,14 @@ def test_constant_function():
 def test_multi_group_report():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     b = Tensor(0.5, requires_grad=True)
-    report = grad_check(lambda: (a * a).sum() * b, {"a": a, "b": b})
+    report = grad_check(lambda: T.einsum(",->", T.einsum("i,i->", a, a), b),
+                        {"a": a, "b": b})
     assert set(report.per_group) == {"a", "b"}
     assert report.passed
     assert "PASS" in report.summary()
 
 
 def test_nonfinite_probe_errors():
-    from hrt import tensor as T
     theta = Tensor(7.0, requires_grad=True)
 
     def f():
@@ -44,8 +50,7 @@ def test_wrong_gradient_detected():
     theta = Tensor(2.0, requires_grad=True)
 
     def f():
-        out = theta * theta
-        return out
+        return square(theta)
 
     report = grad_check(f, {"theta": theta}, tol=1e-4)
     assert report.passed
@@ -55,7 +60,8 @@ def test_wrong_gradient_detected():
 
     def inconsistent():
         calls["n"] += 1
-        return theta2 * theta2 if calls["n"] == 1 else theta2 * 3.0
+        return (square(theta2) if calls["n"] == 1
+                else T.weighted_sum((theta2,), (3.0,)))
 
     report = grad_check(inconsistent, {"theta": theta2}, tol=1e-4)
     assert not report.passed

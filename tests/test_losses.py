@@ -6,7 +6,7 @@ import pytest
 from hrt import (LossConfig, SeededRng, Tensor, attribute_regression_loss,
                  calibration_loss, cross_entropy, gamma_profile, predict,
                  no_grad, total_loss)
-from hrt import DimensionError
+from hrt import DimensionError, NumericError
 from hrt.data import SyntheticSpec, generate_synthetic
 from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 from hrt.model import HrtModel, ModelConfig
@@ -74,6 +74,15 @@ class TestCalibrationLoss:
             expected = bigfloat_cross_entropy(s, label, gamma)
             assert calibration_loss(Tensor(s), label, gamma).item() == \
                 pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan],
+                             ids=["minus-inf", "nan"])
+    def test_non_finite_offset_scores_rejected(self, bad):
+        # an offset of -inf away from the label would still give a finite loss
+        s = Tensor([0.0, 0.0, 0.0])
+        gamma = np.array([0.0, 0.0, bad])
+        with pytest.raises(NumericError, match="offset"):
+            calibration_loss(s, 1, gamma)
 
 
 class TestAttributeRegression:
@@ -165,10 +174,10 @@ class TestTotalLoss:
         assert len(built) == 22
         built.clear()
         total_loss(model, ds.features[i], int(ds.labels[i]), LossConfig())
-        assert len(built) == 30
-        # one node per loss term, the calibration offset, and the weighted sum
-        assert built[22:] == ["log_softmax_nll", "add", "log_softmax_nll",
-                              "squared_distance", "mul", "add", "mul", "add"]
+        assert len(built) == 26
+        # one node per loss term and one for their weighted sum
+        assert built[22:] == ["log_softmax_nll", "log_softmax_nll",
+                              "squared_distance", "weighted_sum"]
 
     @pytest.mark.parametrize("k_td", [1, 2, 3])
     def test_every_op_output_is_read_by_the_loss(self, monkeypatch, k_td):

@@ -28,6 +28,24 @@ class TestMatmul:
         out = T.matmul(Tensor(a), Tensor(b)).data
         assert np.array_equal(out, naive_matmul(a, b))
 
+    @pytest.mark.parametrize("r,f,n", [(9, 64, 2048), (36, 128, 2048)],
+                             ids=["default", "train_wide_grid"])
+    def test_equals_einsum_bitwise_at_pose_shapes(self, r, f, n):
+        # the primary-capsule pose projection [R, D_feat] x [D_feat, 2048]
+        rng = SeededRng(9)
+        a_data, b_data = rng.normal((r, f)), rng.normal((f, n))
+        g = rng.normal((r, n))
+        results = []
+        for op in (T.matmul, lambda a, b: T.einsum("ik,kj->ij", a, b)):
+            out = op(Tensor(a_data, requires_grad=True),
+                     Tensor(b_data, requires_grad=True))
+            results.append((out.data, *out._backward(g)))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        # the operand order of the weight gradient does not change its bytes
+        assert np.array_equal(results[0][2], np.einsum(
+            "ik,ij->kj", a_data, g, optimize=False))
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
@@ -147,7 +165,7 @@ class TestRng:
 class TestBackwardBasics:
     def test_mul_chain(self):
         x = Tensor(3.0, requires_grad=True)
-        y = (x * x * 2.0 + x).sum()
+        y = T.weighted_sum((T.einsum(",->", x, x), x), (2.0, 1.0))
         y.backward()
         assert x.grad == pytest.approx(13.0)
 
@@ -162,10 +180,12 @@ class TestBackwardBasics:
 
     def test_broadcast_unreduction(self):
         a = Tensor(np.ones((3, 1)), requires_grad=True)
-        b = Tensor(np.ones((3, 4)), requires_grad=True)
-        (a * b).sum().backward()
+        b = Tensor(np.full((1, 4), 2.0), requires_grad=True)
+        T.div(a, b).sum().backward()
         assert a.grad.shape == (3, 1)
-        assert np.allclose(a.grad, 4.0)
+        assert np.allclose(a.grad, 2.0)
+        assert b.grad.shape == (1, 4)
+        assert np.allclose(b.grad, -0.75)
 
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_matmul_backward_skips_constant_operand(self, a_grad):
@@ -206,8 +226,9 @@ class TestBackwardBasics:
         xs = [Tensor(rng.normal((2, 4))) for _ in range(2)]
 
         def loss(x):
-            h = T.sigmoid(T.matmul(x, w)) * v
-            return (h * h).sum() + T.einsum("ij,ij->", w, w)
+            h = T.einsum("ij,j->ij", T.sigmoid(T.matmul(x, w)), v)
+            return T.weighted_sum((T.einsum("ij,ij->", h, h),
+                                   T.einsum("ij,ij->", w, w)), (1.0, 1.0))
 
         single = []
         for x in xs:
@@ -222,16 +243,16 @@ class TestBackwardBasics:
         assert np.array_equal(w.grad, single[0][0] + single[1][0])
         assert np.array_equal(v.grad, single[0][1] + single[1][1])
 
-    def test_second_backward_through_add_keeps_operand_grads_apart(self):
-        # add hands one gradient array to both operands; accumulating into it
-        # in place would count a's second gradient in b's too
-        a = Tensor(np.arange(3.0), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
-        (a + b).sum().backward()
-        once = b.grad.copy()
-        (a + b).sum().backward()
+    def test_leaf_owns_a_copy_of_its_first_gradient(self):
+        # reshape hands back a view of the gradient it receives; a leaf
+        # keeping that view would share it, and training scales .grad in place
+        a = Tensor(np.arange(6.0), requires_grad=True)
+        loss = T.reshape(a, (2, 3)).sum()
+        loss.backward()
+        assert a.grad.flags.owndata
+        once = a.grad.copy()
+        loss.backward()
         assert np.array_equal(a.grad, 2 * once)
-        assert np.array_equal(b.grad, 2 * once)
 
 
 class TestLossOps:
