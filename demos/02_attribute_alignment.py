@@ -32,7 +32,7 @@ print("compacted attribute vectors:", attr_vectors.shape, "->", compact.shape)
 # encoder weights in encode's order: proj, act_proj, vote_transforms, and the
 # number of top-down routing iterations
 parents = Tensor(compact)
-params = (Tensor(rng.normal((D_FEAT, N_PRIMARY * D_CAP), scale=0.3)),
+params = (Tensor(rng.normal((D_FEAT, N_PRIMARY, D_CAP), scale=0.3)),
           Tensor(rng.normal((D_FEAT, N_PRIMARY), scale=0.3)),
           Tensor(rng.normal((A, D_CAP, D_CAP))), 2)
 

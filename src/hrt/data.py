@@ -61,8 +61,9 @@ class SyntheticSpec:
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, "
                                   f"got {getattr(self, name)}")
-        if not self.noise_std >= 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ConfigError(
+                f"noise_std must be in [0, inf), got {self.noise_std}")
         if not 0 < self.train_fraction < 1:
             raise ConfigError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
@@ -152,7 +153,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
                 break
         else:
             raise ConfigError("could not draw distinct attribute supports; "
-                              "increase num_attributes")
+                              "increase synthetic.num_attributes")
         class_attr[c] = np.where(mask, rng.uniform((a,), 0.6, 1.0),
                                  rng.uniform((a,), 0.0, 0.4))
 
@@ -188,6 +189,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
         idx = (sample[attr_of == attr, None] * r
                + chosen[attr_of == attr]).ravel()
         flat[idx] += class_attr[labels[idx // r], attr][:, None] * basis[attr]
+    # as load_features checks: a noise_std near float64's limit draws inf
+    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        raise ConfigError(f"synthetic.noise_std {spec.noise_std} draws "
+                          f"non-finite features")
 
     train_idx, test_seen_idx, test_unseen_idx = [], [], []
     for c in range(c_total):

@@ -34,7 +34,7 @@ def encode(patch_features: Tensor, compact: Tensor, proj: Tensor,
            iterations: int) -> AlignedFeatures:
     """Run the full encoder on one sample's patch grid [R, D_feat].
 
-    proj [D_feat, N * d_cap] and act_proj [D_feat, N] project the primary
+    proj [D_feat, N, d_cap] and act_proj [D_feat, N] project the primary
     capsules; the compacted attribute vectors compact [A, d_cap] start the
     attribute capsules, and vote_transforms [A, d_cap, d_cap] and iterations
     drive the top-down routing.

@@ -44,7 +44,7 @@ class ModelConfig:
 def param_shapes(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
     """Each parameter's shape and init fan-in, in draw order."""
     return {
-        "enc.proj": ((c.d_feat, c.n_primary * c.d_cap), c.d_feat),
+        "enc.proj": ((c.d_feat, c.n_primary, c.d_cap), c.d_feat),
         "enc.act_proj": ((c.d_feat, c.n_primary), c.d_feat),
         "enc.vote_transforms": ((c.num_attributes, c.d_cap, c.d_cap), c.d_cap),
         "dec.w_beta": ((c.tau, c.d_feat), c.tau),

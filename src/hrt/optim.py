@@ -49,6 +49,8 @@ class RmsPropState:
     momentum_buf: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# an overflow is reported by the finiteness checks, as a NumericError
+@np.errstate(over="ignore", invalid="ignore")
 def optimizer_step(state: RmsPropState, params: dict[str, Tensor],
                    grads: dict[str, np.ndarray]) -> None:
     """Apply one RMSprop update in place; ``grads`` holds one gradient per

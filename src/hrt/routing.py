@@ -33,24 +33,19 @@ LAYER_NORM_EPS = 1e-5
 def batched_primary_capsules(feats: Tensor, proj: Tensor, act_proj: Tensor):
     """Vectorized primary-capsule projection for a whole patch grid.
 
-    feats: [R, D_feat] -> poses [R, N, d_cap], activations [R, N].
+    feats [R, D_feat], proj [D_feat, N, d_cap] (a pose projection per
+    capsule), act_proj [D_feat, N] -> poses [R, N, d_cap], activations [R, N].
     """
     if feats.data.ndim != 2:
         raise DimensionError(f"patch features must be [R, D_feat], got {feats.shape}")
     d_feat = feats.data.shape[1]
-    if proj.data.ndim != 2 or proj.data.shape[0] != d_feat:
-        raise DimensionError(
-            f"pose projection {proj.shape} does not accept features of width {d_feat}")
-    if act_proj.data.ndim != 2 or act_proj.data.shape[0] != d_feat:
-        raise DimensionError(
-            f"activation projection {act_proj.shape} does not accept features of width {d_feat}")
-    n = act_proj.data.shape[1]
-    if proj.data.shape[1] % n != 0:
-        raise DimensionError(
-            f"pose width {proj.data.shape[1]} is not a multiple of {n} capsules")
-    d_cap = proj.data.shape[1] // n
-    r = feats.data.shape[0]
-    poses = T.reshape(T.matmul(feats, proj), (r, n, d_cap))
+    if proj.data.ndim != 3 or proj.data.shape[0] != d_feat:
+        raise DimensionError(f"pose projection {proj.shape} is not [D_feat, "
+                             f"N, d_cap] for features of width {d_feat}")
+    if act_proj.data.shape != proj.data.shape[:2]:
+        raise DimensionError(f"activation projection {act_proj.shape} is not "
+                             f"[D_feat, N] = {proj.data.shape[:2]}")
+    poses = T.einsum("rf,fnh->rnh", feats, proj)
     acts = T.sigmoid(T.matmul(feats, act_proj))
     return poses, acts
 

@@ -14,8 +14,11 @@ Design notes:
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
-    returns None for an operand that does not require a gradient, and a leaf
-    accumulates into a gradient array it owns.
+    returns None for an operand that does not require a gradient.
+  * every array an op's backward returns is one it allocated: it shares
+    memory with no input, output, operand or other returned array, and the
+    closure holds on to none of them.  So a leaf adopts its first gradient
+    as its ``.grad``, which training then scales in place.
   * backward visits the graph in one fixed order (a depth-first topological
     sort over the parents in argument order), and that order fixes the order
     in which the contributions to a shared node's gradient are summed.  Float
@@ -133,10 +136,9 @@ class Tensor:
         for node in reversed(topo):
             g = grads.pop(node)
             if node._backward is None:
-                # a copy: the array a closure hands back may be a view of
-                # another (reshape's is), and training scales .grad in place
+                # g is this node's alone (see the design notes)
                 if node.grad is None:
-                    node.grad = g.copy()
+                    node.grad = g
                 else:
                     node.grad += g
                 continue
@@ -148,6 +150,8 @@ class Tensor:
                 if contrib.shape != parent.data.shape:
                     contrib = _unbroadcast(contrib, parent.data.shape)
                 if parent in grads:
+                    # not +=, which keeps the first array's memory layout:
+                    # einsum's summation order follows its operands' layouts
                     grads[parent] = grads[parent] + contrib
                 else:
                     grads[parent] = contrib
@@ -190,7 +194,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-# -- elementwise ops --------------------------------------------------------
+# -- elementwise ops and sums -----------------------------------------------
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -217,9 +221,6 @@ def sigmoid(a: Tensor) -> Tensor:
                            "sigmoid")
 
 
-# -- reductions & shaping ---------------------------------------------------
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -229,11 +230,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (full,)
 
     return Tensor._from_op(out_data, (a,), backward, "sum")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    return Tensor._from_op(a.data.reshape(shape), (a,),
-                           lambda g: (g.reshape(a.data.shape),), "reshape")
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -317,9 +313,10 @@ def log_softmax_nll(s: Tensor, label: int, offset=None) -> Tensor:
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     """sum(w * t) over the terms and their float weights, added left to
     right."""
-    total = terms[0].data * weights[0]
-    for t, w in zip(terms[1:], weights[1:]):
-        total = total + t.data * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = terms[0].data * weights[0]
+        for t, w in zip(terms[1:], weights[1:]):
+            total = total + t.data * w
 
     def backward(g):
         return tuple(g * w if t.requires_grad else None

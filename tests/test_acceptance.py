@@ -68,7 +68,8 @@ def test_routing_oracle_equivalence(capsys):
         k = int(rng.integers(1, 5))
         parent = batched_em_routing(*batched_primary_capsules(
             Tensor(feats[None]),
-            Tensor(fold_vote_transforms(proj, transforms, mode)),
+            Tensor(fold_vote_transforms(proj, transforms, mode)
+                   .reshape(d_feat, n, d_cap)),
             Tensor(act_proj)))
         poses, acts = primary_capsules_oracle(feats, proj, act_proj)
         mu_o, _ = em_routing_oracle(poses, acts, transforms, beta, gamma,
@@ -102,7 +103,7 @@ def test_simplex_convexity_invariants(capsys):
         n_primary, d_cap = 3, 4
         compact = Tensor(rng.normal((n_attr, d_cap)))
         # (proj, act_proj, vote_transforms, iterations), in encode's order
-        params = (Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
+        params = (Tensor(rng.normal((d_feat, n_primary, d_cap), scale=0.3)),
                   Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
                   Tensor(rng.normal((n_attr, d_cap, d_cap))),
                   2)

@@ -730,6 +730,37 @@ class TestExitCodes:
         assert "non-finite value produced by einsum" in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    # run as a subprocess under Python's default warning filters, so a numpy
+    # RuntimeWarning on the way would be printed to stderr before the failure
+    @pytest.mark.parametrize("section,key", [("optimizer", "lr"),
+                                             ("loss", "lambda1")])
+    def test_overflowing_setting_prints_one_numeric_failure_line(
+            self, workspace, tmp_path, section, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, section: {key: 1e308}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hrt.cli", "train",
+             "--data", str(workspace / "data"), "--out", str(tmp_path / "run"),
+             "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure:")
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    # a noise this wide draws infinities, which the loader would refuse
+    def test_overflowing_noise_refused_before_any_file(self, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synthetic": {"noise_std": 1e308}}))
+        rc = main(["gen", "--out", str(tmp_path / "data"),
+                   "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "synthetic.noise_std" in err
+        assert list((tmp_path / "data").iterdir()) == []
+
     # sizes this large are refused by numpy before any memory is touched;
     # the generator allocates its features before drawing the first sample
     @pytest.mark.parametrize("command,section,key", [

@@ -57,6 +57,15 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             small_spec(c_unseen=0)
 
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(ConfigError, match="noise_std .* got inf$"):
+            small_spec(noise_std=float("inf"))
+
+    def test_overflowing_noise_rejected(self):
+        # a noise this wide draws infinities, which load_features refuses
+        with pytest.raises(ConfigError, match="synthetic.noise_std"):
+            generate_synthetic(small_spec(noise_std=1e308), seed=0)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ConfigError):
             generate_synthetic(small_spec(samples_per_class=1), seed=0)
@@ -274,6 +283,45 @@ class TestLoaderFuzz:
         for i, mask in flips:
             blob[i] ^= mask
         self.load(tiny_dataset_dir, name, bytes(blob))
+
+
+@st.composite
+def small_specs(draw):
+    """A small recipe that SyntheticSpec accepts, and a seed."""
+    a = draw(st.integers(2, 5))
+    r = draw(st.integers(1, 4))
+    spec = SyntheticSpec(
+        c_seen=draw(st.integers(2, 4)), c_unseen=draw(st.integers(1, 3)),
+        num_attributes=a, r_patches=r, d_feat=draw(st.integers(a, 8)),
+        tau=draw(st.integers(1, 4)),
+        samples_per_class=draw(st.integers(2, 4)),
+        noise_std=draw(st.floats(0.0, 1e308)),
+        signal_patches_per_attribute=draw(st.integers(1, r)),
+        train_fraction=draw(st.floats(0.05, 0.95)))
+    return spec, draw(st.integers(0, 1000))
+
+
+class TestSyntheticRoundTrip:
+    """Generating a recipe either refuses it with a ConfigError naming a
+    ``synthetic.`` key, or gives a dataset that saves and loads back as it
+    was generated."""
+
+    @given(small_specs())
+    @settings(max_examples=40, deadline=None)
+    def test_generate_save_load(self, tmp_path_factory, spec_seed):
+        try:
+            ds = generate_synthetic(*spec_seed)
+        except ConfigError as e:
+            assert "synthetic." in str(e)
+            return
+        path = tmp_path_factory.mktemp("roundtrip")
+        save_dataset(ds, path)
+        back = load_features(path)
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.splits.keys() == ds.splits.keys()
+        for name in ds.splits:
+            assert np.array_equal(back.splits[name], ds.splits[name])
 
 
 class TestMemory:

@@ -11,7 +11,7 @@ def build_setup(seed, r_patches=4, d_feat=8, n_attr=3, n_primary=3, d_cap=4,
     rng = SeededRng(seed)
     compact = Tensor(rng.normal((n_attr, d_cap)))
     # (proj, act_proj, vote_transforms, iterations), in encode's order
-    params = (Tensor(rng.normal((d_feat, n_primary * d_cap), scale=0.3)),
+    params = (Tensor(rng.normal((d_feat, n_primary, d_cap), scale=0.3)),
               Tensor(rng.normal((d_feat, n_primary), scale=0.3)),
               Tensor(rng.normal((n_attr, d_cap, d_cap))),
               k_td)
@@ -46,13 +46,12 @@ class TestEncode:
         # beta, gamma, lam and sigma_floor feed only the oracle's activation,
         # which the encoder does not compute; its pose is the same for any
         # k_em. The encoder's primary poses vote as they are: identity
-        # transforms.
+        # transforms. The oracle's pose projection is flat, [D_feat, N * d].
         proj, act_proj, vote_transforms, iterations = params
-        n_primary = act_proj.data.shape[1]
-        d_cap = proj.data.shape[1] // n_primary
+        d_feat, n_primary, d_cap = proj.data.shape
         h, attention, agreement = encoder_oracle(
             features, compact.data,
-            proj.data, act_proj.data,
+            proj.data.reshape(d_feat, -1), act_proj.data,
             np.stack([np.eye(d_cap)] * n_primary), 0.1, 0.05, 1.0, 2,
             iterations, 1e-6,
             vote_transforms.data)

@@ -171,12 +171,12 @@ class TestTotalLoss:
         monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
         with no_grad():
             model.forward(Tensor(ds.features[i]))
-        assert len(built) == 22
+        assert len(built) == 21
         built.clear()
         total_loss(model, ds.features[i], int(ds.labels[i]), LossConfig())
-        assert len(built) == 26
+        assert len(built) == 25
         # one node per loss term and one for their weighted sum
-        assert built[22:] == ["log_softmax_nll", "log_softmax_nll",
+        assert built[21:] == ["log_softmax_nll", "log_softmax_nll",
                               "squared_distance", "weighted_sum"]
 
     @pytest.mark.parametrize("k_td", [1, 2, 3])

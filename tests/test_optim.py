@@ -52,6 +52,15 @@ def test_nonfinite_gradient_aborts():
         optimizer_step(state, {"p": p}, {"p": np.array([np.nan])})
 
 
+def test_overflowing_step_raises_numeric_error():
+    # the suite turns RuntimeWarnings into errors, so numpy's overflow
+    # warning would be raised here in place of the NumericError
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    state = RmsPropState(OptimizerConfig(lr=1e308))
+    with pytest.raises(NumericError, match="'p' became non-finite"):
+        optimizer_step(state, {"p": p}, {"p": np.array([1.0, -1.0])})
+
+
 def test_accumulators_stay_nonnegative():
     p = Tensor(np.array([0.5, -0.5]), requires_grad=True)
     state = RmsPropState(OptimizerConfig())

@@ -30,8 +30,8 @@ class TestPrimaryCapsules:
     def test_copy_weights(self):
         # capsule 0 copies the first 16 feature entries through padded identity
         d_feat, n, d_cap = 16, 4, 16
-        proj = np.zeros((d_feat, n * d_cap))
-        proj[:16, :16] = np.eye(16)
+        proj = np.zeros((d_feat, n, d_cap))
+        proj[:16, 0, :16] = np.eye(16)
         act_proj = np.zeros((d_feat, n))
         rng = SeededRng(0)
         f = rng.normal((1, d_feat))
@@ -42,7 +42,7 @@ class TestPrimaryCapsules:
 
     def test_zero_input(self):
         poses, acts = batched_primary_capsules(Tensor(np.zeros((1, 8))),
-                                               Tensor(np.zeros((8, 3 * 4))),
+                                               Tensor(np.zeros((8, 3, 4))),
                                                Tensor(np.zeros((8, 3))))
         assert poses.data.shape == (1, 3, 4)
         assert np.allclose(poses.data, 0.0)
@@ -53,8 +53,9 @@ class TestPrimaryCapsules:
         feats = rng.normal((3, 10))
         proj = rng.normal((10, 5 * 4))
         act_proj = rng.normal((10, 5))
-        poses, acts = batched_primary_capsules(Tensor(feats), Tensor(proj),
-                                               Tensor(act_proj))
+        # the library's projection is [D_feat, N, d_cap], the oracle's flat
+        poses, acts = batched_primary_capsules(
+            Tensor(feats), Tensor(proj.reshape(10, 5, 4)), Tensor(act_proj))
         for r in range(3):
             o_poses, o_acts = primary_capsules_oracle(feats[r], proj, act_proj)
             assert np.allclose(poses.data[r], o_poses, atol=1e-12)
@@ -65,6 +66,22 @@ class TestPrimaryCapsules:
             batched_primary_capsules(Tensor(np.zeros((1, 8))),
                                      Tensor(np.zeros((9, 12))),
                                      Tensor(np.zeros((8, 3))))
+
+    # one case per check, on features [R, 8], N = 3 capsules and d_cap 4
+    @pytest.mark.parametrize("feats,proj,act_proj,message", [
+        ((8,), (8, 3, 4), (8, 3), r"patch features must be \[R, D_feat\]"),
+        ((2, 8), (8, 12), (8, 3),
+         r"pose projection \(8, 12\) is not \[D_feat, N, d_cap\]"),
+        ((2, 8), (9, 3, 4), (8, 3),
+         r"pose projection \(9, 3, 4\) is not .* features of width 8"),
+        ((2, 8), (8, 3, 4), (8, 2),
+         r"activation projection \(8, 2\) is not \[D_feat, N\] = \(8, 3\)"),
+    ], ids=["features-1d", "pose-flat", "pose-width", "activation-count"])
+    def test_shape_errors_named(self, feats, proj, act_proj, message):
+        with pytest.raises(DimensionError, match=message):
+            batched_primary_capsules(Tensor(np.zeros(feats)),
+                                     Tensor(np.zeros(proj)),
+                                     Tensor(np.zeros(act_proj)))
 
 
 class TestEmRouting:
@@ -107,7 +124,8 @@ class TestEmRouting:
             transforms = rng.normal((n, p, p), scale=0.5)
             folded = fold_vote_transforms(proj, transforms, mode)
             out = batched_em_routing(*batched_primary_capsules(
-                Tensor(feats), Tensor(folded), Tensor(act_proj))).data
+                Tensor(feats), Tensor(folded.reshape(d_feat, n, d_cap)),
+                Tensor(act_proj))).data
             for i in range(r):
                 poses, acts = primary_capsules_oracle(feats[i], proj, act_proj)
                 expected = oracle_pose(poses, acts, 2, transforms, mode)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -150,6 +151,13 @@ class TestFiniteness:
         with pytest.raises(NumericError):
             T.exp(Tensor(1000.0))
 
+    def test_overflowing_weighted_sum_rejected(self):
+        # the suite turns RuntimeWarnings into errors, so numpy's overflow
+        # warning would be raised here in place of the NumericError
+        terms = (Tensor(1.0), Tensor(10.0))
+        with pytest.raises(NumericError, match="weighted_sum"):
+            T.weighted_sum(terms, (1.0, 1e308))
+
 
 class TestRng:
     def test_reproducible_stream(self):
@@ -243,16 +251,65 @@ class TestBackwardBasics:
         assert np.array_equal(w.grad, single[0][0] + single[1][0])
         assert np.array_equal(v.grad, single[0][1] + single[1][1])
 
-    def test_leaf_owns_a_copy_of_its_first_gradient(self):
-        # reshape hands back a view of the gradient it receives; a leaf
-        # keeping that view would share it, and training scales .grad in place
-        a = Tensor(np.arange(6.0), requires_grad=True)
-        loss = T.reshape(a, (2, 3)).sum()
+    def test_leaf_grad_owns_its_data_and_a_second_backward_adds(self):
+        # a leaf adopts the first gradient it is handed, and training scales
+        # .grad in place, so that array must be the leaf's alone
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        c = Tensor(np.linspace(1.0, 2.0, 3))
+        loss = T.einsum("ij,j->ij", a, c).sum()
         loss.backward()
         assert a.grad.flags.owndata
+        assert not np.shares_memory(a.grad, a.data)
+        assert not np.shares_memory(a.grad, c.data)
         once = a.grad.copy()
         loss.backward()
         assert np.array_equal(a.grad, 2 * once)
+
+
+# every public op of hrt.tensor, as the benchmark's tracer enumerates them
+PUBLIC_OPS = sorted(
+    name for name, fn in vars(T).items()
+    if inspect.isfunction(fn) and fn.__module__ == "hrt.tensor"
+    and not name.startswith("_") and name not in ("as_tensor", "no_grad"))
+
+# each op built on operands that all need a gradient; ``x(*shape)`` makes one
+OWNERSHIP_CASES = {
+    "div": lambda x: T.div(x(3, 4), x(3, 4)),
+    "exp": lambda x: T.exp(x(3, 4)),
+    "sigmoid": lambda x: T.sigmoid(x(3, 4)),
+    "tsum": lambda x: T.tsum(x(3, 4), axis=1),
+    "matmul": lambda x: T.matmul(x(3, 4), x(4, 2)),
+    "einsum": lambda x: T.einsum("rf,fnh->rnh", x(3, 4), x(4, 2, 5)),
+    "softmax": lambda x: T.softmax(x(3, 4), axis=0),
+    "log_softmax_nll": lambda x: T.log_softmax_nll(x(5), 2,
+                                                   offset=np.ones(5)),
+    "weighted_sum": lambda x: T.weighted_sum((x(3), x(3)), (1.0, 0.5)),
+    "squared_distance": lambda x: T.squared_distance(x(5), x(5)),
+    "layer_norm": lambda x: T.layer_norm(x(3, 4), eps=1e-5),
+}
+
+
+class TestBackwardOwnership:
+    """The rule a leaf's adoption of its gradient relies on: an op's
+    backward returns arrays it allocated, shared with nothing else."""
+
+    @pytest.mark.parametrize("name", PUBLIC_OPS)
+    def test_backward_returns_arrays_it_owns(self, name):
+        assert name in OWNERSHIP_CASES, f"no ownership case for op {name}"
+        rng = SeededRng(21)
+        out = OWNERSHIP_CASES[name](
+            lambda *shape: Tensor(rng.uniform(shape, 0.5, 1.5),
+                                  requires_grad=True))
+        g = np.asarray(rng.normal(out.data.shape))
+        held = [g, out.data, *(p.data for p in out._parents)]
+        first = list(out._backward(g))
+        second = list(out._backward(g))
+        assert len(first) == len(out._parents)
+        for returned, before in ((first, []), (second, first)):
+            for i, arr in enumerate(returned):
+                others = held + returned[:i] + returned[i + 1:] + before
+                assert not any(np.shares_memory(arr, o) for o in others), \
+                    f"{name}'s gradient {i} shares memory"
 
 
 class TestLossOps:
