@@ -21,11 +21,10 @@ from hrt import SeededRng, Tensor, compact_semantics, encode
 rng = SeededRng(3)
 R, D_FEAT, A, TAU, N_PRIMARY, D_CAP = 6, 16, 4, 12, 8, 4
 
-# raw attribute vectors live in tau dimensions; the routing operates on a
-# compacted d_cap-dimensional version (factor analysis keeps the shared
-# structure, drops the per-coordinate noise)
+# raw attribute vectors live in tau dimensions; the routing operates on
+# their d_cap-dimensional principal-component scores
 attr_vectors = rng.normal((A, TAU))
-compact = compact_semantics(attr_vectors, D_CAP, method="factor-analysis")
+compact = compact_semantics(attr_vectors, D_CAP)
 print("compacted attribute vectors:", attr_vectors.shape, "->", compact.shape)
 
 # the encoder reads the compacted vectors as a constant tensor, then the

@@ -27,7 +27,7 @@ print()
 
 # --- ablation over the top-down routing depth -------------------------------
 config = load_config(overrides={
-    "model": {"d_cap": 4, "n_primary": 8, "compaction": "pca"},
+    "model": {"d_cap": 4, "n_primary": 8},
     "train": {"epochs": 3, "batch_size": 8},
     "synthetic": {"c_seen": 4, "c_unseen": 2, "num_attributes": 6,
                   "r_patches": 4, "d_feat": 16, "tau": 8,

@@ -12,7 +12,7 @@ from .tensor import Tensor, no_grad
 from .rng import SeededRng
 from .gradcheck import grad_check, GradCheckReport
 from .routing import inverted_routing
-from .semantics import SemanticSpace, compact_semantics, factor_analysis
+from .semantics import SemanticSpace, compact_semantics
 from .encoder import AlignedFeatures, encode
 from .decoder import (adjust_class_attributes, class_scores,
                       content_attribute_scores)
@@ -37,7 +37,7 @@ __all__ = [
     "ZslDataset", "adjust_class_attributes", "attribute_regression_loss",
     "calibration_loss", "class_scores", "compact_semantics",
     "config_hash", "content_attribute_scores", "cross_entropy", "encode",
-    "evaluate", "factor_analysis", "gamma_profile", "generate_synthetic",
+    "evaluate", "gamma_profile", "generate_synthetic",
     "grad_check", "harmonic_mean", "inverted_routing", "load_checkpoint",
     "load_features", "no_grad", "optimizer_step", "predict",
     "run_ablation", "save_checkpoint", "save_dataset",

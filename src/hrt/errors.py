@@ -28,9 +28,10 @@ class DataFormatError(ValueError):
 def allocating(what: str, keys: str):
     """Turn a MemoryError raised inside into a ConfigError naming ``what``
     was being allocated and the config ``keys`` that size it, followed by
-    numpy's message."""
+    numpy's message; so too the ValueError numpy raises for a size past its
+    limit, which is why the block may hold only allocations and draws."""
     try:
         yield
-    except MemoryError as e:
+    except (MemoryError, ValueError) as e:
         raise ConfigError(f"cannot allocate {what}, sized by {keys}: "
                           f"{e}") from e

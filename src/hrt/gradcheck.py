@@ -29,7 +29,7 @@ TINY_SPEC = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
                           d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
                           signal_patches_per_attribute=1)
 TINY_MODEL = dict(d_feat=16, num_attributes=6, num_classes=7, tau=8, d_cap=8,
-                  n_primary=8, k_em=2, k_td=2, compaction="pca")
+                  n_primary=8, k_em=2, k_td=2)
 
 
 @dataclass

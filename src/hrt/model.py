@@ -12,7 +12,7 @@ from .rng import SeededRng
 from .encoder import AlignedFeatures, encode
 from .decoder import (adjust_class_attributes, class_scores,
                       content_attribute_scores)
-from .semantics import COMPACTION_METHODS, SemanticSpace, compact_semantics
+from .semantics import SemanticSpace, compact_semantics
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,12 @@ class ModelConfig:
     n_primary: int = 128
     k_em: int = 5    # EM iterations; no effect, single-parent EM is closed form
     k_td: int = 2
-    compaction: str = "factor-analysis"  # or "pca"
 
     def __post_init__(self):
         for name in ("d_feat", "num_attributes", "num_classes", "tau",
                      "d_cap", "n_primary", "k_em", "k_td"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.compaction not in COMPACTION_METHODS:
-            raise ConfigError(f"compaction must be one of "
-                              f"{', '.join(COMPACTION_METHODS)}, "
-                              f"got {self.compaction!r}")
 
 
 def param_shapes(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
@@ -140,8 +135,7 @@ class HrtModel:
                                         "sem.class_attr": class_attr})
         semantics = SemanticSpace(attr_vectors=attr_vectors,
                                   class_attr=class_attr)
-        compact = compact_semantics(semantics.attr_vectors, config.d_cap,
-                                    method=config.compaction)
+        compact = compact_semantics(semantics.attr_vectors, config.d_cap)
         return cls(config, replace(semantics, compact_vectors=compact),
                    seed=seed)
 

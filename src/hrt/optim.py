@@ -65,9 +65,15 @@ def optimizer_step(state: RmsPropState, params: dict[str, Tensor],
     cfg = state.config
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
         w = p.data
+        # acc += (1 - rho) * g * g, formed first: a non-finite gradient, or
+        # one whose square overflows, makes its maximum NaN or inf, and the
+        # step is refused before any state changes
+        scratch = np.multiply(1.0 - cfg.rho, g, out=np.empty_like(w))
+        scratch *= g
+        if not np.isfinite(scratch.max()):
+            raise NumericError(f"gradient for parameter {name!r} is "
+                               "non-finite or its square overflows")
         # get, not setdefault, whose zeros_like argument would fill a new
         # array on every step
         acc = state.square_avg.get(name)
@@ -76,9 +82,6 @@ def optimizer_step(state: RmsPropState, params: dict[str, Tensor],
         buf = state.momentum_buf.get(name)
         if buf is None:
             buf = state.momentum_buf[name] = np.zeros_like(w)
-        # acc += (1 - rho) * g * g
-        scratch = np.multiply(1.0 - cfg.rho, g, out=np.empty_like(w))
-        scratch *= g
         acc *= cfg.rho
         acc += scratch
         # buf += g / (sqrt(acc) + eps)

@@ -1,8 +1,7 @@
 """Attribute semantic spaces and dimensionality compaction.
 
 Attribute word vectors v_a live in a tau-dimensional space; routing capsules
-are d-dimensional. ``compact_semantics`` bridges the two, by an EM-fitted
-factor-analysis model or by PCA scores.
+are d-dimensional. ``compact_semantics`` bridges the two by PCA scores.
 """
 
 from __future__ import annotations
@@ -72,54 +71,12 @@ def _pca_scores(x: np.ndarray, d: int) -> np.ndarray:
     return scores
 
 
-def factor_analysis(x: np.ndarray, d: int, iterations: int = 50,
-                    psi_floor: float = 1e-6):
-    """Fit a d-factor analysis model x = mu + L f + eps by EM.
-
-    Returns (scores, loadings, psi): the posterior factor means E[f | x] per
-    row, the loadings L [p, d] and the residual variances psi [p].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n, p = x.shape
-    mu = x.mean(axis=0)
-    xc = x - mu
-    var = xc.var(axis=0)
-    if not np.any(var > 0):
-        raise NumericError("factor analysis needs input with nonzero variance")
-    # deterministic init: principal directions, uniform residual variance
-    _, s, vt = np.linalg.svd(xc, full_matrices=False)
-    loadings = np.zeros((p, d))
-    k = min(d, s.size)
-    loadings[:, :k] = (vt[:k].T * (s[:k] / np.sqrt(n)))
-    psi = np.maximum(var - (loadings ** 2).sum(axis=1), psi_floor)
-
-    data_var = np.diag(xc.T @ xc / n)
-    eye_d = np.eye(d)
-    for _ in range(iterations):
-        # E-step
-        psi_inv_l = loadings / psi[:, None]           # Psi^-1 L, [p, d]
-        g = np.linalg.inv(eye_d + loadings.T @ psi_inv_l)
-        ez = xc @ psi_inv_l @ g                       # [n, d] posterior means
-        ezz = n * g + ez.T @ ez                       # sum_i E[f f^T]
-        # M-step
-        xz = xc.T @ ez                                # [p, d]
-        loadings = xz @ np.linalg.inv(ezz)
-        psi = np.maximum(data_var - np.sum(loadings * xz, axis=1) / n,
-                         psi_floor)
-
-    psi_inv_l = loadings / psi[:, None]
-    g = np.linalg.inv(eye_d + loadings.T @ psi_inv_l)
-    scores = xc @ psi_inv_l @ g
-    return scores, loadings, psi
-
-
-# the compaction methods ``compact_semantics`` knows
-COMPACTION_METHODS = ("factor-analysis", "pca")
-
-
-def compact_semantics(v: np.ndarray, d: int, method: str) -> np.ndarray:
+def compact_semantics(v: np.ndarray, d: int) -> np.ndarray:
     """Reduce attribute vectors [A, tau] to routing dimension [A, d] by
-    ``method``, one of ``COMPACTION_METHODS``."""
+    their principal-component scores.
+
+    The centred vectors have rank at most A - 1, so for d >= A the columns
+    from A - 1 on are zero (column A - 1 up to rounding)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
         raise DimensionError(f"attribute vectors must be [A, tau], got {v.shape}")
@@ -129,10 +86,5 @@ def compact_semantics(v: np.ndarray, d: int, method: str) -> np.ndarray:
     if a < 2:
         raise DimensionError("compaction needs at least two attribute vectors")
     if not np.any(v.var(axis=0) > 0):
-        raise NumericError(f"{method} compaction on zero-variance input is degenerate")
-    if method == "pca":
-        return _pca_scores(v, d)
-    if method == "factor-analysis":
-        scores, _, _ = factor_analysis(v, d)
-        return scores
-    raise DimensionError(f"unknown compaction method {method!r}")
+        raise NumericError("compaction on zero-variance input is degenerate")
+    return _pca_scores(v, d)

@@ -26,7 +26,7 @@ from .losses import (LossConfig, attribute_regression_loss, calibration_loss,
 from .optim import OptimizerConfig, RmsPropState, optimizer_step
 
 CHECKPOINT_MAGIC = b"HRTC"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 HISTORY_HEADER = "epoch,L_ce,L_cal,L_reg,total,train_acc"
 
 

@@ -182,30 +182,6 @@ def encoder_oracle(patch_features, compact_vectors, proj, act_proj, transforms,
     return h, attention, agreement
 
 
-def factor_analysis_oracle(x, d, iterations, psi_floor=1e-6):
-    """Second, independently written EM recursion for factor analysis."""
-    x = np.asarray(x, dtype=np.float64)
-    n, p = x.shape
-    xc = x - x.mean(axis=0)
-    u, s, vt = np.linalg.svd(xc, full_matrices=False)
-    lam = np.zeros((p, d))
-    k = min(d, len(s))
-    for j in range(k):
-        lam[:, j] = vt[j] * (s[j] / math.sqrt(n))
-    psi = np.maximum(xc.var(axis=0) - (lam ** 2).sum(axis=1), psi_floor)
-    sample_cov = (xc.T @ xc) / n
-    for _ in range(iterations):
-        beta_mat = np.linalg.inv(np.eye(d) + lam.T @ np.diag(1.0 / psi) @ lam)
-        ez = xc @ np.diag(1.0 / psi) @ lam @ beta_mat
-        sum_ezz = n * beta_mat + ez.T @ ez
-        sum_xz = xc.T @ ez
-        lam = sum_xz @ np.linalg.inv(sum_ezz)
-        psi = np.maximum(np.diag(sample_cov) - np.diag(lam @ sum_xz.T) / n,
-                         psi_floor)
-    beta_mat = np.linalg.inv(np.eye(d) + lam.T @ np.diag(1.0 / psi) @ lam)
-    return xc @ np.diag(1.0 / psi) @ lam @ beta_mat
-
-
 def synthetic_oracle(spec, seed):
     """The synthetic generator as a per-sample loop: each sample's patches are
     drawn, planted and appended one at a time, then stacked.  Draws come

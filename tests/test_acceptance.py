@@ -208,8 +208,7 @@ def test_end_to_end_learning(capsys):
 def test_determinism(capsys, tmp_path):
     import json
     config = {
-        "model": {"d_cap": 4, "n_primary": 8, "k_em": 2, "k_td": 2,
-                  "compaction": "pca"},
+        "model": {"d_cap": 4, "n_primary": 8, "k_em": 2, "k_td": 2},
         "train": {"epochs": 2, "batch_size": 8, "seed": 0},
         "synthetic": {"c_seen": 3, "c_unseen": 2, "num_attributes": 6,
                       "r_patches": 4, "d_feat": 12, "tau": 8,
@@ -237,7 +236,7 @@ def test_determinism(capsys, tmp_path):
 
 def test_ablation_harness(capsys):
     config = load_config(overrides={
-        "model": {"d_cap": 4, "n_primary": 8, "compaction": "pca"},
+        "model": {"d_cap": 4, "n_primary": 8},
         "train": {"epochs": 1, "batch_size": 8},
         "synthetic": {"c_seen": 3, "c_unseen": 2, "num_attributes": 6,
                       "r_patches": 4, "d_feat": 12, "tau": 8,

@@ -23,8 +23,7 @@ NOT_UTF8 = b"a0,a1\n\xff\xfe,1\n"
 NESTED_JSON = b"[" * 200000 + b"]" * 200000
 
 TINY_CONFIG = {
-    "model": {"d_cap": 4, "n_primary": 8, "k_em": 2, "k_td": 2,
-              "compaction": "pca"},
+    "model": {"d_cap": 4, "n_primary": 8, "k_em": 2, "k_td": 2},
     "train": {"epochs": 2, "batch_size": 8, "seed": 0},
     "synthetic": {"c_seen": 3, "c_unseen": 2, "num_attributes": 6,
                   "r_patches": 4, "d_feat": 12, "tau": 8,
@@ -273,10 +272,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("overrides,key", [
         ({"gamma": {"profile": "cub_sun"}}, "gamma.profile"),
         ({"model": {"layer_norm_eps": 1e-5}}, "model.layer_norm_eps"),
-    ], ids=["gamma-profile", "layer-norm-eps"])
+        ({"model": {"compaction": "pca"}}, "model.compaction"),
+    ], ids=["gamma-profile", "layer-norm-eps", "compaction"])
     def test_removed_config_key_is_unknown(self, workspace, tmp_path, capsys,
                                            command, overrides, key):
-        # the offsets are set directly, and the layer-norm epsilon is fixed
+        # the offsets are set directly, the layer-norm epsilon is fixed and
+        # the attribute vectors are compacted by PCA
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(overrides))
         checkpoint = ["--checkpoint", str(workspace / "run" / "model.ckpt")]
@@ -401,9 +402,9 @@ class TestExitCodes:
 
     # version 1 still held the EM beta/gamma parameters, version 2 the EM
     # vote transforms and pose_mode, version 3 the layer-norm epsilon,
-    # version 4 r_patches and the dtype/endianness header fields, and
-    # version 5 a list of tensor names and shapes
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    # version 4 r_patches and the dtype/endianness header fields, version 5
+    # a list of tensor names and shapes, and version 6 the compaction method
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_eval_rejects_old_checkpoint_version(self, workspace, tmp_path,
                                                  capsys, version):
         rc = self.eval_edited_checkpoint(
@@ -413,16 +414,17 @@ class TestExitCodes:
         assert "error:" in err and f"version {version}" in err
         assert "Traceback" not in err
 
-    def test_eval_rejects_unknown_compaction(self, workspace, tmp_path,
-                                             capsys):
+    # a current header that still carries the version 6 model config field
+    def test_eval_rejects_header_with_compaction(self, workspace, tmp_path,
+                                                 capsys):
         rc = self.eval_edited_checkpoint(
             workspace, tmp_path, lambda h: {
                 **h, "model_config": {**h["model_config"],
-                                      "compaction": "bogus"}})
+                                      "compaction": "pca"}})
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert "compaction must be one of" in err and "'bogus'" in err
+        assert "'model_config'" in err
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_eval_rejects_non_finite_parameter(self, workspace, tmp_path,
@@ -623,8 +625,8 @@ class TestExitCodes:
         ("optimizer", "lr", -1.0),
         ("optimizer", "momentum", -3.0),
         ("loss", "lambda1", -1.0),
-        ("model", "compaction", "bogus"),
-    ], ids=["rho", "lr", "momentum", "lambda1", "compaction"])
+        ("model", "k_td", 0),
+    ], ids=["rho", "lr", "momentum", "lambda1", "k_td"])
     def test_out_of_range_training_setting_names_the_key(
             self, workspace, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "config.json"
@@ -639,15 +641,13 @@ class TestExitCodes:
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("section,key,value", [
-        ("model", "compaction", "bogus"),
         ("model", "d_cap", 0),
         ("optimizer", "lr", -1.0),
         ("loss", "lambda2", -1.0),
         ("train", "epochs", -1),
         ("train", "batch_size", 0),
         ("train", "seed", -1),
-    ], ids=["compaction", "d_cap", "lr", "lambda2", "epochs", "batch_size",
-            "seed"])
+    ], ids=["d_cap", "lr", "lambda2", "epochs", "batch_size", "seed"])
     def test_training_setting_checked_before_dataset_read(
             self, workspace, tmp_path, capsys, monkeypatch, section, key,
             value):
@@ -761,25 +761,33 @@ class TestExitCodes:
         assert err.startswith("error:") and "synthetic.noise_std" in err
         assert list((tmp_path / "data").iterdir()) == []
 
-    # sizes this large are refused by numpy before any memory is touched;
-    # the generator allocates its features before drawing the first sample
-    @pytest.mark.parametrize("command,section,key", [
-        ("gen", "synthetic", "d_feat"),
-        ("gen", "synthetic", "samples_per_class"),
-        ("train", "model", "n_primary"),
-    ], ids=["gen-d_feat", "gen-samples_per_class", "train-n_primary"])
+    # sizes this large are refused by numpy before any memory is touched,
+    # with a MemoryError up to its size limit and a ValueError past it; the
+    # generator allocates its features before drawing the first sample
+    @pytest.mark.parametrize("command,section,overrides,numpy_says", [
+        ("gen", "synthetic", {"d_feat": 10 ** 12}, "Unable to allocate"),
+        ("gen", "synthetic", {"samples_per_class": 10 ** 12},
+         "Unable to allocate"),
+        ("train", "model", {"n_primary": 10 ** 12}, "Unable to allocate"),
+        ("gen", "synthetic", {"r_patches": 10 ** 18,
+                              "signal_patches_per_attribute": 1},
+         "array is too big"),
+        ("train", "model", {"n_primary": 10 ** 18}, "array is too big"),
+    ], ids=["gen-d_feat", "gen-samples_per_class", "train-n_primary",
+            "gen-r_patches-past-limit", "train-n_primary-past-limit"])
     def test_unallocatable_size_is_validation_error(
-            self, workspace, tmp_path, capsys, command, section, key):
+            self, workspace, tmp_path, capsys, command, section, overrides,
+            numpy_says):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(
-            {**TINY_CONFIG, section: {**TINY_CONFIG[section], key: 10 ** 12}}))
+            {**TINY_CONFIG, section: {**TINY_CONFIG[section], **overrides}}))
         data = ["--data", str(workspace / "data")] if command == "train" else []
         rc = main([command, *data, "--out", str(tmp_path / "out"),
                    "--config", str(cfg)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Unable to allocate" in err
-        assert f"{section}.{key}" in err
+        assert err.startswith("error:") and numpy_says in err
+        assert f"{section}.{next(iter(overrides))}" in err
         assert "Traceback" not in err
 
     # PCG64 seeds are in [0, 2**64); one outside would alias another

@@ -7,8 +7,7 @@ from hrt.config import gamma_offsets, load_config
 # the resolved default config, as `hrt` echoes it; DEFAULTS is built from the
 # config dataclasses, so a change to one of their defaults shows here
 RESOLVED_DEFAULTS = {
-    "model": {"d_cap": 16, "n_primary": 128, "k_em": 5, "k_td": 2,
-              "compaction": "factor-analysis"},
+    "model": {"d_cap": 16, "n_primary": 128, "k_em": 5, "k_td": 2},
     "loss": {"lambda1": 0.1, "lambda2": 0.033},
     "gamma": {"seen_offset": -0.5, "unseen_offset": 1.0},
     "optimizer": {"lr": 1e-3, "momentum": 0.9, "rho": 0.99, "eps": 1e-8,

@@ -52,6 +52,20 @@ def test_nonfinite_gradient_aborts():
         optimizer_step(state, {"p": p}, {"p": np.array([np.nan])})
 
 
+# 1e200 is finite but its square is not; a refused step changes no state
+def test_gradient_whose_square_overflows_aborts():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    state = RmsPropState(OptimizerConfig())
+    optimizer_step(state, {"p": p}, {"p": np.array([1.0, -1.0])})
+    before = (p.data.copy(), state.square_avg["p"].copy(),
+              state.momentum_buf["p"].copy())
+    with pytest.raises(NumericError, match="'p'"):
+        optimizer_step(state, {"p": p}, {"p": np.array([1e200, 1.0])})
+    assert np.all(np.isfinite(state.square_avg["p"]))
+    after = (p.data, state.square_avg["p"], state.momentum_buf["p"])
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 def test_overflowing_step_raises_numeric_error():
     # the suite turns RuntimeWarnings into errors, so numpy's overflow
     # warning would be raised here in place of the NumericError

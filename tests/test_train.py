@@ -26,9 +26,9 @@ from helpers import WIDE_GRID, peak_traced_bytes
 # joined by newlines, and the parameters' bytes in name order
 DEFAULT_RUN_SHA256 = {
     "history":
-        "59949ce7e14048c722c4227bef216338c71f749114e7c4e32dd37e084b6e5d60",
+        "4ddb37fcd1886fb8068252aa31ddc1e1a0057fbc2ca1913a7a40dfa3b56d5d98",
     "params":
-        "294b8895db5b3c5d53a11c02ad69af361714429b1c35ade261a57bb20078079c",
+        "3e470f9e46a969c658009f64c79b13d87ddeeda1a457092744107103d565c880",
 }
 
 
@@ -222,12 +222,12 @@ class TestCheckpoint:
         path.write_bytes(b"HRTC" + struct.pack("<Q", len(blob)) + blob
                          + payload)
 
-    def test_header_declares_version_6(self, tmp_path):
+    def test_header_declares_version_7(self, tmp_path):
         ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         header, _ = self.read_header(path)
-        assert header["version"] == 6
+        assert header["version"] == 7
         assert header.keys() == {"version", "seed", "model_config",
                                  "config_hash"}
         assert header["model_config"].keys() == {
@@ -236,6 +236,7 @@ class TestCheckpoint:
         assert "em_lambda" not in header["model_config"]
         assert "pose_mode" not in header["model_config"]
         assert "layer_norm_eps" not in header["model_config"]
+        assert "compaction" not in header["model_config"]
 
     def test_payload_is_the_layout(self, tmp_path):
         # the model config fixes the payload: nothing else is stored
@@ -302,14 +303,13 @@ class TestCheckpoint:
         (model_config(tau=10**12), "truncated in array 'sem.attr_vectors'"),
         (model_config(n_primary=4), "trailing"),
         (model_config(n_primary=-8), "n_primary must be >= 1"),
-        (model_config(compaction="bogus"), "compaction must be one of"),
         (lambda h, _: b"[" * 200000 + b"]" * 200000, "corrupt header"),
     ], ids=["v1", "no-version", "model-config-not-object",
             "model-config-unknown-key", "model-config-mistyped", "no-seed",
             "header-not-object", "bool-version", "bool-seed", "seed-2**64",
             "negative-seed", "nan-param", "inf-semantics", "huge-n_primary",
             "huge-d_feat", "huge-tau", "smaller-n_primary",
-            "negative-n_primary", "bogus-compaction", "nested-json"])
+            "negative-n_primary", "nested-json"])
     def test_malformed_header_names_the_field(self, tmp_path, edit, field):
         ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
