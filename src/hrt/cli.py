@@ -31,10 +31,12 @@ from .train import (load_checkpoint, save_checkpoint, train_from_config,
 
 
 def _make_out(path: str, *names: str, is_file: bool = False) -> Path:
-    """Create the ``--out`` directory (or, for a file, its parent) before any
-    work is done, so an unusable path fails fast and is named as given. A
-    file ``--out`` and the ``names`` the command writes there must not exist
-    as anything but a regular file: writing to a named pipe blocks."""
+    """Create the ``--out`` directory (or, for a file, its parent). Callers
+    check their settings first, so a refused command leaves no directory,
+    and call this before reading or generating anything, so an unusable path
+    fails fast and is named as given. A file ``--out`` and the ``names`` the
+    command writes there must not exist as anything but a regular file:
+    writing to a named pipe blocks."""
     out = Path(path)
     home = out.parent if is_file else out
     for file in [out] * is_file + [home / name for name in names]:
@@ -82,10 +84,11 @@ def _train_settings(config: dict, args) -> None:
 
 def cmd_gen(args) -> int:
     config = load_config(args.config)
-    _make_out(args.out, *DATASET_FILES, "config.json")
     if args.seed is not None:
         config["synthetic"]["seed"] = args.seed
-    dataset = generate_synthetic(*synthetic_spec_for(config))
+    recipe = synthetic_spec_for(config)
+    _make_out(args.out, *DATASET_FILES, "config.json")
+    dataset = generate_synthetic(*recipe)
     save_dataset(dataset, args.out)
     echo_config(config, Path(args.out) / "config.json")
     print(f"wrote {dataset.features.shape[0]} samples to {args.out}")
@@ -94,8 +97,8 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    out = _make_out(args.out, "model.ckpt", "history.csv", "config.json")
     _train_settings(config, args)
+    out = _make_out(args.out, "model.ckpt", "history.csv", "config.json")
     dataset = load_features(args.data)
     model, history = train_from_config(config, dataset)
     save_checkpoint(model, out / "model.ckpt", experiment_config=config)
@@ -137,13 +140,14 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
+    _train_settings(config, args)
+    recipe = None if args.data else synthetic_spec_for(config)
     echo = Path(args.out).stem + ".config.json"
     out = _make_out(args.out, echo, is_file=True)
-    _train_settings(config, args)
     if args.data:
         dataset = load_features(args.data)
     else:
-        dataset = generate_synthetic(*synthetic_spec_for(config))
+        dataset = generate_synthetic(*recipe)
     rows = run_ablation(dataset, config)
     out.write_text(ablation_csv(rows), encoding="utf-8")
     echo_config(config, out.with_name(echo))

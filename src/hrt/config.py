@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .losses import LossConfig, gamma_profile
 from .model import ModelConfig
 from .optim import OptimizerConfig
+from .rng import check_seed
 
 # the ModelConfig fields that model_config_for takes from the dataset
 DATASET_FIELDS = ("d_feat", "num_attributes", "num_classes", "tau")
@@ -111,10 +112,11 @@ def model_config_for(config: dict, dataset) -> ModelConfig:
 
 
 def synthetic_spec_for(config: dict) -> tuple[SyntheticSpec, int]:
-    """The configured synthetic recipe and the seed to generate it from."""
+    """The configured synthetic recipe and the seed to generate it from,
+    both checked."""
     params = dict(config["synthetic"])
     seed = params.pop("seed")
-    return SyntheticSpec(**params), seed
+    return SyntheticSpec(**params), check_seed(seed)
 
 
 def loss_config_for(config: dict, dataset) -> LossConfig:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, allocating
-from .rng import SeededRng, choice_bounds, choices_from_draws
+from .rng import SeededRng
 from .semantics import SemanticSpace
 
 FORMAT_VERSION = 1
@@ -109,16 +109,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
     Attribute identities are orthonormalized random basis vectors in feature
     space; each class activates a distinct attribute subset, each sample
     plants the active attribute bases into a few random patches, and Gaussian
-    noise is layered on top.  The feature array is allocated once and filled
-    in place.
-
-    Each sample draws its noise, then its patches with one
-    ``SeededRng.integers`` call whose array ``high`` holds, per active
-    attribute, the bounds of one ``Generator.choice(r, k, replace=False)``:
-    one bounded draw per element, in order.  The subsets decoded from the
-    draws equal those ``choice`` calls', and the stream ends where theirs
-    would, so a seed gives the same dataset bytes as drawing each
-    attribute's patches with ``choice``.
+    noise is layered on top.  The feature array is allocated once, by the
+    draw of its noise, and the bases are planted in place.
     """
     rng = SeededRng(seed)
     a, d_feat, r = spec.num_attributes, spec.d_feat, spec.r_patches
@@ -162,26 +154,20 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> ZslDataset:
                     "synthetic.num_attributes and synthetic.tau"):
         attr_vectors = rng.normal((a, spec.tau))
 
-    # (3)+(4) samples: each draws its noise, then a few patches for each
-    # active attribute of its class; the bases are planted after the draws
+    # (3)+(4) samples: the noise of all samples in one draw, then the
+    # patches of every (sample, active attribute) row in one draw; the bases
+    # are planted after the draws
     with allocating("the samples", "synthetic.c_seen, synthetic.c_unseen, "
                     "synthetic.samples_per_class, synthetic.r_patches and "
                     "synthetic.d_feat"):
         labels = np.repeat(np.arange(c_total), spec.samples_per_class)
-        features = np.zeros((labels.size, r, d_feat))
+        features = rng.normal((labels.size, r, d_feat), scale=spec.noise_std)
     k = spec.signal_patches_per_attribute
-    active = class_attr > 0.5
-    bounds = choice_bounds(r, k)
-    highs = [np.tile(bounds, row.sum()) for row in active]
-    draws = []
-    for i, c in enumerate(labels.tolist()):
-        if spec.noise_std > 0:
-            features[i] = rng.normal((r, d_feat), scale=spec.noise_std)
-        draws.append(rng.integers(0, highs[c], highs[c].shape))
-    # one row of patches per (sample, active attribute), sample-major
-    chosen = choices_from_draws(np.concatenate(draws).reshape(-1, bounds.size),
-                                r, k)
-    sample, attr_of = np.nonzero(active[labels])
+    # one row per (sample, active attribute), sample-major; the first k of a
+    # uniform random permutation of the patches are a uniform k-subset
+    sample, attr_of = np.nonzero(class_attr[labels] > 0.5)
+    chosen = np.argsort(rng.uniform((sample.size, r)), axis=1,
+                        kind="stable")[:, :k]
     # attribute by attribute in ascending order, so every patch adds its
     # products to its noise in the order a per-sample loop would
     flat = features.reshape(-1, d_feat)

@@ -183,8 +183,9 @@ def encoder_oracle(patch_features, compact_vectors, proj, act_proj, transforms,
 
 
 def synthetic_oracle(spec, seed):
-    """The synthetic generator as a per-sample loop: each sample's patches are
-    drawn, planted and appended one at a time, then stacked.  Draws come
+    """The synthetic generator as per-sample loops: each sample's noise is
+    drawn, then each (sample, active attribute) row's patch order, then the
+    bases are planted row by row and the samples stacked.  Draws come
     straight from numpy's PCG64 in the order ``hrt.rng.SeededRng`` makes
     them.  Returns features, labels, splits, class_attr and attr_vectors."""
     gen = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
@@ -219,20 +220,17 @@ def synthetic_oracle(spec, seed):
 
     attr_vectors = gen.normal(0.0, 1.0, size=(a, spec.tau))
 
-    features, labels = [], []
-    for c in range(c_total):
-        for _ in range(spec.samples_per_class):
-            patches = gen.normal(0.0, spec.noise_std,
-                                 size=(spec.r_patches, d_feat)) \
-                if spec.noise_std > 0 else np.zeros((spec.r_patches, d_feat))
-            for attr in range(a):
-                if class_attr[c, attr] > 0.5:
-                    chosen = gen.choice(spec.r_patches,
-                                        size=spec.signal_patches_per_attribute,
-                                        replace=False)
-                    patches[chosen] += class_attr[c, attr] * basis[attr]
-            features.append(patches)
-            labels.append(c)
+    r, k = spec.r_patches, spec.signal_patches_per_attribute
+    labels = [c for c in range(c_total) for _ in range(spec.samples_per_class)]
+    features = [gen.normal(0.0, spec.noise_std, size=(r, d_feat))
+                for _ in labels]
+    # one patch order per (sample, active attribute), sample-major
+    rows = [(i, attr, np.argsort(gen.uniform(0.0, 1.0, size=r),
+                                 kind="stable")[:k])
+            for i, c in enumerate(labels) for attr in range(a)
+            if class_attr[c, attr] > 0.5]
+    for i, attr, patches in rows:
+        features[i][patches] += class_attr[labels[i], attr] * basis[attr]
     features = np.asarray(features)
     labels = np.asarray(labels)
 

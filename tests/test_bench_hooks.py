@@ -18,8 +18,22 @@ from hrt import ModelConfig, OptimizerConfig, RmsPropState, Tensor
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 HOOKS_FILE = BENCH_DIR / "hooks.py"
-RNG_DRAWS = ("SeededRng.normal", "SeededRng.uniform", "SeededRng.integers",
-             "SeededRng.permutation", "SeededRng.choice")
+
+
+def bench_literal(name: str):
+    """The literal ``bench/run.py`` assigns to ``name``, read with ``ast``:
+    importing the module would pin this process's BLAS threads."""
+    tree = ast.parse((BENCH_DIR / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/run.py assigns no {name} literal")
+
+
+# the draws the benchmark cuts data generation at, as it names them
+RNG_DRAWS = bench_literal("RNG_DRAWS")
 
 
 @pytest.fixture(scope="module")
@@ -113,25 +127,13 @@ def test_traced_epoch_keeps_the_bench_contract(hooks):
     assert (counts == counts[0]).all()
 
 
-def bench_workloads() -> dict:
-    """``WORKLOADS`` of ``bench/run.py``, read as a literal: importing the
-    module would pin this process's BLAS threads."""
-    tree = ast.parse((BENCH_DIR / "run.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "WORKLOADS"
-                for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/run.py assigns no WORKLOADS literal")
-
-
-@pytest.mark.parametrize("name", sorted(bench_workloads()))
+@pytest.mark.parametrize("name", sorted(bench_literal("WORKLOADS")))
 def test_workload_overlay_builds_a_model_config(name):
     # a config key the benchmark still sets must stay loadable
     from hrt import generate_synthetic
     from hrt.config import load_config, model_config_for, synthetic_spec_for
 
-    _kind, overlay = bench_workloads()[name]
+    _kind, overlay = bench_literal("WORKLOADS")[name]
     config = load_config(overrides=overlay)
     dataset = generate_synthetic(*synthetic_spec_for(config))
     model_config_for(config, dataset)

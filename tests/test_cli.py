@@ -43,11 +43,11 @@ LEARNING_CONFIG = {
 # the numerics of training or evaluation do
 LEARNING_SHA256 = {
     "run/history.csv":
-        "cad2be8696b6ad0a58a81c8f4f292152a29aecf86b53fcd9503e7c2d4072a61a",
+        "c946f2cdad6a9f5bc394e20ccdde70078590a4327223558fe0a304dc60522400",
     "eval/metrics.json":
-        "104b57f53d35d3d9288c687114bf90506fff105096ac7f6644f8058a2afb61fb",
+        "e7a3734a3d58606b95c40b2b8390150e5b48c1db3db8e985edbc5bea5a1d47af",
     "ablation.csv":
-        "4ec9d4b65c191de26788d7cf9967e6f7a11a6aea16dcf2d8695e3b0de455360c",
+        "a41a1c2570b54e8f7b3f9407d248ee2b68ee44566a5c4815d7112f95b9e04025",
 }
 
 # sha256 of the dataset files `hrt gen` writes at the default config; they
@@ -56,23 +56,23 @@ GEN_SHA256 = {
     0: {"meta.json":
         "0dde280b34b96c6d34186c46ecfcf09299ee749f0cab67567cd5c8f437666100",
         "features.bin":
-        "65de95bd86f2db34779d3c5217b3db43de5c8fda1b9cc7561885b310b645bd12",
+        "7e3f176f1f1bec6a60ce1ea2689d9ec23962f009f72a914a68c293d9bcbea25c",
         "attributes.csv":
         "f9c788b4a48eb09d0294c0ce9ecbd2a71f4d39b69f4a20d754b2bf9b3722f08b",
         "semantics.csv":
         "55e6411ec832db950fcd49bbb5b4c969302d586c5cfc9b760946a048c6fa1c0c",
         "splits.csv":
-        "4d050a353cd5e9eed38364e87d3dbcd79326c5c90c67912764280ccd9be5aa9d"},
+        "32c58ee338acb78fe2e61bbfd191de8b72d87691552936708d30434507e713ef"},
     3: {"meta.json":
         "0dde280b34b96c6d34186c46ecfcf09299ee749f0cab67567cd5c8f437666100",
         "features.bin":
-        "951a521ee0d23f11d5b6d8dd604688c58d3b3f0888fd8caa418f71077e9d4d7f",
+        "a5b7bf6ee2d3a0a3c10fde8d47d12d68768482b4132543e8e2f6b9b72615e12b",
         "attributes.csv":
         "a9df7e3b0fbf4db13d8638b4803f22697560337bf31e44accbcefeb722c4021c",
         "semantics.csv":
         "e9045116215b6ad9d66bfede6b03efff0f6ca260c7e7f6de2677e15fb8c9194f",
         "splits.csv":
-        "e3c6e19eca62a96402c39a1a15017faf484d613ffd4a7fb950f26c7e983b4c43"},
+        "b4dab4f060671be2aa1502972a48145687a8baa34a509eecacae7513b0b08185"},
 }
 
 
@@ -823,6 +823,25 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert f"seed {seed} is outside" in err
         assert written is None or not (tmp_path / written).exists()
+
+    @pytest.mark.parametrize("argv,config,out", [
+        (["gen", "--seed", "-1"], {}, "x"),
+        (["gen"], {"synthetic": {"c_seen": 1}}, "x"),
+        (["train", "--seed", "-1"], {}, "t"),
+        (["ablate", "--seed", "-1"], {}, "a/x.csv"),
+    ], ids=["gen-seed", "gen-recipe", "train-seed", "ablate-seed"])
+    def test_refused_command_creates_no_out_directory(
+            self, workspace, tmp_path, capsys, argv, config, out):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / out)]
+        if argv[0] == "train":
+            argv += ["--data", str(workspace / "data")]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        # the directory --out names, or for a file its parent
+        home = Path(out).parts[0]
+        assert not (tmp_path / home).exists()
 
     def test_gradcheck_passes_on_tiny_model(self, tmp_path, capsys):
         # keep this quick: a coarse tolerance still exercises the full path

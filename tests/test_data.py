@@ -11,6 +11,7 @@ from hrt import (ConfigError, DataFormatError, DimensionError, HrtModel,
                  evaluate, generate_synthetic, load_features, save_dataset,
                  train)
 from hrt.config import dataset_dims
+from hrt.rng import SeededRng
 from helpers import WIDE_GRID, peak_traced_bytes
 from oracles import synthetic_oracle
 
@@ -52,6 +53,41 @@ class TestGenerateSynthetic:
             assert np.array_equal(ds.splits[name], splits[name])
         assert np.array_equal(ds.semantics.class_attr, class_attr)
         assert np.array_equal(ds.semantics.attr_vectors, attr_vectors)
+
+    def test_planted_patches_are_uniform(self):
+        # with no noise a patch is nonzero exactly where a basis was
+        # planted; every position must be planted equally often
+        r, k = 9, 2
+        spec = SyntheticSpec(noise_std=0.0, r_patches=r,
+                             signal_patches_per_attribute=k,
+                             samples_per_class=200)
+        ds = generate_synthetic(spec, seed=0)
+        planted = (ds.features != 0).any(axis=2)
+        # the chi-square distribution's 0.999 quantile at r - 1 = 8 degrees
+        # of freedom
+        limit = 26.1245
+        for c, attr in enumerate(ds.semantics.class_attr):
+            rows = planted[ds.labels == c]
+            per_sample = rows.sum(axis=1)
+            assert per_sample.min() >= k
+            assert per_sample.max() <= min(r, k * int((attr > 0.5).sum()))
+            counts = rows.sum(axis=0)
+            expected = counts.sum() / r
+            assert ((counts - expected) ** 2 / expected).sum() < limit, c
+
+    def test_draw_count_does_not_grow_with_samples(self, monkeypatch):
+        calls = []
+        for name in ("normal", "uniform", "integers", "permutation", "choice"):
+            def counted(self, *args, _draw=getattr(SeededRng, name), **kw):
+                calls.append(1)
+                return _draw(self, *args, **kw)
+            monkeypatch.setattr(SeededRng, name, counted)
+        counts = []
+        for samples in (10, 40):
+            calls.clear()
+            generate_synthetic(SyntheticSpec(samples_per_class=samples), 0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_no_unseen_classes_rejected(self):
         with pytest.raises(ConfigError):

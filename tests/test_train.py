@@ -26,9 +26,9 @@ from helpers import WIDE_GRID, peak_traced_bytes
 # joined by newlines, and the parameters' bytes in name order
 DEFAULT_RUN_SHA256 = {
     "history":
-        "4ddb37fcd1886fb8068252aa31ddc1e1a0057fbc2ca1913a7a40dfa3b56d5d98",
+        "49756a1964e55dbfc319b7e9ca3ab70eb3d83d4f9c00194ef6d753639b73494c",
     "params":
-        "3e470f9e46a969c658009f64c79b13d87ddeeda1a457092744107103d565c880",
+        "fda9df5fd5d3421444248c6d734fbcfecfc3f288861682c03939e3656406dc0e",
 }
 
 
