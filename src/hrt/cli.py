@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, DimensionError, NumericError
-from .config import (dataset_dims, echo_config, gamma_offsets, load_config,
-                     synthetic_spec_for)
-from .data import DATASET_FILES, generate_synthetic, load_features, save_dataset
+from .config import (DATASET_FIELDS, dataset_dims, echo_config, gamma_offsets,
+                     load_config, synthetic_spec_for)
+from .data import (DATASET_FILES, ZslDataset, check_dataset_files,
+                   generate_synthetic, load_features, save_dataset)
 from .ablation import ablation_csv, run_ablation
 from .gradcheck import check_model_gradients, grad_check
 from .losses import LossConfig
@@ -26,17 +27,17 @@ from .model import HrtModel, ModelConfig
 from .optim import OptimizerConfig
 from .rng import check_seed
 from .tensor import Tensor, no_grad
-from .train import (load_checkpoint, save_checkpoint, train_from_config,
-                    write_history)
+from .train import (checkpoint_size, load_checkpoint, save_checkpoint,
+                    train_from_config, write_history)
 
 
 def _make_out(path: str, *names: str, is_file: bool = False) -> Path:
     """Create the ``--out`` directory (or, for a file, its parent). Callers
-    check their settings first, so a refused command leaves no directory,
-    and call this before reading or generating anything, so an unusable path
-    fails fast and is named as given. A file ``--out`` and the ``names`` the
-    command writes there must not exist as anything but a regular file:
-    writing to a named pipe blocks."""
+    check their settings and the files they read first, so a refused command
+    leaves no directory, and call this before reading or generating
+    anything, so an unusable path fails fast and is named as given. A file
+    ``--out`` and the ``names`` the command writes there must not exist as
+    anything but a regular file: writing to a named pipe blocks."""
     out = Path(path)
     home = out.parent if is_file else out
     for file in [out] * is_file + [home / name for name in names]:
@@ -49,9 +50,12 @@ def _make_out(path: str, *names: str, is_file: bool = False) -> Path:
     return out
 
 
-def _check_matches(model: HrtModel, dataset, args) -> None:
-    """Reject a dataset whose dimensions or semantic arrays differ from the
-    checkpoint's; the patch count is free, as no parameter is sized by it."""
+def _load_matched(args) -> tuple[HrtModel, ZslDataset]:
+    """Load the checkpoint, then the dataset, and reject a dataset whose
+    dimensions or semantic arrays differ from the checkpoint's; the patch
+    count is free, as no parameter is sized by it."""
+    model = load_checkpoint(args.checkpoint)
+    dataset = load_features(args.data)
     for name, given in dataset_dims(dataset).items():
         have = getattr(model.config, name)
         if have != given:
@@ -64,13 +68,13 @@ def _check_matches(model: HrtModel, dataset, args) -> None:
             raise DataFormatError(
                 f"checkpoint {args.checkpoint} and dataset {args.data} "
                 f"hold different {name}")
+    return model, dataset
 
 
 def _train_settings(config: dict, args) -> None:
-    """Apply ``--seed``, then check the model (with default dimensions),
-    loss, optimizer and train sections before a dataset is read or
-    generated."""
-    ModelConfig(**config["model"])
+    """Apply ``--seed``, then check the model (with placeholder sizes),
+    loss, optimizer and train sections before any dataset is touched."""
+    ModelConfig(**dict.fromkeys(DATASET_FIELDS, 1), **config["model"])
     LossConfig(**config["loss"])
     OptimizerConfig(**config["optimizer"])
     if args.seed is not None:
@@ -98,6 +102,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     _train_settings(config, args)
+    check_dataset_files(args.data)
     out = _make_out(args.out, "model.ckpt", "history.csv", "config.json")
     dataset = load_features(args.data)
     model, history = train_from_config(config, dataset)
@@ -111,11 +116,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
+    checkpoint_size(args.checkpoint)
+    check_dataset_files(args.data)
     out = _make_out(args.out, "metrics.json", "config.json")
-    # a missing or corrupt checkpoint fails before the features are read
-    model = load_checkpoint(args.checkpoint)
-    dataset = load_features(args.data)
-    _check_matches(model, dataset, args)
+    model, dataset = _load_matched(args)
     gamma = gamma_offsets(config, model.config.num_classes,
                           dataset.seen_classes, dataset.unseen_classes)
     metrics = evaluate(model, dataset, mode=args.mode, gamma=gamma)
@@ -141,13 +145,14 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     _train_settings(config, args)
-    recipe = None if args.data else synthetic_spec_for(config)
+    if args.data:
+        check_dataset_files(args.data)
+    else:
+        recipe = synthetic_spec_for(config)
     echo = Path(args.out).stem + ".config.json"
     out = _make_out(args.out, echo, is_file=True)
-    if args.data:
-        dataset = load_features(args.data)
-    else:
-        dataset = generate_synthetic(*recipe)
+    dataset = (load_features(args.data) if args.data
+               else generate_synthetic(*recipe))
     rows = run_ablation(dataset, config)
     out.write_text(ablation_csv(rows), encoding="utf-8")
     echo_config(config, out.with_name(echo))
@@ -156,11 +161,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    checkpoint_size(args.checkpoint)
+    check_dataset_files(args.data)
     out = _make_out(args.out, is_file=True)
-    # a missing or corrupt checkpoint fails before the features are read
-    model = load_checkpoint(args.checkpoint)
-    dataset = load_features(args.data)
-    _check_matches(model, dataset, args)
+    model, dataset = _load_matched(args)
     a = model.config.num_attributes
     lines = ["sample_index,patch_index," + ",".join(f"a{i}" for i in range(a))]
     with no_grad():

@@ -248,14 +248,18 @@ def _read_text(file: Path) -> str:
         raise DataFormatError(f"{file.name} is not UTF-8 text: {e}") from e
 
 
+def check_dataset_files(path) -> None:
+    """Refuse a missing dataset file, or one that is not a regular file,
+    before any is opened: opening a named pipe would wait for a writer."""
+    for file in map(Path(path).joinpath, DATASET_FILES):
+        _require(file.exists(), f"missing dataset file {file}")
+        _require(file.is_file(), f"dataset file {file} is not a regular file")
+
+
 def load_features(path) -> ZslDataset:
     """Load and fully validate a dataset directory."""
     path = Path(path)
-    for name in DATASET_FILES:
-        file = path / name
-        _require(file.exists(), f"missing dataset file {file}")
-        # opening a named pipe would wait for a writer
-        _require(file.is_file(), f"dataset file {file} is not a regular file")
+    check_dataset_files(path)
     try:
         meta = json.loads(_read_text(path / "meta.json"))
     except (json.JSONDecodeError, RecursionError) as e:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -17,45 +17,36 @@ from .semantics import SemanticSpace, compact_semantics
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape and routing configuration; desk-scale defaults. A config that
-    is out of range raises a ConfigError when built."""
+    """Shape and routing configuration; the sizes come from the dataset or
+    a checkpoint. A config that is out of range raises a ConfigError."""
 
-    d_feat: int = 64
-    num_attributes: int = 12
-    num_classes: int = 12
-    tau: int = 32
+    d_feat: int
+    num_attributes: int
+    num_classes: int
+    tau: int
     d_cap: int = 16
     n_primary: int = 128
     k_em: int = 5    # EM iterations; no effect, single-parent EM is closed form
     k_td: int = 2
 
     def __post_init__(self):
-        for name in ("d_feat", "num_attributes", "num_classes", "tau",
-                     "d_cap", "n_primary", "k_em", "k_td"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
 
 
-def param_shapes(c: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
-    """Each parameter's shape and init fan-in, in draw order."""
-    return {
-        "enc.proj": ((c.d_feat, c.n_primary, c.d_cap), c.d_feat),
-        "enc.act_proj": ((c.d_feat, c.n_primary), c.d_feat),
-        "enc.vote_transforms": ((c.num_attributes, c.d_cap, c.d_cap), c.d_cap),
-        "dec.w_beta": ((c.tau, c.d_feat), c.tau),
-        "dec.w_d": ((c.d_feat, c.tau), c.d_feat),
-    }
-
-
-# the config fields each shape in ``param_shapes`` is built from, named when
-# a parameter cannot be allocated
-SIZED_BY = {
-    "enc.proj": "model.d_feat, model.n_primary and model.d_cap",
-    "enc.act_proj": "model.d_feat and model.n_primary",
-    "enc.vote_transforms": "model.num_attributes and model.d_cap",
-    "dec.w_beta": "model.tau and model.d_feat",
-    "dec.w_d": "model.d_feat and model.tau",
-}
+def param_shapes(c: ModelConfig) -> dict:
+    """Each parameter's shape, init fan-in and the config keys that size it,
+    in draw order, from one table of the fields that give them."""
+    table = {"enc.proj": (("d_feat", "n_primary", "d_cap"), "d_feat"),
+             "enc.act_proj": (("d_feat", "n_primary"), "d_feat"),
+             "enc.vote_transforms": (("num_attributes", "d_cap", "d_cap"),
+                                     "d_cap"),
+             "dec.w_beta": (("tau", "d_feat"), "tau"),
+             "dec.w_d": (("d_feat", "tau"), "d_feat")}
+    return {name: (tuple(getattr(c, k) for k in axes), getattr(c, fan_in),
+                   [f"model.{k}" for k in dict.fromkeys(axes)])
+            for name, (axes, fan_in) in table.items()}
 
 
 def array_layout(c: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -115,8 +106,9 @@ class HrtModel:
         if arrays is None:
             rng = SeededRng(seed)
             arrays = {}
-            for name, (shape, fan_in) in shapes.items():
-                with allocating(f"parameter {name!r}", SIZED_BY[name]):
+            for name, (shape, fan_in, keys) in shapes.items():
+                with allocating(f"parameter {name!r}", ", ".join(keys[:-1])
+                                + " and " + keys[-1]):
                     arrays[name] = rng.uniform(shape, -1.0 / np.sqrt(fan_in),
                                                1.0 / np.sqrt(fan_in))
         self.params: dict[str, Tensor] = {

@@ -55,25 +55,9 @@ class SemanticSpace:
         return self.class_attr.shape[0]
 
 
-def _pca_scores(x: np.ndarray, d: int) -> np.ndarray:
-    """Top-d principal-component scores of the rows of x, deterministic signs."""
-    centered = x - x.mean(axis=0, keepdims=True)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    scores = np.zeros((x.shape[0], d))
-    k = min(d, s.size)
-    comp = vt[:k]
-    # fix sign: largest-magnitude loading coordinate is positive
-    for i in range(k):
-        j = np.argmax(np.abs(comp[i]))
-        if comp[i, j] < 0:
-            comp[i] = -comp[i]
-    scores[:, :k] = centered @ comp.T
-    return scores
-
-
 def compact_semantics(v: np.ndarray, d: int) -> np.ndarray:
     """Reduce attribute vectors [A, tau] to routing dimension [A, d] by
-    their principal-component scores.
+    their top-d principal-component scores, with deterministic signs.
 
     The centred vectors have rank at most A - 1, so for d >= A the columns
     from A - 1 on are zero (column A - 1 up to rounding)."""
@@ -87,4 +71,15 @@ def compact_semantics(v: np.ndarray, d: int) -> np.ndarray:
         raise DimensionError("compaction needs at least two attribute vectors")
     if not np.any(v.var(axis=0) > 0):
         raise NumericError("compaction on zero-variance input is degenerate")
-    return _pca_scores(v, d)
+    centered = v - v.mean(axis=0, keepdims=True)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    scores = np.zeros((a, d))
+    k = min(d, s.size)
+    comp = vt[:k]
+    # fix sign: largest-magnitude loading coordinate is positive
+    for i in range(k):
+        j = np.argmax(np.abs(comp[i]))
+        if comp[i, j] < 0:
+            comp[i] = -comp[i]
+    scores[:, :k] = centered @ comp.T
+    return scores

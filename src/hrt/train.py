@@ -198,13 +198,17 @@ def _field(header, name: str, kind: type):
     return value
 
 
-def load_checkpoint(path) -> HrtModel:
-    # the type is checked before the file is opened: opening a named pipe
-    # waits for a writer
+def checkpoint_size(path) -> int:
+    """The size of the checkpoint file ``path``, refused before it is opened
+    unless it is a regular file: opening a named pipe waits for a writer."""
     st = os.stat(path)
     if not stat.S_ISREG(st.st_mode):
         raise DataFormatError(f"checkpoint {path} is not a regular file")
-    size = st.st_size
+    return st.st_size
+
+
+def load_checkpoint(path) -> HrtModel:
+    size = checkpoint_size(path)
     with open(path, "rb") as fh:
         head = fh.read(12)
         if head[:4] != CHECKPOINT_MAGIC:
@@ -258,9 +262,9 @@ def _header_config(header) -> tuple[ModelConfig, int]:
         raise DataFormatError(f"checkpoint header field 'seed' is {seed}, "
                               "outside [0, 2**64)")
     model_config = _field(header, "model_config", dict)
-    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
-    if model_config.keys() != kinds.keys() or not all(
-            fits_type(model_config[k], kind) for k, kind in kinds.items()):
+    names = {f.name for f in fields(ModelConfig)}
+    if model_config.keys() != names or not all(
+            fits_type(value, int) for value in model_config.values()):
         raise DataFormatError("checkpoint header field 'model_config' does "
                               f"not match ModelConfig: {model_config}")
     try:

@@ -147,3 +147,13 @@ def test_bench_reads_only_model_config_fields():
                                 path.read_text(encoding="utf-8"))}
     assert read, "the benchmark no longer reads model.config"
     assert read <= {f.name for f in fields(ModelConfig)}
+
+
+def test_bench_builds_no_model_config_itself():
+    # ModelConfig has no default sizes, so the benchmark builds each model
+    # config through config.model_config_for, which takes them from the data
+    calls = [f"{path.name}:{n}" for path in sorted(BENCH_DIR.glob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), start=1)
+             if "ModelConfig(" in line]
+    assert calls == []

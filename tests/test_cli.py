@@ -824,21 +824,38 @@ class TestExitCodes:
         assert f"seed {seed} is outside" in err
         assert written is None or not (tmp_path / written).exists()
 
+    # a refused setting, or a missing input: the nowhere paths do not exist
     @pytest.mark.parametrize("argv,config,out", [
         (["gen", "--seed", "-1"], {}, "x"),
         (["gen"], {"synthetic": {"c_seen": 1}}, "x"),
         (["train", "--seed", "-1"], {}, "t"),
         (["ablate", "--seed", "-1"], {}, "a/x.csv"),
-    ], ids=["gen-seed", "gen-recipe", "train-seed", "ablate-seed"])
+        (["train", "--data", "nowhere"], {}, "t"),
+        (["ablate", "--data", "nowhere"], {}, "a/x.csv"),
+        (["eval", "--checkpoint", "nowhere.ckpt"], {}, "e"),
+        (["report", "--checkpoint", "nowhere.ckpt"], None, "r/x.csv"),
+        (["eval", "--data", "nowhere"], {}, "e"),
+        (["report", "--data", "nowhere"], None, "r/x.csv"),
+    ], ids=["gen-seed", "gen-recipe", "train-seed", "ablate-seed",
+            "train-data", "ablate-data", "eval-checkpoint",
+            "report-checkpoint", "eval-data", "report-data"])
     def test_refused_command_creates_no_out_directory(
             self, workspace, tmp_path, capsys, argv, config, out):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
-        argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / out)]
-        if argv[0] == "train":
+        argv = [str(tmp_path / a) if a.startswith("nowhere") else a
+                for a in argv]
+        if config is not None:  # report takes no --config
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        # every input a case does not name exists
+        if argv[0] in ("train", "eval", "report") and "--data" not in argv:
             argv += ["--data", str(workspace / "data")]
+        if argv[0] in ("eval", "report") and "--checkpoint" not in argv:
+            argv += ["--checkpoint", str(workspace / "run" / "model.ckpt")]
+        argv += ["--out", str(tmp_path / out)]
         assert main(argv) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
         # the directory --out names, or for a file its parent
         home = Path(out).parts[0]
         assert not (tmp_path / home).exists()

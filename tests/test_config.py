@@ -1,8 +1,10 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
-from hrt import ConfigError
-from hrt.config import gamma_offsets, load_config
+from hrt import ConfigError, ModelConfig
+from hrt.config import DATASET_FIELDS, gamma_offsets, load_config
 
 # the resolved default config, as `hrt` echoes it; DEFAULTS is built from the
 # config dataclasses, so a change to one of their defaults shows here
@@ -28,6 +30,14 @@ def test_resolved_defaults_pinned():
     for section, values in RESOLVED_DEFAULTS.items():
         for key, value in values.items():
             assert type(config[section][key]) is type(value), (section, key)
+
+
+def test_model_sizes_come_only_from_the_dataset():
+    # the sizes have no default that could restate the synthetic recipe
+    with pytest.raises(TypeError, match="missing 4 required"):
+        ModelConfig()
+    assert tuple(f.name for f in fields(ModelConfig)
+                 if f.default is MISSING) == DATASET_FIELDS
 
 
 def test_int_for_float_offsets_accepted():

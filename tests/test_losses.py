@@ -7,6 +7,7 @@ from hrt import (LossConfig, SeededRng, Tensor, attribute_regression_loss,
                  calibration_loss, cross_entropy, gamma_profile, predict,
                  no_grad, total_loss)
 from hrt import DimensionError, NumericError
+from hrt.config import dataset_dims
 from hrt.data import SyntheticSpec, generate_synthetic
 from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 from hrt.model import HrtModel, ModelConfig
@@ -146,7 +147,8 @@ class TestTotalLoss:
 
     def test_every_parameter_gets_a_gradient_at_default_config(self):
         ds = generate_synthetic(SyntheticSpec(samples_per_class=2), seed=0)
-        model = HrtModel.build(ModelConfig(), ds.semantics.attr_vectors,
+        model = HrtModel.build(ModelConfig(**dataset_dims(ds)),
+                               ds.semantics.attr_vectors,
                                ds.semantics.class_attr, seed=0)
         i = ds.splits["train"][0]
         total, _ = total_loss(model, ds.features[i], int(ds.labels[i]),
@@ -158,7 +160,8 @@ class TestTotalLoss:
     def test_graph_size_at_default_config(self, monkeypatch):
         # a change that grows the graph of a training sample fails here
         ds = generate_synthetic(SyntheticSpec(samples_per_class=2), seed=0)
-        model = HrtModel.build(ModelConfig(), ds.semantics.attr_vectors,
+        model = HrtModel.build(ModelConfig(**dataset_dims(ds)),
+                               ds.semantics.attr_vectors,
                                ds.semantics.class_attr, seed=0)
         i = ds.splits["train"][0]
         built = []

@@ -30,10 +30,12 @@ def tiny_semantics():
         "OptimizerConfig-lr"])
 def test_config_checks_itself_when_built_and_is_frozen(config_class, field,
                                                        bad, message):
+    # a model config has no default sizes: it takes them from a dataset
+    sizes = TINY_MODEL if config_class is ModelConfig else {}
     with pytest.raises(ConfigError, match=message):
-        config_class(**{field: bad})
+        config_class(**{**sizes, field: bad})
     with pytest.raises(FrozenInstanceError):
-        setattr(config_class(), field, bad)
+        setattr(config_class(**sizes), field, bad)
 
 
 def fail(what):
