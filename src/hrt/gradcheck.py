@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import loss_config_for
+from .config import dataset_dims, loss_config_for
 from .data import SyntheticSpec, ZslDataset, generate_synthetic
 from .errors import NumericError
 from .model import HrtModel, ModelConfig
@@ -24,12 +24,12 @@ from .tensor import Tensor, no_grad
 from .train import total_loss
 
 # the tiny problem: small enough that a full finite-difference sweep of every
-# parameter finishes in seconds
+# parameter finishes in seconds.  TINY_MODEL sets only the model's own sizes;
+# the dataset's (d_feat, num_attributes, num_classes, tau) come from TINY_SPEC
 TINY_SPEC = SyntheticSpec(c_seen=5, c_unseen=2, num_attributes=6, r_patches=4,
                           d_feat=16, tau=8, samples_per_class=2, noise_std=0.1,
                           signal_patches_per_attribute=1)
-TINY_MODEL = dict(d_feat=16, num_attributes=6, num_classes=7, tau=8, d_cap=8,
-                  n_primary=8, k_em=2, k_td=2)
+TINY_MODEL = dict(d_cap=8, n_primary=8, k_em=2, k_td=2)
 
 
 @dataclass
@@ -97,7 +97,7 @@ def tiny_problem(seed: int) -> tuple[ZslDataset, HrtModel]:
     """The ``TINY_SPEC`` dataset and a ``TINY_MODEL`` over it, both drawn
     from ``seed``."""
     dataset = generate_synthetic(TINY_SPEC, seed)
-    model = HrtModel.build(ModelConfig(**TINY_MODEL),
+    model = HrtModel.build(ModelConfig(**dataset_dims(dataset), **TINY_MODEL),
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=seed)
     return dataset, model

@@ -61,8 +61,7 @@ def batched_em_routing(poses: Tensor, activations: Tensor) -> Tensor:
     if poses.data.ndim != 3 or activations.data.shape != poses.data.shape[:2]:
         raise DimensionError(f"poses {poses.shape} and activations "
                              f"{activations.shape} are not [R, N, d] and [R, N]")
-    return (T.einsum("rn,rnh->rh", activations, poses)
-            / T.tsum(activations, axis=1, keepdims=True))
+    return T.weighted_mean(poses, activations)
 
 
 def inverted_routing(children: Tensor, parent_init: Tensor,

@@ -15,6 +15,9 @@ Design notes:
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
     returns None for an operand that does not require a gradient.
+  * every array an op's backward returns has its operand's shape, so
+    backward adds it as it is: no op broadcasts an operand, and none has a
+    gradient to sum back down.
   * every array an op's backward returns is one it allocated: it shares
     memory with no input, output, operand or other returned array, and the
     closure holds on to none of them.  So a leaf adopts its first gradient
@@ -26,7 +29,8 @@ Design notes:
     contract: changing it changes trained weights in the last bits.
   * each loss term is one node (``log_softmax_nll``, ``squared_distance``)
     with its own backward, and the weighted loss total is one more
-    (``weighted_sum``).  Constants such as the calibration offsets and the
+    (``weighted_sum``), as is EM's activation-weighted mean of the poses
+    (``weighted_mean``).  Constants such as the calibration offsets and the
     loss weights enter a node as arrays or floats, never as tensors.
 """
 
@@ -147,8 +151,6 @@ class Tensor:
             for parent, contrib in zip(node._parents, node._backward(g)):
                 if contrib is None:
                     continue
-                if contrib.shape != parent.data.shape:
-                    contrib = _unbroadcast(contrib, parent.data.shape)
                 if parent in grads:
                     # not +=, which keeps the first array's memory layout:
                     # einsum's summation order follows its operands' layouts
@@ -171,44 +173,12 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, extent in enumerate(shape):
-        if extent == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
-# -- elementwise ops and sums -----------------------------------------------
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        return (g / b.data if a.requires_grad else None,
-                -g * a.data / (b.data ** 2) if b.requires_grad else None)
-
-    return Tensor._from_op(a.data / b.data, (a, b), backward, "div")
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = np.exp(a.data)
-    return Tensor._from_op(out_data, (a,), lambda g: (g * out_data,), "exp")
+# -- elementwise ops ---------------------------------------------------------
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -219,17 +189,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor._from_op(out_data, (a,),
                            lambda g: (g * out_data * (1.0 - out_data),),
                            "sigmoid")
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        full = np.empty(a.data.shape)
-        full[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (full,)
-
-    return Tensor._from_op(out_data, (a,), backward, "sum")
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -291,6 +250,24 @@ def softmax(a: Tensor, axis: int) -> Tensor:
         return (out_data * (g - dot),)
 
     return Tensor._from_op(out_data, (a,), backward, "softmax")
+
+
+def weighted_mean(x: Tensor, w: Tensor) -> Tensor:
+    """sum_n w[r, n] * x[r, n] / sum_n w[r, n] of x [R, N, d] and weights
+    w [R, N], shape [R, d]."""
+    num = np.einsum("rn,rnh->rh", w.data, x.data, optimize=False)
+    den = w.data.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        gn = g / den
+        gx = (np.einsum("rh,rn->rnh", gn, w.data, optimize=False)
+              if x.requires_grad else None)
+        gw = (np.einsum("rh,rnh->rn", gn, x.data, optimize=False)
+              + (-g * num / (den ** 2)).sum(axis=1, keepdims=True)
+              if w.requires_grad else None)
+        return gx, gw
+
+    return Tensor._from_op(num / den, (x, w), backward, "weighted_mean")
 
 
 def log_softmax_nll(s: Tensor, label: int, offset=None) -> Tensor:

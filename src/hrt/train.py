@@ -201,7 +201,10 @@ def _field(header, name: str, kind: type):
 def checkpoint_size(path) -> int:
     """The size of the checkpoint file ``path``, refused before it is opened
     unless it is a regular file: opening a named pipe waits for a writer."""
-    st = os.stat(path)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        raise DataFormatError(f"missing checkpoint {path}") from None
     if not stat.S_ISREG(st.st_mode):
         raise DataFormatError(f"checkpoint {path} is not a regular file")
     return st.st_size

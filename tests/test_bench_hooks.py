@@ -94,12 +94,14 @@ def test_traced_epoch_keeps_the_bench_contract(hooks):
     """The call counts and op counts ``bench/run.py`` checks on a traced
     ``train_default`` run, on one epoch of a tiny dataset: per sample one
     forward pass, one backward pass and one call of each loss, one optimizer
-    step per minibatch, and the same op counts for every sample."""
+    step per minibatch, the same op counts for every sample, and at least
+    one call of every op the tracer wraps."""
     from hrt import HrtModel, LossConfig, generate_synthetic, train
+    from hrt.config import dataset_dims
     from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 
     dataset = generate_synthetic(replace(TINY_SPEC, samples_per_class=4), 0)
-    model = HrtModel.build(ModelConfig(**TINY_MODEL),
+    model = HrtModel.build(ModelConfig(**dataset_dims(dataset), **TINY_MODEL),
                            dataset.semantics.attr_vectors,
                            dataset.semantics.class_attr, seed=0)
     n, batch = dataset.splits["train"].size, 4
@@ -125,6 +127,9 @@ def test_traced_epoch_keeps_the_bench_contract(hooks):
     counts = tracer.per_sample_op_counts()
     assert counts.shape == (n, 3)
     assert (counts == counts[0]).all()
+    # an op that only tests reach is code a training step does not need
+    assert [op for op in hooks.op_names()
+            if tracer.calls[f"hrt.tensor.{op}"] == 0] == []
 
 
 @pytest.mark.parametrize("name", sorted(bench_literal("WORKLOADS")))

@@ -824,23 +824,28 @@ class TestExitCodes:
         assert f"seed {seed} is outside" in err
         assert written is None or not (tmp_path / written).exists()
 
-    # a refused setting, or a missing input: the nowhere paths do not exist
-    @pytest.mark.parametrize("argv,config,out", [
-        (["gen", "--seed", "-1"], {}, "x"),
-        (["gen"], {"synthetic": {"c_seen": 1}}, "x"),
-        (["train", "--seed", "-1"], {}, "t"),
-        (["ablate", "--seed", "-1"], {}, "a/x.csv"),
-        (["train", "--data", "nowhere"], {}, "t"),
-        (["ablate", "--data", "nowhere"], {}, "a/x.csv"),
-        (["eval", "--checkpoint", "nowhere.ckpt"], {}, "e"),
-        (["report", "--checkpoint", "nowhere.ckpt"], None, "r/x.csv"),
-        (["eval", "--data", "nowhere"], {}, "e"),
-        (["report", "--data", "nowhere"], None, "r/x.csv"),
+    # a refused setting, or a missing input (the nowhere paths do not
+    # exist), which the error names
+    @pytest.mark.parametrize("argv,config,out,missing", [
+        (["gen", "--seed", "-1"], {}, "x", None),
+        (["gen"], {"synthetic": {"c_seen": 1}}, "x", None),
+        (["train", "--seed", "-1"], {}, "t", None),
+        (["ablate", "--seed", "-1"], {}, "a/x.csv", None),
+        (["train", "--data", "nowhere"], {}, "t", "missing dataset file"),
+        (["ablate", "--data", "nowhere"], {}, "a/x.csv",
+         "missing dataset file"),
+        (["eval", "--checkpoint", "nowhere.ckpt"], {}, "e",
+         "missing checkpoint"),
+        (["report", "--checkpoint", "nowhere.ckpt"], None, "r/x.csv",
+         "missing checkpoint"),
+        (["eval", "--data", "nowhere"], {}, "e", "missing dataset file"),
+        (["report", "--data", "nowhere"], None, "r/x.csv",
+         "missing dataset file"),
     ], ids=["gen-seed", "gen-recipe", "train-seed", "ablate-seed",
             "train-data", "ablate-data", "eval-checkpoint",
             "report-checkpoint", "eval-data", "report-data"])
     def test_refused_command_creates_no_out_directory(
-            self, workspace, tmp_path, capsys, argv, config, out):
+            self, workspace, tmp_path, capsys, argv, config, out, missing):
         argv = [str(tmp_path / a) if a.startswith("nowhere") else a
                 for a in argv]
         if config is not None:  # report takes no --config
@@ -856,6 +861,8 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if missing is not None:
+            assert f"{missing} {tmp_path / 'nowhere'}" in err
         # the directory --out names, or for a file its parent
         home = Path(out).parts[0]
         assert not (tmp_path / home).exists()

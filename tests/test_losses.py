@@ -25,7 +25,8 @@ def bigfloat_cross_entropy(s, label, gamma=None):
 
 def tiny_model_and_sample(seed=0, **model):
     ds = generate_synthetic(TINY_SPEC, seed)
-    model = HrtModel.build(ModelConfig(**{**TINY_MODEL, **model}),
+    model = HrtModel.build(ModelConfig(**dataset_dims(ds),
+                                       **{**TINY_MODEL, **model}),
                            ds.semantics.attr_vectors, ds.semantics.class_attr,
                            seed=seed)
     i = ds.splits["train"][0]
@@ -174,12 +175,12 @@ class TestTotalLoss:
         monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
         with no_grad():
             model.forward(Tensor(ds.features[i]))
-        assert len(built) == 21
+        assert len(built) == 19
         built.clear()
         total_loss(model, ds.features[i], int(ds.labels[i]), LossConfig())
-        assert len(built) == 25
+        assert len(built) == 23
         # one node per loss term and one for their weighted sum
-        assert built[21:] == ["log_softmax_nll", "log_softmax_nll",
+        assert built[19:] == ["log_softmax_nll", "log_softmax_nll",
                               "squared_distance", "weighted_sum"]
 
     @pytest.mark.parametrize("k_td", [1, 2, 3])

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -7,17 +7,20 @@ from hrt import (ConfigError, HrtModel, LossConfig, ModelConfig,
                  NumericError, OptimizerConfig, SyntheticSpec, Tensor,
                  generate_synthetic, load_features, no_grad, save_dataset)
 from hrt.config import dataset_dims
-from hrt.gradcheck import TINY_MODEL
+from hrt.gradcheck import tiny_problem
 from hrt.rng import SeededRng
 from hrt.semantics import SemanticSpace
 
+# the gradient check's tiny model config, sized by its TINY_SPEC dataset
+TINY_CONFIG = tiny_problem(0)[1].config
+
 
 def tiny_semantics():
-    """Semantic arrays sized for TINY_MODEL."""
-    a, c = TINY_MODEL["num_attributes"], TINY_MODEL["num_classes"]
+    """Semantic arrays sized for TINY_CONFIG."""
+    a, c = TINY_CONFIG.num_attributes, TINY_CONFIG.num_classes
     rng = np.random.default_rng(0)
-    return SemanticSpace(attr_vectors=rng.normal(size=(a, TINY_MODEL["tau"])),
-                         compact_vectors=rng.normal(size=(a, TINY_MODEL["d_cap"])),
+    return SemanticSpace(attr_vectors=rng.normal(size=(a, TINY_CONFIG.tau)),
+                         compact_vectors=rng.normal(size=(a, TINY_CONFIG.d_cap)),
                          class_attr=rng.uniform(size=(c, a)))
 
 
@@ -31,7 +34,7 @@ def tiny_semantics():
 def test_config_checks_itself_when_built_and_is_frozen(config_class, field,
                                                        bad, message):
     # a model config has no default sizes: it takes them from a dataset
-    sizes = TINY_MODEL if config_class is ModelConfig else {}
+    sizes = asdict(TINY_CONFIG) if config_class is ModelConfig else {}
     with pytest.raises(ConfigError, match=message):
         config_class(**{**sizes, field: bad})
     with pytest.raises(FrozenInstanceError):
@@ -46,7 +49,7 @@ def fail(what):
 
 
 def test_tiny_semantics_fit_tiny_model():
-    HrtModel(ModelConfig(**TINY_MODEL), tiny_semantics())
+    HrtModel(TINY_CONFIG, tiny_semantics())
 
 
 @pytest.mark.parametrize("field,array", [
@@ -59,7 +62,7 @@ def test_semantic_shape_mismatch_rejected_before_drawing(monkeypatch, field,
                                                          array):
     for name in ("normal", "uniform", "integers", "permutation", "choice"):
         monkeypatch.setattr(SeededRng, name, fail("a parameter was drawn"))
-    config = ModelConfig(**{**TINY_MODEL, field: TINY_MODEL[field] + 2})
+    config = replace(TINY_CONFIG, **{field: getattr(TINY_CONFIG, field) + 2})
     with pytest.raises(ConfigError, match=f"'{array}' has shape"):
         HrtModel(config, tiny_semantics())
 
@@ -72,7 +75,7 @@ def test_build_checks_semantic_shapes_before_compaction(monkeypatch, field,
                                                         array):
     monkeypatch.setattr("hrt.model.compact_semantics",
                         fail("the attribute vectors were compacted"))
-    config = ModelConfig(**{**TINY_MODEL, field: TINY_MODEL[field] + 2})
+    config = replace(TINY_CONFIG, **{field: getattr(TINY_CONFIG, field) + 2})
     semantics = tiny_semantics()
     with pytest.raises(ConfigError, match=f"'{array}' has shape"):
         HrtModel.build(config, semantics.attr_vectors, semantics.class_attr)
@@ -88,7 +91,7 @@ def test_build_rejects_nonfinite_semantics_before_compaction(monkeypatch,
               "class_attr": semantics.class_attr.copy()}
     arrays[name][0, 0] = np.nan
     with pytest.raises(NumericError, match=f"{name} contains non-finite"):
-        HrtModel.build(ModelConfig(**TINY_MODEL), **arrays)
+        HrtModel.build(TINY_CONFIG, **arrays)
 
 
 def test_nonfinite_compact_vectors_rejected_at_construction():
@@ -96,7 +99,7 @@ def test_nonfinite_compact_vectors_rejected_at_construction():
     compact = semantics.compact_vectors.copy()
     compact[0, 0] = np.inf
     with pytest.raises(NumericError, match="compact_vectors contains"):
-        HrtModel(ModelConfig(**TINY_MODEL),
+        HrtModel(TINY_CONFIG,
                  replace(semantics, compact_vectors=compact))
 
 
@@ -111,7 +114,7 @@ def test_dataset_semantics_are_not_compacted(tmp_path):
     for dataset in (generated, load_features(tmp_path)):
         assert dataset.semantics.compact_vectors is None
         with pytest.raises(ConfigError, match="'sem.compact_vectors'"):
-            HrtModel(ModelConfig(**TINY_MODEL), dataset.semantics)
+            HrtModel(TINY_CONFIG, dataset.semantics)
 
 
 def test_forward_wraps_no_semantic_array(monkeypatch):
@@ -139,14 +142,13 @@ def test_model_over_built_semantics_draws_the_built_parameters(monkeypatch):
     # fresh training copies, neither compacts again nor draws anything but
     # the parameters HrtModel.build draws at the same seed
     semantics = tiny_semantics()
-    config = ModelConfig(**TINY_MODEL)
-    built = {seed: HrtModel.build(config, semantics.attr_vectors,
+    built = {seed: HrtModel.build(TINY_CONFIG, semantics.attr_vectors,
                                   semantics.class_attr, seed=seed)
              for seed in (0, 7)}
     monkeypatch.setattr("hrt.model.compact_semantics",
                         fail("the attribute vectors were compacted"))
     model = built[0]
-    x = Tensor(np.random.default_rng(1).normal(size=(4, TINY_MODEL["d_feat"])))
+    x = Tensor(np.random.default_rng(1).normal(size=(4, TINY_CONFIG.d_feat)))
     for seed, expected in built.items():
         copy = HrtModel(model.config, model.semantics, seed=seed)
         assert copy.params.keys() == expected.params.keys()

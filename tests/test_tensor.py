@@ -147,10 +147,6 @@ class TestFiniteness:
         with pytest.raises(NumericError):
             Tensor([1.0, float("nan")])
 
-    def test_overflow_rejected_in_ops(self):
-        with pytest.raises(NumericError):
-            T.exp(Tensor(1000.0))
-
     def test_overflowing_weighted_sum_rejected(self):
         # the suite turns RuntimeWarnings into errors, so numpy's overflow
         # warning would be raised here in place of the NumericError
@@ -181,19 +177,11 @@ class TestBackwardBasics:
         rng = SeededRng(5)
         a = Tensor(rng.normal((3, 4)), requires_grad=True)
         b = Tensor(rng.normal((4, 2)), requires_grad=True)
-        out = T.einsum("ik,kj->ij", a, b).sum()
+        out = T.einsum("ij,ij->", T.einsum("ik,kj->ij", a, b),
+                       Tensor(np.ones((3, 2))))
         out.backward()
         assert np.allclose(a.grad, np.ones((3, 2)) @ b.data.T)
         assert np.allclose(b.grad, a.data.T @ np.ones((3, 2)))
-
-    def test_broadcast_unreduction(self):
-        a = Tensor(np.ones((3, 1)), requires_grad=True)
-        b = Tensor(np.full((1, 4), 2.0), requires_grad=True)
-        T.div(a, b).sum().backward()
-        assert a.grad.shape == (3, 1)
-        assert np.allclose(a.grad, 2.0)
-        assert b.grad.shape == (1, 4)
-        assert np.allclose(b.grad, -0.75)
 
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_matmul_backward_skips_constant_operand(self, a_grad):
@@ -256,7 +244,8 @@ class TestBackwardBasics:
         # .grad in place, so that array must be the leaf's alone
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         c = Tensor(np.linspace(1.0, 2.0, 3))
-        loss = T.einsum("ij,j->ij", a, c).sum()
+        loss = T.einsum("ij,ij->", T.einsum("ij,j->ij", a, c),
+                        Tensor(np.ones((2, 3))))
         loss.backward()
         assert a.grad.flags.owndata
         assert not np.shares_memory(a.grad, a.data)
@@ -274,24 +263,23 @@ PUBLIC_OPS = sorted(
 
 # each op built on operands that all need a gradient; ``x(*shape)`` makes one
 OWNERSHIP_CASES = {
-    "div": lambda x: T.div(x(3, 4), x(3, 4)),
-    "exp": lambda x: T.exp(x(3, 4)),
     "sigmoid": lambda x: T.sigmoid(x(3, 4)),
-    "tsum": lambda x: T.tsum(x(3, 4), axis=1),
     "matmul": lambda x: T.matmul(x(3, 4), x(4, 2)),
     "einsum": lambda x: T.einsum("rf,fnh->rnh", x(3, 4), x(4, 2, 5)),
     "softmax": lambda x: T.softmax(x(3, 4), axis=0),
     "log_softmax_nll": lambda x: T.log_softmax_nll(x(5), 2,
                                                    offset=np.ones(5)),
     "weighted_sum": lambda x: T.weighted_sum((x(3), x(3)), (1.0, 0.5)),
+    "weighted_mean": lambda x: T.weighted_mean(x(3, 4, 5), x(3, 4)),
     "squared_distance": lambda x: T.squared_distance(x(5), x(5)),
     "layer_norm": lambda x: T.layer_norm(x(3, 4), eps=1e-5),
 }
 
 
 class TestBackwardOwnership:
-    """The rule a leaf's adoption of its gradient relies on: an op's
-    backward returns arrays it allocated, shared with nothing else."""
+    """The rules a leaf's adoption of its gradient relies on: an op's
+    backward returns arrays it allocated, shared with nothing else, each
+    shaped like its operand, so that backward adds it as it is."""
 
     @pytest.mark.parametrize("name", PUBLIC_OPS)
     def test_backward_returns_arrays_it_owns(self, name):
@@ -305,11 +293,65 @@ class TestBackwardOwnership:
         first = list(out._backward(g))
         second = list(out._backward(g))
         assert len(first) == len(out._parents)
+        for arr, parent in zip(first, out._parents):
+            assert arr.shape == parent.data.shape, \
+                f"{name}'s gradient {arr.shape} is not shaped like its " \
+                f"operand {parent.data.shape}"
         for returned, before in ((first, []), (second, first)):
             for i, arr in enumerate(returned):
                 others = held + returned[:i] + returned[i + 1:] + before
                 assert not any(np.shares_memory(arr, o) for o in others), \
                     f"{name}'s gradient {i} shares memory"
+
+
+class TestWeightedMean:
+    """EM's activation-weighted mean of the poses: one node, with the bytes
+    of the einsum, sum and divide nodes it replaced."""
+
+    @staticmethod
+    def composition(x, w, g):
+        """The forward and both gradients as the einsum, sum and divide
+        nodes formed them: the divisor's gradient summed down to [R, 1],
+        then broadcast back over N by the sum's backward and added to the
+        einsum's."""
+        num = np.einsum("rn,rnh->rh", w, x, optimize=False)
+        den = w.sum(axis=1, keepdims=True)
+        g_num = g / den
+        g_den = (-g * num / (den ** 2)).sum(axis=1, keepdims=True)
+        g_sum = np.empty(w.shape)
+        g_sum[...] = g_den
+        gx = np.einsum("rh,rn->rnh", g_num, w, optimize=False)
+        gw = np.einsum("rh,rnh->rn", g_num, x, optimize=False) + g_sum
+        return num / den, gx, gw
+
+    @pytest.mark.parametrize("x_grad,w_grad", [(True, True), (True, False),
+                                               (False, True)],
+                             ids=["both", "x", "w"])
+    def test_equals_the_composition_it_replaces(self, x_grad, w_grad):
+        # at EM's default shape: 9 patches of 128 capsules with 16-d poses
+        rng = SeededRng(31)
+        x_data = rng.normal((9, 128, 16))
+        w_data = rng.uniform((9, 128), 0.01, 1.0)
+        g = rng.normal((9, 16))
+        x = Tensor(x_data, requires_grad=x_grad)
+        w = Tensor(w_data, requires_grad=w_grad)
+        out = T.weighted_mean(x, w)
+        gx, gw = out._backward(g)
+        want, want_gx, want_gw = self.composition(x_data, w_data, g)
+        assert np.array_equal(out.data, want)
+        for got, wanted, needed in ((gx, want_gx, x_grad),
+                                    (gw, want_gw, w_grad)):
+            assert np.array_equal(got, wanted) if needed else got is None
+
+    def test_gradient(self):
+        rng = SeededRng(32)
+        x = Tensor(rng.normal((3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.uniform((3, 4), 0.5, 1.5), requires_grad=True)
+        c = Tensor(rng.normal((3, 5)))
+        report = grad_check(
+            lambda: T.einsum("rh,rh->", T.weighted_mean(x, w), c),
+            {"x": x, "w": w})
+        assert report.passed, report.summary()
 
 
 class TestLossOps:
