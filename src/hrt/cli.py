@@ -26,7 +26,7 @@ from .metrics import evaluate
 from .model import HrtModel, ModelConfig
 from .optim import OptimizerConfig
 from .rng import check_seed
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 from .train import (checkpoint_size, load_checkpoint, save_checkpoint,
                     train_from_config, write_history)
 
@@ -169,7 +169,7 @@ def cmd_report(args) -> int:
     lines = ["sample_index,patch_index," + ",".join(f"a{i}" for i in range(a))]
     with no_grad():
         for i in range(dataset.features.shape[0]):
-            result = model.forward(Tensor(dataset.features[i]))
+            result = model.forward(dataset.features[i])
             phi = result.aligned.agreement.data
             for r in range(phi.shape[0]):
                 vals = ",".join(repr(float(v)) for v in phi[r])

@@ -298,25 +298,30 @@ def load_features(path) -> ZslDataset:
     class_attr = _read_csv_matrix(path / "attributes.csv", c, a, header=True)
     attr_vectors = _read_csv_matrix(path / "semantics.csv", a, tau, header=False)
 
-    labels = np.full(n, -1, dtype=np.int64)
+    labels = [-1] * n
     splits: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
     lines = _read_text(path / "splits.csv").strip().splitlines()
     _require(len(lines) >= 1 and lines[0].strip() == "sample_index,class_index,split",
              "splits.csv must start with header 'sample_index,class_index,split'")
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.strip().split(",")
-        _require(len(parts) == 3, f"splits.csv line {ln}: expected 3 fields")
+        if len(parts) != 3:
+            raise DataFormatError(f"splits.csv line {ln}: expected 3 fields")
         try:
             idx, cls = int(parts[0]), int(parts[1])
         except ValueError as e:
             raise DataFormatError(f"splits.csv line {ln}: non-integer field") from e
-        _require(0 <= idx < n, f"splits.csv line {ln}: sample index {idx} out of range")
-        _require(0 <= cls < c, f"splits.csv line {ln}: class index {cls} out of range")
-        _require(parts[2] in SPLIT_NAMES,
-                 f"splits.csv line {ln}: unknown split {parts[2]!r}")
-        _require(labels[idx] == -1, f"splits.csv line {ln}: sample {idx} listed twice")
+        if not 0 <= idx < n:
+            raise DataFormatError(f"splits.csv line {ln}: sample index {idx} out of range")
+        if not 0 <= cls < c:
+            raise DataFormatError(f"splits.csv line {ln}: class index {cls} out of range")
+        if parts[2] not in SPLIT_NAMES:
+            raise DataFormatError(f"splits.csv line {ln}: unknown split {parts[2]!r}")
+        if labels[idx] != -1:
+            raise DataFormatError(f"splits.csv line {ln}: sample {idx} listed twice")
         labels[idx] = cls
         splits[parts[2]].append(idx)
+    labels = np.array(labels, dtype=np.int64)
 
     _require(bool(np.all(labels >= 0)),
              f"splits.csv does not cover sample(s) {np.nonzero(labels < 0)[0][:5].tolist()}")

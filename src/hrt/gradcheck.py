@@ -76,11 +76,13 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor], *,
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
-            with no_grad():
-                flat[i] = orig + h
-                f_plus = f().item()
-                flat[i] = orig - h
-                f_minus = f().item()
+            try:
+                with no_grad():
+                    flat[i] = orig + h
+                    f_plus = f().item()
+                    flat[i] = orig - h
+                    f_minus = f().item()
+            finally:
                 flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericError(f"non-finite objective while probing {name}[{i}]")

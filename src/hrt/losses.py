@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from . import tensor as T
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ def calibration_loss(s: Tensor, label: int, gamma: np.ndarray) -> Tensor:
 
 def attribute_regression_loss(psi: Tensor, z_true) -> Tensor:
     """Squared Euclidean distance between predicted and true attribute rows."""
-    z_true = as_tensor(z_true)
-    if psi.data.shape != z_true.data.shape:
+    z_true = np.asarray(z_true, dtype=np.float64)
+    if psi.data.shape != z_true.shape:
         raise DimensionError(
             f"attribute vectors disagree: {psi.shape} vs {z_true.shape}")
     return T.squared_distance(psi, z_true)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 
 @dataclass
@@ -47,7 +47,7 @@ def _score_split(model, dataset, split: str):
     features = dataset.features
     with no_grad():
         for row, i in enumerate(idx):
-            scores[row] = model.forward(Tensor(features[i])).scores.data
+            scores[row] = model.forward(features[i]).scores.data
     return scores, dataset.labels[idx]
 
 

@@ -133,9 +133,10 @@ class HrtModel:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, patch_features: Tensor) -> ForwardResult:
+    def forward(self, patch_features: np.ndarray) -> ForwardResult:
+        """Forward one patch grid [R, D_feat], given as an array."""
         p = self.params
-        aligned = encode(patch_features, self.compact, p["enc.proj"],
+        aligned = encode(Tensor(patch_features), self.compact, p["enc.proj"],
                          p["enc.act_proj"], p["enc.vote_transforms"],
                          self.config.k_td)
         z_tilde = adjust_class_attributes(aligned.h, self.lam,

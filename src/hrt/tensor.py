@@ -30,8 +30,8 @@ Design notes:
   * each loss term is one node (``log_softmax_nll``, ``squared_distance``)
     with its own backward, and the weighted loss total is one more
     (``weighted_sum``), as is EM's activation-weighted mean of the poses
-    (``weighted_mean``).  Constants such as the calibration offsets and the
-    loss weights enter a node as arrays or floats, never as tensors.
+    (``weighted_mean``).  Constants such as the calibration offsets, the
+    regression target and the loss weights enter a node as arrays or floats.
 """
 
 from __future__ import annotations
@@ -174,10 +174,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # -- elementwise ops ---------------------------------------------------------
 
 
@@ -302,16 +298,11 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     return Tensor._from_op(total, terms, backward, "weighted_sum")
 
 
-def squared_distance(a: Tensor, target: Tensor) -> Tensor:
-    """Squared Euclidean distance sum((a - target) ** 2)."""
-    d = a.data + -target.data
-
-    def backward(g):
-        grad = g * 2.0 * d
-        return (grad if a.requires_grad else None,
-                -grad if target.requires_grad else None)
-
-    return Tensor._from_op((d ** 2).sum(), (a, target), backward,
+def squared_distance(a: Tensor, target: np.ndarray) -> Tensor:
+    """Squared Euclidean distance sum((a - target) ** 2); ``target`` is a
+    constant float64 array shaped like ``a``."""
+    d = a.data + -target
+    return Tensor._from_op((d ** 2).sum(), (a,), lambda g: (g * 2.0 * d,),
                            "squared_distance")
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, DimensionError
 from .config import DEFAULTS, fits_type, loss_config_for, model_config_for
 from . import tensor as T
-from .tensor import Tensor, as_tensor
 from .rng import SEED_BOUND, SeededRng
 from .model import ForwardResult, HrtModel, ModelConfig, array_layout
 from .semantics import SemanticSpace
@@ -68,7 +67,7 @@ def result_loss(model: HrtModel, result: ForwardResult, label: int,
 def total_loss(model: HrtModel, patch_features, label: int,
                loss_config: LossConfig):
     """The training loss of one sample through the full forward pass."""
-    return result_loss(model, model.forward(as_tensor(patch_features)),
+    return result_loss(model, model.forward(patch_features),
                        label, loss_config)
 
 
@@ -97,7 +96,7 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
             batch = order[start:start + batch_size]
             model.zero_grad()
             for i in train_idx[batch]:
-                result = model.forward(Tensor(features[i]))
+                result = model.forward(features[i])
                 total, parts = result_loss(model, result, int(labels[i]),
                                            loss_config)
                 correct += int(predict(result.scores) == labels[i])
@@ -270,6 +269,13 @@ def _header_config(header) -> tuple[ModelConfig, int]:
             fits_type(value, int) for value in model_config.values()):
         raise DataFormatError("checkpoint header field 'model_config' does "
                               f"not match ModelConfig: {model_config}")
+    digest = _field(header, "config_hash", str)
+    if len(digest) != 64 or digest.strip("0123456789abcdef"):
+        raise DataFormatError("checkpoint header field 'config_hash' is not "
+                              "64 lowercase hex digits")
+    unknown = set(header) - {"version", "seed", "model_config", "config_hash"}
+    if unknown:
+        raise DataFormatError(f"unknown checkpoint header field {min(unknown)!r}")
     try:
         return ModelConfig(**model_config), seed
     except ConfigError as e:

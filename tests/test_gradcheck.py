@@ -48,6 +48,18 @@ def test_nonfinite_probe_errors():
         grad_check(f, {"theta": theta})
 
 
+def test_probe_restored_when_the_objective_raises():
+    # the probe past the largest float raises, and the entry is put back
+    theta = Tensor([1.0], requires_grad=True)
+
+    def f():
+        return T.weighted_sum((theta,), (np.finfo(np.float64).max,))
+
+    with pytest.raises(NumericError):
+        grad_check(f, {"theta": theta})
+    assert theta.data[0] == 1.0
+
+
 def test_wrong_gradient_detected():
     # exercise the checker itself: a deliberately wrong backward must fail
     theta = Tensor(2.0, requires_grad=True)

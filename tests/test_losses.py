@@ -116,7 +116,7 @@ class TestTotalLoss:
         model, x, label, _ = tiny_model_and_sample()
         cfg = LossConfig(lambda1=0.0, lambda2=0.0)
         total, parts = total_loss(model, x, label, cfg)
-        scores = model.forward(Tensor(x)).scores
+        scores = model.forward(x).scores
         assert total.item() == pytest.approx(
             cross_entropy(scores, label).item(), abs=1e-12)
 
@@ -174,7 +174,7 @@ class TestTotalLoss:
 
         monkeypatch.setattr(Tensor, "_from_op", staticmethod(counting))
         with no_grad():
-            model.forward(Tensor(ds.features[i]))
+            model.forward(ds.features[i])
         assert len(built) == 19
         built.clear()
         total_loss(model, ds.features[i], int(ds.labels[i]), LossConfig())

@@ -119,7 +119,7 @@ def test_dataset_semantics_are_not_compacted(tmp_path):
 
 def test_forward_wraps_no_semantic_array(monkeypatch):
     # the model wraps its semantic constants once, at construction: a
-    # forward constructs no tensor beyond its input
+    # forward constructs one tensor, from its input array
     dataset = generate_synthetic(SyntheticSpec(), 0)
     model = HrtModel.build(ModelConfig(**dataset_dims(dataset)),
                            dataset.semantics.attr_vectors,
@@ -133,8 +133,17 @@ def test_forward_wraps_no_semantic_array(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", counting_init)
     with no_grad():
-        model.forward(Tensor(dataset.features[0]))
+        model.forward(dataset.features[0])
     assert len(constructed) == 1
+
+
+def test_forward_rejects_a_nonfinite_patch_grid():
+    # the forward checks the array it wraps, before any op reads it
+    dataset, model = tiny_problem(0)
+    x = dataset.features[0].copy()
+    x[1, 2] = np.nan
+    with no_grad(), pytest.raises(NumericError, match="tensor construction"):
+        model.forward(x)
 
 
 def test_model_over_built_semantics_draws_the_built_parameters(monkeypatch):
@@ -148,7 +157,7 @@ def test_model_over_built_semantics_draws_the_built_parameters(monkeypatch):
     monkeypatch.setattr("hrt.model.compact_semantics",
                         fail("the attribute vectors were compacted"))
     model = built[0]
-    x = Tensor(np.random.default_rng(1).normal(size=(4, TINY_CONFIG.d_feat)))
+    x = np.random.default_rng(1).normal(size=(4, TINY_CONFIG.d_feat))
     for seed, expected in built.items():
         copy = HrtModel(model.config, model.semantics, seed=seed)
         assert copy.params.keys() == expected.params.keys()

@@ -259,7 +259,7 @@ class TestBackwardBasics:
 PUBLIC_OPS = sorted(
     name for name, fn in vars(T).items()
     if inspect.isfunction(fn) and fn.__module__ == "hrt.tensor"
-    and not name.startswith("_") and name not in ("as_tensor", "no_grad"))
+    and not name.startswith("_") and name != "no_grad")
 
 # each op built on operands that all need a gradient; ``x(*shape)`` makes one
 OWNERSHIP_CASES = {
@@ -271,7 +271,7 @@ OWNERSHIP_CASES = {
                                                    offset=np.ones(5)),
     "weighted_sum": lambda x: T.weighted_sum((x(3), x(3)), (1.0, 0.5)),
     "weighted_mean": lambda x: T.weighted_mean(x(3, 4, 5), x(3, 4)),
-    "squared_distance": lambda x: T.squared_distance(x(5), x(5)),
+    "squared_distance": lambda x: T.squared_distance(x(5), np.ones(5)),
     "layer_norm": lambda x: T.layer_norm(x(3, 4), eps=1e-5),
 }
 
@@ -374,15 +374,12 @@ class TestLossOps:
         expected[label] = -1.0
         assert np.allclose(s.grad, expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("wrap", [False, True], ids=["array", "tensor"])
-    def test_squared_distance_gradient(self, wrap):
-        # attribute_regression_loss takes its target as an array or a Tensor
+    def test_squared_distance_gradient(self):
+        # the target is a constant array: the node's one parent is ``a``
         rng = SeededRng(12)
         a = Tensor(rng.normal((6,)), requires_grad=True)
         target = rng.normal((6,))
-        params = {"a": a}
-        if wrap:
-            target = params["target"] = Tensor(target, requires_grad=True)
+        assert attribute_regression_loss(a, target)._parents == (a,)
         report = grad_check(lambda: attribute_regression_loss(a, target),
-                            params)
+                            {"a": a})
         assert report.passed, report.summary()

@@ -127,6 +127,22 @@ class TestTrain:
         assert hashlib.sha256(params).hexdigest() == \
             DEFAULT_RUN_SHA256["params"]
 
+    def test_a_training_sample_builds_one_tensor_from_an_array(self,
+                                                               monkeypatch):
+        # each sample wraps its patch grid and nothing else: the regression
+        # target enters its loss node as an array
+        ds, model = tiny_problem(0)
+        constructed = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        train(ds, model, LossConfig(), OptimizerConfig(), epochs=1)
+        assert len(constructed) == ds.splits["train"].size
+
 
 class TestConfigHash:
     def test_insensitive_to_key_order(self):
@@ -160,8 +176,8 @@ class TestCheckpoint:
                 getattr(model.semantics, name).tobytes()
         x = ds.features[0]
         with no_grad():
-            a = model.forward(Tensor(x)).scores.data
-            b = loaded.forward(Tensor(x)).scores.data
+            a = model.forward(x).scores.data
+            b = loaded.forward(x).scores.data
         assert np.array_equal(a, b)
 
     def test_load_draws_nothing(self, tmp_path, monkeypatch):
@@ -304,12 +320,23 @@ class TestCheckpoint:
         (model_config(n_primary=4), "trailing"),
         (model_config(n_primary=-8), "n_primary must be >= 1"),
         (lambda h, _: b"[" * 200000 + b"]" * 200000, "corrupt header"),
+        # the header holds exactly its four fields, the hash as
+        # config_hash writes it
+        (lambda h, _: {k: v for k, v in h.items() if k != "config_hash"},
+         "field 'config_hash' is missing"),
+        (lambda h, _: {**h, "config_hash": 12},
+         "field 'config_hash' is missing or not of type str"),
+        (lambda h, _: {**h, "config_hash": "g" * 64},
+         "field 'config_hash' is not 64 lowercase hex digits"),
+        (lambda h, _: {**h, "compaction": "pca"},
+         "unknown checkpoint header field 'compaction'"),
     ], ids=["v1", "no-version", "model-config-not-object",
             "model-config-unknown-key", "model-config-mistyped", "no-seed",
             "header-not-object", "bool-version", "bool-seed", "seed-2**64",
             "negative-seed", "nan-param", "inf-semantics", "huge-n_primary",
             "huge-d_feat", "huge-tau", "smaller-n_primary",
-            "negative-n_primary", "nested-json"])
+            "negative-n_primary", "nested-json", "no-config-hash",
+            "int-config-hash", "non-hex-config-hash", "unknown-field"])
     def test_malformed_header_names_the_field(self, tmp_path, edit, field):
         ds, model = tiny_problem(0)
         path = tmp_path / "model.ckpt"
