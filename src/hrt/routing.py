@@ -36,16 +36,11 @@ def batched_primary_capsules(feats: Tensor, proj: Tensor, act_proj: Tensor):
     feats [R, D_feat], proj [D_feat, N, d_cap] (a pose projection per
     capsule), act_proj [D_feat, N] -> poses [R, N, d_cap], activations [R, N].
     """
-    if feats.data.ndim != 2:
-        raise DimensionError(f"patch features must be [R, D_feat], got {feats.shape}")
-    d_feat = feats.data.shape[1]
-    if proj.data.ndim != 3 or proj.data.shape[0] != d_feat:
-        raise DimensionError(f"pose projection {proj.shape} is not [D_feat, "
-                             f"N, d_cap] for features of width {d_feat}")
+    poses = T.einsum("rf,fnh->rnh", feats, proj)
+    # no contraction relates the two projections' capsule counts
     if act_proj.data.shape != proj.data.shape[:2]:
         raise DimensionError(f"activation projection {act_proj.shape} is not "
                              f"[D_feat, N] = {proj.data.shape[:2]}")
-    poses = T.einsum("rf,fnh->rnh", feats, proj)
     acts = T.sigmoid(T.matmul(feats, act_proj))
     return poses, acts
 
@@ -58,9 +53,6 @@ def batched_em_routing(poses: Tensor, activations: Tensor) -> Tensor:
     poses [R, N, d_cap] and activations [R, N] are the primary capsules of
     R patches.
     """
-    if poses.data.ndim != 3 or activations.data.shape != poses.data.shape[:2]:
-        raise DimensionError(f"poses {poses.shape} and activations "
-                             f"{activations.shape} are not [R, N, d] and [R, N]")
     return T.weighted_mean(poses, activations)
 
 
@@ -68,10 +60,11 @@ def inverted_routing(children: Tensor, parent_init: Tensor,
                      vote_transforms: Tensor, iterations: int):
     """Inverted dot-product attention routing.
 
-    children: [R, d] child capsules (patch capsules).
-    parent_init: [A, d] initial parent states -- the compacted attribute
-    vectors; parents are deliberately never zero- or random-initialized.
-    vote_transforms: [A, d, d], one per parent, shared across children.
+    children: [R, d_child] child capsules (patch capsules), R >= 1.
+    parent_init: [A, d_parent] initial parent states, A >= 1 -- the compacted
+    attribute vectors; parents are never zero- or random-initialized.
+    vote_transforms: [A, d_parent, d_child], one per parent, shared across
+    children; the model's are square, d_parent = d_child = d_cap.
     iterations: routing rounds, >= 1.
 
     Returns the agreement map [R, A] of the final round. The first round
@@ -82,19 +75,9 @@ def inverted_routing(children: Tensor, parent_init: Tensor,
     """
     if iterations < 1:
         raise DimensionError("inverted routing needs iterations >= 1")
-    if children.data.ndim != 2 or children.data.shape[0] < 1:
-        raise DimensionError(f"children must be [R, d] with R >= 1, got {children.shape}")
-    if parent_init.data.ndim != 2 or parent_init.data.shape[0] < 1:
-        raise DimensionError(f"parent_init must be [A, d] with A >= 1, got {parent_init.shape}")
-    d = children.data.shape[1]
-    if parent_init.data.shape[1] != d or vote_transforms.data.shape[1:] != (d, d):
-        raise DimensionError(
-            f"capsule dims disagree: children {children.shape}, parents "
-            f"{parent_init.shape}, transforms {vote_transforms.shape}")
-    if vote_transforms.data.shape[0] != parent_init.data.shape[0]:
-        raise DimensionError(
-            f"{vote_transforms.data.shape[0]} vote transforms for "
-            f"{parent_init.data.shape[0]} parents")
+    if 0 in children.data.shape[:1] + parent_init.data.shape[:1]:
+        raise DimensionError(f"inverted routing needs R, A >= 1, got children "
+                             f"{children.shape}, parents {parent_init.shape}")
 
     # votes depend only on the (fixed) children: nu[r, a, :] = W_e[a] @ p_r
     votes = T.einsum("ade,re->rad", vote_transforms, children)

@@ -10,7 +10,11 @@ Design notes:
   * every contraction is a non-optimized ``np.einsum``, so the reduction over
     an inner axis happens in a fixed left-to-right order (bit-reproducible,
     and it matches a naive triple loop).  ``matmul`` is the 2-D spelling
-    ``ik,kj->ij`` of the same contraction as ``einsum``, with shape checks.
+    ``ik,kj->ij`` of the same contraction as ``einsum``.
+  * each op checks the shapes its backward relies on, so callers check
+    none: a contraction needs one axis per letter in each operand and one
+    extent per letter, as ``np.einsum`` broadcasts an extent of 1 against
+    any extent of the same letter.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
@@ -192,12 +196,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product with a fixed left-to-right inner reduction."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul inner extents differ: {a.data.shape} x {b.data.shape}")
     return _contract("ik,kj->ij", a, b, "matmul")
 
 
@@ -208,20 +206,28 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 
 
 @functools.cache
-def _grad_subscripts(subscripts: str) -> tuple[str, str]:
-    """The subscripts of the two operand gradients of a two-operand einsum."""
+def _grad_subscripts(subscripts: str, a_shape: tuple[int, ...],
+                     b_shape: tuple[int, ...], what: str) -> tuple[str, str]:
+    """The gradient subscripts of a two-operand einsum; DimensionError
+    unless each operand has one axis per letter and each letter one extent."""
     inputs, out_sub = subscripts.replace(" ", "").split("->")
     a_sub, b_sub = inputs.split(",")
+    extents: dict[str, int] = {}
+    for sub, shape in ((a_sub, a_shape), (b_sub, b_shape)):
+        if len(sub) != len(shape) or any(
+                extents.setdefault(c, n) != n for c, n in zip(sub, shape)):
+            raise DimensionError(f"{what} {subscripts!r} does not fit "
+                                 f"shapes {a_shape} and {b_shape}")
     return f"{out_sub},{b_sub}->{a_sub}", f"{out_sub},{a_sub}->{b_sub}"
 
 
 def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
     # matmul and einsum share this body: one public op calling the other
     # would count as two ops to a tracer that wraps each
+    ga_sub, gb_sub = _grad_subscripts(subscripts, a.shape, b.shape, what)
     out_data = np.einsum(subscripts, a.data, b.data, optimize=False)
 
     def backward(g):
-        ga_sub, gb_sub = _grad_subscripts(subscripts)
         return (np.einsum(ga_sub, g, b.data, optimize=False)
                 if a.requires_grad else None,
                 np.einsum(gb_sub, g, a.data, optimize=False)
@@ -251,6 +257,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def weighted_mean(x: Tensor, w: Tensor) -> Tensor:
     """sum_n w[r, n] * x[r, n] / sum_n w[r, n] of x [R, N, d] and weights
     w [R, N], shape [R, d]."""
+    _grad_subscripts("rn,rnh->rh", w.shape, x.shape, "weighted_mean")
     num = np.einsum("rn,rnh->rh", w.data, x.data, optimize=False)
     den = w.data.sum(axis=1, keepdims=True)
 
@@ -269,6 +276,12 @@ def weighted_mean(x: Tensor, w: Tensor) -> Tensor:
 def log_softmax_nll(s: Tensor, label: int, offset=None) -> Tensor:
     """-log softmax(s + offset)[label] of a 1-D tensor, in stable log-sum-exp
     form; ``offset``, if given, is a constant array shaped like ``s``."""
+    if s.data.ndim != 1:
+        raise DimensionError(f"log_softmax_nll needs a vector, got {s.shape}")
+    if offset is not None and offset.shape != s.shape:
+        raise DimensionError(f"offset {offset.shape} != scores {s.shape}")
+    if not 0 <= label < s.data.shape[0]:
+        raise IndexError(f"label {label} out of range for {s.data.shape[0]} classes")
     z = s.data if offset is None else _check_finite(s.data + offset,
                                                     "log_softmax_nll offset")
     m = z.max()
@@ -285,7 +298,10 @@ def log_softmax_nll(s: Tensor, label: int, offset=None) -> Tensor:
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     """sum(w * t) over the terms and their float weights, added left to
-    right."""
+    right; the terms have one shape and one weight each."""
+    if len({t.data.shape for t in terms}) > 1 or len(weights) != len(terms):
+        raise DimensionError(f"weighted_sum got {len(weights)} weights for "
+                             f"terms {[t.shape for t in terms]}")
     with np.errstate(over="ignore", invalid="ignore"):
         total = terms[0].data * weights[0]
         for t, w in zip(terms[1:], weights[1:]):
@@ -301,6 +317,9 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
 def squared_distance(a: Tensor, target: np.ndarray) -> Tensor:
     """Squared Euclidean distance sum((a - target) ** 2); ``target`` is a
     constant float64 array shaped like ``a``."""
+    if target.shape != a.data.shape:
+        raise DimensionError(f"squared_distance target {target.shape} is not "
+                             f"shaped like {a.shape}")
     d = a.data + -target
     return Tensor._from_op((d ** 2).sum(), (a,), lambda g: (g * 2.0 * d,),
                            "squared_distance")

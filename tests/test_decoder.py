@@ -50,13 +50,17 @@ class TestAdjustClassAttributes:
         with pytest.raises(DimensionError):
             adjust_class_attributes(h, lam, z, w_beta)
 
-    @pytest.mark.parametrize("name", ["lam", "class_attr"])
-    def test_semantic_dim_mismatch(self, name):
+    # the contraction that first reads the short attribute axis refuses it
+    @pytest.mark.parametrize("name,message", [
+        ("lam", r"'af,fa->a' .* \(3, 6\) and \(6, 4\)"),
+        ("class_attr", r"'a,ca->ca' .* \(4,\) and \(3, 3\)"),
+    ], ids=["lam", "class_attr"])
+    def test_semantic_dim_mismatch(self, name, message):
         # one attribute too few in lam or the class attribute rows
         h, lam, z, w_beta, _ = build_setup(4)
         args = {"lam": lam, "class_attr": z}
         args[name] = Tensor(args[name].data[:, :-1])
-        with pytest.raises(DimensionError, match=f"{name} has shape"):
+        with pytest.raises(DimensionError, match=message):
             adjust_class_attributes(h, args["lam"], args["class_attr"], w_beta)
 
 
@@ -85,9 +89,11 @@ class TestContentAttributeScores:
 
     def test_dim_mismatch(self):
         h, lam, _, _, _ = build_setup(4)
-        with pytest.raises(DimensionError, match="w_d has shape"):
+        with pytest.raises(DimensionError,
+                           match=r"'ft,fa->ta' .* \(5, 7\) and \(6, 4\)"):
             content_attribute_scores(h, lam, Tensor(np.zeros((5, 7))))
-        with pytest.raises(DimensionError, match="lam has shape"):
+        with pytest.raises(DimensionError,
+                           match=r"'ta,ta->a' .* \(5, 4\) and \(5, 3\)"):
             content_attribute_scores(h, Tensor(lam.data[:, :-1]),
                                      Tensor(np.zeros((6, 5))))
 

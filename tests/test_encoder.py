@@ -61,7 +61,9 @@ class TestEncode:
 
     def test_capsule_dim_mismatch(self):
         features, _, params = build_setup(3)
-        with pytest.raises(DimensionError, match="capsule dims disagree"):
+        # 6-wide attribute capsules against the votes of 4-wide children
+        with pytest.raises(DimensionError,
+                           match=r"'ad,rad->ra' .* \(3, 6\) and \(4, 3, 4\)"):
             encode(Tensor(features), Tensor(np.zeros((3, 6))), *params)
 
 

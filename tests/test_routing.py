@@ -67,13 +67,13 @@ class TestPrimaryCapsules:
                                      Tensor(np.zeros((9, 12))),
                                      Tensor(np.zeros((8, 3))))
 
-    # one case per check, on features [R, 8], N = 3 capsules and d_cap 4
+    # one case per check, on features [R, 8], N = 3 capsules and d_cap 4;
+    # the pose contraction checks the features and the pose projection
     @pytest.mark.parametrize("feats,proj,act_proj,message", [
-        ((8,), (8, 3, 4), (8, 3), r"patch features must be \[R, D_feat\]"),
-        ((2, 8), (8, 12), (8, 3),
-         r"pose projection \(8, 12\) is not \[D_feat, N, d_cap\]"),
+        ((8,), (8, 3, 4), (8, 3), r"'rf,fnh->rnh' .* \(8,\) and \(8, 3, 4\)"),
+        ((2, 8), (8, 12), (8, 3), r"'rf,fnh->rnh' .* \(2, 8\) and \(8, 12\)"),
         ((2, 8), (9, 3, 4), (8, 3),
-         r"pose projection \(9, 3, 4\) is not .* features of width 8"),
+         r"'rf,fnh->rnh' .* \(2, 8\) and \(9, 3, 4\)"),
         ((2, 8), (8, 3, 4), (8, 2),
          r"activation projection \(8, 2\) is not \[D_feat, N\] = \(8, 3\)"),
     ], ids=["features-1d", "pose-flat", "pose-width", "activation-count"])
@@ -244,7 +244,8 @@ class TestInvertedRouting:
                              Tensor(np.zeros((2, 4, 4))), 0)
 
     def test_vote_transforms_not_3d_error(self):
-        with pytest.raises(DimensionError, match="transforms"):
+        with pytest.raises(DimensionError,
+                           match=r"'ade,re->rad' .* \(2, 16\) and \(3, 4\)"):
             inverted_routing(Tensor(np.zeros((3, 4))),
                              Tensor(np.zeros((2, 4))),
                              Tensor(np.zeros((2, 16))), 1)

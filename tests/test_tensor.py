@@ -304,6 +304,51 @@ class TestBackwardOwnership:
                     f"{name}'s gradient {i} shares memory"
 
 
+# ops whose one operand's shape meets no other shape: each argument after
+# the tensor is a scalar
+ONE_OPERAND_OPS = ("layer_norm", "sigmoid", "softmax")
+
+# for every other op, inputs numpy would accept silently: an extent of 1
+# that np.einsum or elementwise arithmetic broadcasts, or a label that
+# indexes from the end; each is (expected error, case)
+SHAPE_CASES = {
+    "matmul": [(DimensionError, lambda x: T.matmul(x(2, 1), x(3, 4)))],
+    "einsum": [(DimensionError,
+                lambda x: T.einsum("ik,kj->ij", x(2, 1), x(3, 4)))],
+    "weighted_mean": [(DimensionError,
+                       lambda x: T.weighted_mean(x(2, 3, 4), x(2, 1)))],
+    "weighted_sum": [
+        (DimensionError, lambda x: T.weighted_sum((x(), x(3)), (1.0, 0.5))),
+        # zip would drop the term without a weight
+        (DimensionError, lambda x: T.weighted_sum((x(3), x(3)), (1.0,))),
+    ],
+    "squared_distance": [(DimensionError,
+                          lambda x: T.squared_distance(x(1), np.ones(3)))],
+    "log_softmax_nll": [
+        (DimensionError,
+         lambda x: T.log_softmax_nll(x(1), 0, offset=np.ones(3))),
+        (IndexError, lambda x: T.log_softmax_nll(x(1), -1)),
+    ],
+}
+
+
+class TestShapeChecks:
+    """Each op checks the shapes its backward relies on: what numpy would
+    broadcast gives gradients unlike their operands."""
+
+    @pytest.mark.parametrize("name", PUBLIC_OPS)
+    def test_op_refuses_what_numpy_broadcasts(self, name):
+        if name in ONE_OPERAND_OPS:
+            params = inspect.signature(getattr(T, name)).parameters
+            assert all(p.annotation in ("int", "float")
+                       for p in list(params.values())[1:])
+            return
+        assert name in SHAPE_CASES, f"no shape case for op {name}"
+        for error, case in SHAPE_CASES[name]:
+            with pytest.raises(error):
+                case(lambda *shape: Tensor(np.ones(shape), requires_grad=True))
+
+
 class TestWeightedMean:
     """EM's activation-weighted mean of the poses: one node, with the bytes
     of the einsum, sum and divide nodes it replaced."""
