@@ -22,13 +22,9 @@ import numpy as np
 from .data import SyntheticSpec
 from .errors import ConfigError
 from .losses import LossConfig, gamma_profile
-from .model import ModelConfig
+from .model import DATASET_FIELDS, ModelConfig
 from .optim import OptimizerConfig
 from .rng import check_seed
-
-# the ModelConfig fields that model_config_for takes from the dataset
-DATASET_FIELDS = ("d_feat", "num_attributes", "num_classes", "tau")
-
 
 def _field_defaults(cls, exclude=()) -> dict:
     return {f.name: f.default for f in fields(cls) if f.name not in exclude}

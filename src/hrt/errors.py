@@ -27,7 +27,7 @@ class DataFormatError(ValueError):
 @contextmanager
 def allocating(what: str, keys: str):
     """Turn a MemoryError raised inside into a ConfigError naming ``what``
-    was being allocated and the config ``keys`` that size it, followed by
+    was being allocated and the ``keys`` that size it, followed by
     numpy's message; so too the ValueError numpy raises for a size past its
     limit, which is why the block may hold only allocations and draws."""
     try:

@@ -15,6 +15,10 @@ from .decoder import (adjust_class_attributes, class_scores,
 from .semantics import SemanticSpace, compact_semantics
 
 
+# the ModelConfig fields that come from the dataset, not from config keys
+DATASET_FIELDS = ("d_feat", "num_attributes", "num_classes", "tau")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Shape and routing configuration; the sizes come from the dataset or
@@ -36,8 +40,9 @@ class ModelConfig:
 
 
 def param_shapes(c: ModelConfig) -> dict:
-    """Each parameter's shape, init fan-in and the config keys that size it,
-    in draw order, from one table of the fields that give them."""
+    """Each parameter's shape, init fan-in and what sizes it (a config key
+    ``model.<field>`` or a dimension ``the dataset's <field>``), in draw
+    order, from one table of the fields that give them."""
     table = {"enc.proj": (("d_feat", "n_primary", "d_cap"), "d_feat"),
              "enc.act_proj": (("d_feat", "n_primary"), "d_feat"),
              "enc.vote_transforms": (("num_attributes", "d_cap", "d_cap"),
@@ -45,7 +50,8 @@ def param_shapes(c: ModelConfig) -> dict:
              "dec.w_beta": (("tau", "d_feat"), "tau"),
              "dec.w_d": (("d_feat", "tau"), "d_feat")}
     return {name: (tuple(getattr(c, k) for k in axes), getattr(c, fan_in),
-                   [f"model.{k}" for k in dict.fromkeys(axes)])
+                   [f"the dataset's {k}" if k in DATASET_FIELDS
+                    else f"model.{k}" for k in dict.fromkeys(axes)])
             for name, (axes, fan_in) in table.items()}
 
 

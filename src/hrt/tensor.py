@@ -7,9 +7,17 @@ checker in ``gradcheck.py`` validates.
 
 Design notes:
   * float64 everywhere; central differences are meaningless at float32.
-  * every contraction is a non-optimized ``np.einsum``, so the reduction over
-    an inner axis happens in a fixed left-to-right order (bit-reproducible,
-    and it matches a naive triple loop).  ``matmul`` is the 2-D spelling
+  * a contraction that is one matrix product runs on BLAS: each letter is
+    free (in one operand and the output) or contracted (in both operands,
+    not the output), and the output lists one operand's free letters, then
+    the other's.  It is one ``np.matmul`` on transposed, reshaped views of
+    the operands.  Any other contraction, with a batch letter (in both
+    operands and the output) or a letter summed out of one operand only, is
+    a non-optimized ``np.einsum``, which reduces in a fixed left-to-right
+    order.  Both repeat their bytes for operands of one memory layout, and
+    BLAS's do not depend on its thread count; they do depend on the kernels
+    OpenBLAS picks for the CPU, as do the BLAS and LAPACK calls of
+    ``hrt gen`` and ``compact_semantics``.  ``matmul`` is the 2-D spelling
     ``ik,kj->ij`` of the same contraction as ``einsum``.
   * each op checks the shapes its backward relies on, so callers check
     none: a contraction needs one axis per letter in each operand and one
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -221,17 +230,58 @@ def _grad_subscripts(subscripts: str, a_shape: tuple[int, ...],
     return f"{out_sub},{b_sub}->{a_sub}", f"{out_sub},{a_sub}->{b_sub}"
 
 
+@functools.cache
+def _matmul_plan(subscripts: str) -> tuple | None:
+    """How a two-operand einsum is one matrix product, or None if it is not
+    (see the design notes).  The plan ``(swap, first_axes, second_axes, n)``
+    takes first the operand whose free letters lead the output (the second
+    if ``swap``), transposed to its free then its contracted axes, and the
+    other transposed to the same contracted axes, then its free ones; the
+    first ``n`` axes of the first are its free ones."""
+    inputs, out = subscripts.replace(" ", "").split("->")
+    subs = inputs.split(",")
+    if (any(len(set(s)) != len(s) for s in (*subs, out))
+            or set(out) != set(subs[0]) ^ set(subs[1])):
+        return None
+    for swap in (0, 1):
+        first, second = subs[swap], subs[1 - swap]
+        contracted = "".join(c for c in first if c in second)
+        n = len(first) - len(contracted)
+        if set(out[:n]) <= set(first):
+            return (swap, tuple(map(first.index, out[:n] + contracted)),
+                    tuple(map(second.index, contracted + out[n:])), n)
+    return None
+
+
+def _product(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The einsum of ``x`` and ``y``: one BLAS product where
+    ``_matmul_plan`` finds one, else the fixed-order ``np.einsum``."""
+    plan = _matmul_plan(subscripts)
+    if plan is None:
+        return np.einsum(subscripts, x, y, optimize=False)
+    swap, first_axes, second_axes, n = plan
+    if swap:
+        x, y = y, x
+    x, y = x.transpose(first_axes), y.transpose(second_axes)
+    x_free, summed = x.shape[:n], x.shape[n:]
+    y_free = y.shape[len(summed):]
+    k = math.prod(summed)
+    # an overflow is left to the op's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (x.reshape(math.prod(x_free), k)
+               @ y.reshape(k, math.prod(y_free)))
+    return out.reshape(x_free + y_free)
+
+
 def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
     # matmul and einsum share this body: one public op calling the other
     # would count as two ops to a tracer that wraps each
     ga_sub, gb_sub = _grad_subscripts(subscripts, a.shape, b.shape, what)
-    out_data = np.einsum(subscripts, a.data, b.data, optimize=False)
+    out_data = _product(subscripts, a.data, b.data)
 
     def backward(g):
-        return (np.einsum(ga_sub, g, b.data, optimize=False)
-                if a.requires_grad else None,
-                np.einsum(gb_sub, g, a.data, optimize=False)
-                if b.requires_grad else None)
+        return (_product(ga_sub, g, b.data) if a.requires_grad else None,
+                _product(gb_sub, g, a.data) if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), backward, what)
 

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hrt import config_hash, load_checkpoint, save_checkpoint
 from hrt.cli import build_parser, main
 from hrt.config import DEFAULTS
+from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,7 +45,7 @@ LEARNING_CONFIG = {
 # the numerics of training or evaluation do
 LEARNING_SHA256 = {
     "run/history.csv":
-        "c946f2cdad6a9f5bc394e20ccdde70078590a4327223558fe0a304dc60522400",
+        "67764437bae384c85c59d08342365614fac589d40a1b979a5aa1be8a9b479a91",
     "eval/metrics.json":
         "e7a3734a3d58606b95c40b2b8390150e5b48c1db3db8e985edbc5bea5a1d47af",
     "ablation.csv":
@@ -160,6 +162,31 @@ class TestPipeline:
         for name, digest in LEARNING_SHA256.items():
             assert hashlib.sha256(
                 (learning / name).read_bytes()).hexdigest() == digest, name
+
+    # OpenBLAS splits a product over threads only above a size threshold,
+    # so the model is widened until TINY_SPEC's pose projection (R * D_feat
+    # * n_primary * d_cap, about a million multiply-adds) is split
+    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "synthetic": asdict(TINY_SPEC),
+            "model": {**TINY_MODEL, "n_primary": 2048},
+            "train": {"epochs": 2, "batch_size": 8, "seed": 0}}))
+        data = tmp_path / "data"
+        assert main(["gen", "--out", str(data), "--config", str(cfg)]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            run = tmp_path / f"run-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "hrt.cli", "train", "--data", str(data),
+                 "--out", str(run), "--config", str(cfg)],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                         OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(run / name).read_bytes()
+                            for name in ("history.csv", "model.ckpt")])
+        assert outputs[0] == outputs[1]
 
     def test_configured_offset_changes_eval_metrics(self, learning, tmp_path):
         # a seen-class offset this large sends every test sample to a seen

@@ -6,8 +6,9 @@ import pytest
 from hrt import (ConfigError, HrtModel, LossConfig, ModelConfig,
                  NumericError, OptimizerConfig, SyntheticSpec, Tensor,
                  generate_synthetic, load_features, no_grad, save_dataset)
-from hrt.config import dataset_dims
+from hrt.config import DATASET_FIELDS, DEFAULTS, dataset_dims
 from hrt.gradcheck import tiny_problem
+from hrt.model import param_shapes
 from hrt.rng import SeededRng
 from hrt.semantics import SemanticSpace
 
@@ -115,6 +116,16 @@ def test_dataset_semantics_are_not_compacted(tmp_path):
         assert dataset.semantics.compact_vectors is None
         with pytest.raises(ConfigError, match="'sem.compact_vectors'"):
             HrtModel(TINY_CONFIG, dataset.semantics)
+
+
+def test_parameters_are_sized_by_config_keys_and_dataset_dimensions():
+    # an allocation error names these; the dataset's sizes are no config keys
+    named = {key for *_, keys in param_shapes(TINY_CONFIG).values()
+             for key in keys}
+    config_keys = {f"model.{k}" for k in DEFAULTS["model"]}
+    dimensions = {f"the dataset's {k}" for k in DATASET_FIELDS}
+    assert named <= config_keys | dimensions
+    assert named & config_keys and named & dimensions
 
 
 def test_forward_wraps_no_semantic_array(monkeypatch):

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrt import (DimensionError, NumericError, SeededRng, Tensor,
-                 attribute_regression_loss, grad_check)
+from hrt import (DimensionError, HrtModel, ModelConfig, NumericError,
+                 SeededRng, SyntheticSpec, Tensor, attribute_regression_loss,
+                 generate_synthetic, grad_check)
 from hrt import tensor as T
+from hrt.config import dataset_dims, load_config, loss_config_for
+from hrt.train import total_loss
 
 from oracles import naive_matmul
 
@@ -24,28 +27,30 @@ class TestMatmul:
         assert np.array_equal(out.data, [[0.0]])
 
     def test_matches_naive_triple_loop_exactly(self):
+        # the product is BLAS's, bit for bit; BLAS may sum in another
+        # order than the naive loop, which stays the reference to rounding
         rng = SeededRng(7)
         a, b = rng.normal((3, 4)), rng.normal((4, 2))
         out = T.matmul(Tensor(a), Tensor(b)).data
-        assert np.array_equal(out, naive_matmul(a, b))
+        assert np.array_equal(out, a @ b)
+        np.testing.assert_allclose(out, naive_matmul(a, b), rtol=1e-12,
+                                   atol=0)
 
     @pytest.mark.parametrize("r,f,n", [(9, 64, 2048), (36, 128, 2048)],
                              ids=["default", "train_wide_grid"])
     def test_equals_einsum_bitwise_at_pose_shapes(self, r, f, n):
-        # the primary-capsule pose projection [R, D_feat] x [D_feat, 2048]
+        # the primary-capsule pose projection [R, D_feat] x [D_feat, 2048]:
+        # matmul and its einsum spelling are one BLAS product, forward and
+        # backward, bit for bit
         rng = SeededRng(9)
         a_data, b_data = rng.normal((r, f)), rng.normal((f, n))
         g = rng.normal((r, n))
-        results = []
+        blas = (a_data @ b_data, g @ b_data.T, a_data.T @ g)
         for op in (T.matmul, lambda a, b: T.einsum("ik,kj->ij", a, b)):
             out = op(Tensor(a_data, requires_grad=True),
                      Tensor(b_data, requires_grad=True))
-            results.append((out.data, *out._backward(g)))
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
-        # the operand order of the weight gradient does not change its bytes
-        assert np.array_equal(results[0][2], np.einsum(
-            "ik,ij->kj", a_data, g, optimize=False))
+            for got, want in zip((out.data, *out._backward(g)), blas):
+                assert np.array_equal(got, want)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
@@ -58,6 +63,74 @@ class TestMatmul:
         left = T.matmul(T.matmul(a, b), c).data
         right = T.matmul(a, T.matmul(b, c)).data
         assert np.allclose(left, right, rtol=1e-9, atol=1e-9)
+
+
+# the contractions of one default training step (forward and backward):
+# each that is one matrix product runs on BLAS, each other on the
+# fixed-order einsum
+BLAS_CONTRACTIONS = {
+    "rf,fnh->rnh", "rnh,rf->fnh", "ik,kj->ij", "ij,ik->kj",
+    "ade,re->rad", "rad,re->ade", "rad,ade->re", "rf,ra->fa", "fa,rf->ra",
+    "ta,tf->af", "af,ta->tf", "ft,fa->ta", "ta,fa->ft", "ta,ft->fa",
+    "ca,a->c", "c,a->ca", "c,ca->a"}
+EINSUM_CONTRACTIONS = {
+    "ad,rad->ra", "ra,rad->ad", "ra,ad->rad", "ad,ra->rad", "af,fa->a",
+    "a,fa->af", "a,af->fa", "a,ca->ca", "ca,ca->a", "ta,ta->a", "a,ta->ta"}
+
+
+def blas_reference(subscripts, x, y):
+    """``@`` of x and y as matrices: the operand whose free letters lead the
+    output transposed to [free, contracted] axes, the other to [contracted,
+    free], with the contracted letters in the first operand's order."""
+    inputs, out = subscripts.split("->")
+    xs, ys = inputs.split(",")
+    n = sum(c in out for c in xs)
+    if set(out[:n]) != set(xs) & set(out):
+        (xs, x), (ys, y), n = (ys, y), (xs, x), len(out) - n
+    summed = "".join(c for c in xs if c not in out)
+    x = x.transpose([xs.index(c) for c in out[:n] + summed])
+    y = y.transpose([ys.index(c) for c in summed + out[n:]])
+    k = math.prod(x.shape[n:])
+    return (x.reshape(-1, k) @ y.reshape(k, -1)).reshape(
+        x.shape[:n] + y.shape[len(summed):])
+
+
+def test_each_contraction_of_a_step_is_blas_or_the_fixed_order_einsum(
+        monkeypatch):
+    dataset = generate_synthetic(SyntheticSpec(), 0)
+    model = HrtModel.build(ModelConfig(**dataset_dims(dataset)),
+                           dataset.semantics.attr_vectors,
+                           dataset.semantics.class_attr)
+    calls = []
+    product = T._product
+
+    def recording(subscripts, x, y):
+        calls.append((subscripts, x, y, product(subscripts, x, y)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(T, "_product", recording)
+    i = dataset.splits["train"][0]
+    total, _ = total_loss(model, dataset.features[i], int(dataset.labels[i]),
+                          loss_config_for(load_config(), dataset))
+    total.backward()
+    planned = {s for s, *_ in calls if T._matmul_plan(s) is not None}
+    assert planned == BLAS_CONTRACTIONS
+    assert {s for s, *_ in calls} - planned == EINSUM_CONTRACTIONS
+    for subscripts, x, y, out in calls:
+        fixed_order = np.einsum(subscripts, x, y, optimize=False)
+        if subscripts in planned:
+            assert np.array_equal(out, blas_reference(subscripts, x, y))
+            assert (np.abs(out - fixed_order).max()
+                    <= 1e-12 * np.abs(fixed_order).max())
+        else:
+            assert np.array_equal(out, fixed_order)
+
+
+@pytest.mark.parametrize("subscripts", [
+    "ij,jk->ijk", "ij,j->j", "ii,ij->j", "ijk,jl->ilk"],
+    ids=["batch", "summed-out-of-one", "repeated", "interleaved-output"])
+def test_contractions_that_are_no_matrix_product_stay_on_einsum(subscripts):
+    assert T._matmul_plan(subscripts) is None
 
 
 class TestSoftmax:
@@ -154,6 +227,12 @@ class TestFiniteness:
         with pytest.raises(NumericError, match="weighted_sum"):
             T.weighted_sum(terms, (1.0, 1e308))
 
+    def test_overflowing_matmul_rejected(self):
+        # BLAS overflows to inf with no NumericError of its own
+        big = Tensor(np.full((2, 3), 1e200))
+        with pytest.raises(NumericError, match="matmul"):
+            T.matmul(big, Tensor(np.full((3, 2), 1e200)))
+
 
 class TestRng:
     def test_reproducible_stream(self):
@@ -192,12 +271,10 @@ class TestBackwardBasics:
         ga, gb = T.matmul(a, b)._backward(g)
         if a_grad:
             assert gb is None
-            assert np.array_equal(
-                ga, np.einsum("ij,kj->ik", g, b.data, optimize=False))
+            assert np.array_equal(ga, g @ b.data.T)
         else:
             assert ga is None
-            assert np.array_equal(
-                gb, np.einsum("ik,ij->kj", a.data, g, optimize=False))
+            assert np.array_equal(gb, a.data.T @ g)
 
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_einsum_backward_skips_constant_operand(self, a_grad):

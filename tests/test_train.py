@@ -26,9 +26,9 @@ from helpers import WIDE_GRID, peak_traced_bytes
 # joined by newlines, and the parameters' bytes in name order
 DEFAULT_RUN_SHA256 = {
     "history":
-        "49756a1964e55dbfc319b7e9ca3ab70eb3d83d4f9c00194ef6d753639b73494c",
+        "aee22b442040de93d189d71b7e1ef4e4c7a2228176059b974e45792c74b7c11c",
     "params":
-        "fda9df5fd5d3421444248c6d734fbcfecfc3f288861682c03939e3656406dc0e",
+        "46b957bb58586336c48477e94ddf78f86bc36eb40ac3d5d709b444d10f8ca2c3",
 }
 
 
