@@ -234,6 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("checkpoint", "data", "config", "out"):
+            if getattr(args, flag, None) == "":
+                raise ConfigError(f"--{flag} is empty; it needs a path")
         return args.func(args)
     except (ConfigError, DataFormatError, DimensionError, IndexError,
             MemoryError, OSError) as e:

@@ -23,6 +23,9 @@ Design notes:
     none: a contraction needs one axis per letter in each operand and one
     extent per letter, as ``np.einsum`` broadcasts an extent of 1 against
     any extent of the same letter.
+  * a contraction resolves its plan once per subscripts and operand shapes
+    (``_plan``, cached): the extent check, then for its forward product and
+    both gradients the einsum or the BLAS transposes and reshapes.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
@@ -215,11 +218,13 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 
 
 @functools.cache
-def _grad_subscripts(subscripts: str, a_shape: tuple[int, ...],
-                     b_shape: tuple[int, ...], what: str) -> tuple[str, str]:
-    """The gradient subscripts of a two-operand einsum; DimensionError
-    unless each operand has one axis per letter and each letter one extent."""
-    inputs, out_sub = subscripts.replace(" ", "").split("->")
+def _plan(subscripts: str, a_shape: tuple[int, ...], b_shape: tuple[int, ...],
+          what: str) -> tuple[tuple, tuple, tuple]:
+    """The ``_product`` recipes of a two-operand einsum of operands shaped
+    ``a_shape`` and ``b_shape``: its forward product, then the gradients of
+    a and b.  DimensionError unless each operand has one axis per letter and
+    each letter one extent."""
+    inputs, out = subscripts.replace(" ", "").split("->")
     a_sub, b_sub = inputs.split(",")
     extents: dict[str, int] = {}
     for sub, shape in ((a_sub, a_shape), (b_sub, b_shape)):
@@ -227,61 +232,66 @@ def _grad_subscripts(subscripts: str, a_shape: tuple[int, ...],
                 extents.setdefault(c, n) != n for c, n in zip(sub, shape)):
             raise DimensionError(f"{what} {subscripts!r} does not fit "
                                  f"shapes {a_shape} and {b_shape}")
-    return f"{out_sub},{b_sub}->{a_sub}", f"{out_sub},{a_sub}->{b_sub}"
+    return (_recipe(a_sub, b_sub, out, extents),
+            _recipe(out, b_sub, a_sub, extents),
+            _recipe(out, a_sub, b_sub, extents))
 
 
-@functools.cache
-def _matmul_plan(subscripts: str) -> tuple | None:
-    """How a two-operand einsum is one matrix product, or None if it is not
-    (see the design notes).  The plan ``(swap, first_axes, second_axes, n)``
-    takes first the operand whose free letters lead the output (the second
-    if ``swap``), transposed to its free then its contracted axes, and the
-    other transposed to the same contracted axes, then its free ones; the
-    first ``n`` axes of the first are its free ones."""
-    inputs, out = subscripts.replace(" ", "").split("->")
-    subs = inputs.split(",")
-    if (any(len(set(s)) != len(s) for s in (*subs, out))
-            or set(out) != set(subs[0]) ^ set(subs[1])):
-        return None
-    for swap in (0, 1):
-        first, second = subs[swap], subs[1 - swap]
-        contracted = "".join(c for c in first if c in second)
-        n = len(first) - len(contracted)
+def _recipe(x_sub: str, y_sub: str, out: str, extents: dict) -> tuple:
+    """``(subscripts, blas)``: ``blas`` is None unless the product is one
+    matrix product (see the design notes), else ``(swap, x_axes, y_axes,
+    x_2d, y_2d, shape)``: swap the operands if the second's free letters lead
+    the output, transpose each by its axes unless None, multiply them as the
+    2-D shapes and reshape the product to ``shape``."""
+    subscripts = f"{x_sub},{y_sub}->{out}"
+    if (any(len(set(s)) != len(s) for s in (x_sub, y_sub, out))
+            or set(out) != set(x_sub) ^ set(y_sub)):
+        return subscripts, None
+    for swap, first, second in ((False, x_sub, y_sub), (True, y_sub, x_sub)):
+        summed = "".join(c for c in first if c in second)
+        n = len(first) - len(summed)
         if set(out[:n]) <= set(first):
-            return (swap, tuple(map(first.index, out[:n] + contracted)),
-                    tuple(map(second.index, contracted + out[n:])), n)
-    return None
+            break
+    else:
+        return subscripts, None
+    axes = [None if order == sub else tuple(map(sub.index, order))
+            for sub, order in ((first, out[:n] + summed),
+                               (second, summed + out[n:]))]
+    m, k, p = (math.prod(extents[c] for c in s)
+               for s in (out[:n], summed, out[n:]))
+    return subscripts, (swap, *axes, (m, k), (k, p),
+                        tuple(extents[c] for c in out))
 
 
-def _product(subscripts: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The einsum of ``x`` and ``y``: one BLAS product where
-    ``_matmul_plan`` finds one, else the fixed-order ``np.einsum``."""
-    plan = _matmul_plan(subscripts)
-    if plan is None:
+# an overflow is left to the op's finiteness check
+_blas_matmul = np.errstate(over="ignore", invalid="ignore")(np.matmul)
+
+
+def _product(recipe: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One product of a ``_plan``: one BLAS matrix product on transposed,
+    reshaped views, else the fixed-order ``np.einsum``."""
+    subscripts, blas = recipe
+    if blas is None:
         return np.einsum(subscripts, x, y, optimize=False)
-    swap, first_axes, second_axes, n = plan
+    swap, x_axes, y_axes, x_2d, y_2d, shape = blas
     if swap:
         x, y = y, x
-    x, y = x.transpose(first_axes), y.transpose(second_axes)
-    x_free, summed = x.shape[:n], x.shape[n:]
-    y_free = y.shape[len(summed):]
-    k = math.prod(summed)
-    # an overflow is left to the op's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (x.reshape(math.prod(x_free), k)
-               @ y.reshape(k, math.prod(y_free)))
-    return out.reshape(x_free + y_free)
+    if x_axes is not None:
+        x = x.transpose(x_axes)
+    if y_axes is not None:
+        y = y.transpose(y_axes)
+    return _blas_matmul(x.reshape(x_2d), y.reshape(y_2d)).reshape(shape)
 
 
 def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
     # matmul and einsum share this body: one public op calling the other
     # would count as two ops to a tracer that wraps each
-    ga_sub, gb_sub = _grad_subscripts(subscripts, a.shape, b.shape, what)
-    out_data = _product(subscripts, a.data, b.data)
+    forward, grad_a, grad_b = _plan(subscripts, a.shape, b.shape, what)
+    out_data = _product(forward, a.data, b.data)
 
     def backward(g):
-        return (_product(ga_sub, g, b.data) if a.requires_grad else None,
-                _product(gb_sub, g, a.data) if b.requires_grad else None)
+        return (_product(grad_a, g, b.data) if a.requires_grad else None,
+                _product(grad_b, g, a.data) if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), backward, what)
 
@@ -307,7 +317,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def weighted_mean(x: Tensor, w: Tensor) -> Tensor:
     """sum_n w[r, n] * x[r, n] / sum_n w[r, n] of x [R, N, d] and weights
     w [R, N], shape [R, d]."""
-    _grad_subscripts("rn,rnh->rh", w.shape, x.shape, "weighted_mean")
+    _plan("rn,rnh->rh", w.shape, x.shape, "weighted_mean")
     num = np.einsum("rn,rnh->rh", w.data, x.data, optimize=False)
     den = w.data.sum(axis=1, keepdims=True)
 

@@ -614,6 +614,35 @@ class TestExitCodes:
         assert err.startswith("error:") and str(out) in err
         assert "Traceback" not in err
 
+    # an empty path names the working directory to os and pathlib
+    @pytest.mark.parametrize("command,flags,flag", [
+        pytest.param(command, flags, flag, id=f"{command}-{flag}")
+        for command, flags in (
+            ("gen", ("out", "config")),
+            ("train", ("data", "out", "config")),
+            ("eval", ("checkpoint", "data", "out", "config")),
+            ("gradcheck", ("config",)),
+            ("ablate", ("out", "data", "config")),
+            ("report", ("checkpoint", "data", "out")))
+        for flag in flags])
+    def test_empty_path_flag_is_refused_before_work(
+            self, tmp_path, monkeypatch, capsys, command, flags, flag):
+        def no_work(*args, **kwargs):
+            pytest.fail(f"{command} read or wrote a path with --{flag} ''")
+
+        for name in ("load_config", "checkpoint_size", "check_dataset_files",
+                     "_make_out", "load_features", "load_checkpoint",
+                     "generate_synthetic", "check_model_gradients"):
+            monkeypatch.setattr(f"hrt.cli.{name}", no_work)
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        for name in flags:
+            argv += [f"--{name}", "" if name == flag else f"given/{name}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --{flag} is empty; it needs a path\n"
+        assert list(tmp_path.iterdir()) == []
+
     # one case per rule of SyntheticSpec
     @pytest.mark.parametrize("synthetic,key", [
         ({"tau": 0}, "tau"),

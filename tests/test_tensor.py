@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,28 +96,33 @@ def blas_reference(subscripts, x, y):
         x.shape[:n] + y.shape[len(summed):])
 
 
+@pytest.mark.parametrize("synthetic,model_settings", [
+    ({}, {}),
+    ({"r_patches": 36, "d_feat": 128}, {"k_em": 1, "k_td": 3})],
+    ids=["default", "train_wide_grid"])
 def test_each_contraction_of_a_step_is_blas_or_the_fixed_order_einsum(
-        monkeypatch):
-    dataset = generate_synthetic(SyntheticSpec(), 0)
-    model = HrtModel.build(ModelConfig(**dataset_dims(dataset)),
-                           dataset.semantics.attr_vectors,
-                           dataset.semantics.class_attr)
+        monkeypatch, synthetic, model_settings):
+    dataset = generate_synthetic(replace(SyntheticSpec(), **synthetic), 0)
+    model = HrtModel.build(
+        ModelConfig(**dataset_dims(dataset), **model_settings),
+        dataset.semantics.attr_vectors, dataset.semantics.class_attr)
     calls = []
     product = T._product
 
-    def recording(subscripts, x, y):
-        calls.append((subscripts, x, y, product(subscripts, x, y)))
+    def recording(recipe, x, y):
+        calls.append((recipe, x, y, product(recipe, x, y)))
         return calls[-1][-1]
 
+    # every product of a contraction, forward or backward, runs here
     monkeypatch.setattr(T, "_product", recording)
     i = dataset.splits["train"][0]
     total, _ = total_loss(model, dataset.features[i], int(dataset.labels[i]),
                           loss_config_for(load_config(), dataset))
     total.backward()
-    planned = {s for s, *_ in calls if T._matmul_plan(s) is not None}
+    planned = {s for (s, blas), *_ in calls if blas is not None}
     assert planned == BLAS_CONTRACTIONS
-    assert {s for s, *_ in calls} - planned == EINSUM_CONTRACTIONS
-    for subscripts, x, y, out in calls:
+    assert {s for (s, _), *_ in calls} - planned == EINSUM_CONTRACTIONS
+    for (subscripts, _), x, y, out in calls:
         fixed_order = np.einsum(subscripts, x, y, optimize=False)
         if subscripts in planned:
             assert np.array_equal(out, blas_reference(subscripts, x, y))
@@ -130,7 +136,10 @@ def test_each_contraction_of_a_step_is_blas_or_the_fixed_order_einsum(
     "ij,jk->ijk", "ij,j->j", "ii,ij->j", "ijk,jl->ilk"],
     ids=["batch", "summed-out-of-one", "repeated", "interleaved-output"])
 def test_contractions_that_are_no_matrix_product_stay_on_einsum(subscripts):
-    assert T._matmul_plan(subscripts) is None
+    a_sub, b_sub = subscripts.split("->")[0].split(",")
+    (_, blas), *_ = T._plan(subscripts, (2,) * len(a_sub), (2,) * len(b_sub),
+                            "einsum")
+    assert blas is None
 
 
 class TestSoftmax:
