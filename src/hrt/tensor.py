@@ -26,6 +26,25 @@ Design notes:
   * a contraction resolves its plan once per subscripts and operand shapes
     (``_plan``, cached): the extent check, then for its forward product and
     both gradients the einsum or the BLAS transposes and reshapes.
+  * a parameter's gradient that runs on BLAS and has at least 2**16
+    elements (at the benchmark's shapes only ``enc.proj``'s) is computed on
+    one helper thread, which also adds it to ``.grad``, while the calling
+    thread goes on to the next sample's forward.  The calling thread
+    allocates the array each product is written into.  The one worker runs
+    its tasks first in first out, and a parameter has at most one task in
+    flight, so every product and every sum is the one the calling thread
+    would make, in the same order, and the bytes do not move.  Reading or
+    setting ``.grad`` waits for the parameter's task and raises what it
+    raised.  A parameter used twice in one graph sums its contributions on
+    the calling thread, out of place, as any shared node does.  Until
+    ``.grad`` is read, the task reads the upstream gradient and the other
+    operand's data, so neither may be written in place before then; the
+    optimizer writes the parameters only after reading every gradient.  The
+    helper starts on first use in each process id (a forked child makes its
+    own, and a fork waits for the helper's tasks), and only when the
+    process may run on two CPUs or more.  A tracer's time for
+    ``Tensor.backward`` no longer holds these products: they overlap the
+    next forward.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
@@ -54,11 +73,15 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from typing import Callable, Sequence
+import os
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 _GRAD_ENABLED = [True]
 _F64 = np.dtype(np.float64)
@@ -85,12 +108,14 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 class Tensor:
     """A numpy-backed value node in a reverse-mode computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_pending", "requires_grad", "_parents",
+                 "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = _check_finite(arr, "tensor construction")
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._pending: Future | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -104,7 +129,8 @@ class Tensor:
         checkpoint is read."""
         out = cls.__new__(cls)
         out.data = data
-        out.grad = None
+        out._grad = None
+        out._pending = None
         out.requires_grad = True
         out._parents = ()
         out._backward = None
@@ -119,7 +145,8 @@ class Tensor:
         if type(data) is not np.ndarray or data.dtype is not _F64:
             data = np.asarray(data, dtype=np.float64)
         out.data = _check_finite(data, what)
-        out.grad = None
+        out._grad = None
+        out._pending = None
         out._parents = ()
         out._backward = None
         out.requires_grad = False
@@ -157,7 +184,9 @@ class Tensor:
             g = grads.pop(node)
             if node._backward is None:
                 # g is this node's alone (see the design notes)
-                if node.grad is None:
+                if type(g) is _Deferred:
+                    _accumulate_on_helper(node, g)
+                elif node.grad is None:
                     node.grad = g
                 else:
                     node.grad += g
@@ -168,9 +197,16 @@ class Tensor:
                 if contrib is None:
                     continue
                 if parent in grads:
+                    # a parameter used twice sums its products here, not
+                    # on the helper thread
+                    first = grads[parent]
+                    if type(first) is _Deferred:
+                        first = first()
+                    if type(contrib) is _Deferred:
+                        contrib = contrib()
                     # not +=, which keeps the first array's memory layout:
                     # einsum's summation order follows its operands' layouts
-                    grads[parent] = grads[parent] + contrib
+                    grads[parent] = first + contrib
                 else:
                     grads[parent] = contrib
 
@@ -179,6 +215,25 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient accumulated into this leaf.  It waits for the
+        leaf's gradient product still running on the helper thread, and
+        raises what that raised."""
+        if self._pending is not None:
+            self._wait()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._pending is not None:
+            self._wait()
+        self._grad = value
+
+    def _wait(self) -> None:
+        task, self._pending = self._pending, None
+        task.result()
 
     def item(self) -> float:
         return float(self.data)
@@ -241,8 +296,9 @@ def _recipe(x_sub: str, y_sub: str, out: str, extents: dict) -> tuple:
     """``(subscripts, blas)``: ``blas`` is None unless the product is one
     matrix product (see the design notes), else ``(swap, x_axes, y_axes,
     x_2d, y_2d, shape)``: swap the operands if the second's free letters lead
-    the output, transpose each by its axes unless None, multiply them as the
-    2-D shapes and reshape the product to ``shape``."""
+    the output, transpose each by its axes, reshape it to its 2-D shape,
+    multiply them and reshape the product to ``shape``; a transpose or
+    reshape that would change nothing is None."""
     subscripts = f"{x_sub},{y_sub}->{out}"
     if (any(len(set(s)) != len(s) for s in (x_sub, y_sub, out))
             or set(out) != set(x_sub) ^ set(y_sub)):
@@ -254,22 +310,28 @@ def _recipe(x_sub: str, y_sub: str, out: str, extents: dict) -> tuple:
             break
     else:
         return subscripts, None
+    orders = (out[:n] + summed, summed + out[n:], out)
     axes = [None if order == sub else tuple(map(sub.index, order))
-            for sub, order in ((first, out[:n] + summed),
-                               (second, summed + out[n:]))]
+            for sub, order in zip((first, second), orders)]
     m, k, p = (math.prod(extents[c] for c in s)
                for s in (out[:n], summed, out[n:]))
-    return subscripts, (swap, *axes, (m, k), (k, p),
-                        tuple(extents[c] for c in out))
+    x_2d, y_2d, out_2d = (
+        None if tuple(extents[c] for c in order) == shape_2d else shape_2d
+        for order, shape_2d in zip(orders, ((m, k), (k, p), (m, p))))
+    shape = None if out_2d is None else tuple(extents[c] for c in out)
+    return subscripts, (swap, *axes, x_2d, y_2d, shape)
 
 
 # an overflow is left to the op's finiteness check
 _blas_matmul = np.errstate(over="ignore", invalid="ignore")(np.matmul)
 
 
-def _product(recipe: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _product(recipe: tuple, x: np.ndarray, y: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """One product of a ``_plan``: one BLAS matrix product on transposed,
-    reshaped views, else the fixed-order ``np.einsum``."""
+    reshaped views, else the fixed-order ``np.einsum``.  A BLAS product may
+    be written into ``out``, a C-contiguous array of the product's shape;
+    it has the same bytes."""
     subscripts, blas = recipe
     if blas is None:
         return np.einsum(subscripts, x, y, optimize=False)
@@ -278,9 +340,18 @@ def _product(recipe: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x, y = y, x
     if x_axes is not None:
         x = x.transpose(x_axes)
+    if x_2d is not None:
+        x = x.reshape(x_2d)
     if y_axes is not None:
         y = y.transpose(y_axes)
-    return _blas_matmul(x.reshape(x_2d), y.reshape(y_2d)).reshape(shape)
+    if y_2d is not None:
+        y = y.reshape(y_2d)
+    if out is not None:
+        _blas_matmul(x, y, out=out if shape is None
+                     else out.reshape(len(x), -1))
+        return out
+    xy = _blas_matmul(x, y)
+    return xy if shape is None else xy.reshape(shape)
 
 
 def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
@@ -290,10 +361,105 @@ def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
     out_data = _product(forward, a.data, b.data)
 
     def backward(g):
-        return (_product(grad_a, g, b.data) if a.requires_grad else None,
-                _product(grad_b, g, a.data) if b.requires_grad else None)
+        return (_gradient(grad_a, g, b.data, a) if a.requires_grad else None,
+                _gradient(grad_b, g, a.data, b) if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), backward, what)
+
+
+# -- the helper thread -------------------------------------------------------
+#
+# A parameter's gradient product that runs on BLAS and has at least
+# _HELPER_MIN_SIZE elements is left to ``Tensor.backward``, which runs it on
+# one helper thread (see the design notes).
+
+_HELPER_MIN_SIZE = 1 << 16
+
+
+def _gradient(recipe: tuple, g: np.ndarray, other: np.ndarray,
+              operand: Tensor):
+    """The gradient of a contraction's ``operand``, the product of the
+    upstream ``g`` and the ``other`` operand's data: deferred when it is a
+    large parameter gradient on BLAS and this process has a helper."""
+    if (operand._backward is None and recipe[1] is not None
+            and operand.data.size >= _HELPER_MIN_SIZE
+            and _helper() is not None):
+        return _Deferred(recipe, g, other)
+    return _product(recipe, g, other)
+
+
+class _Deferred:
+    """A parameter's gradient product, not yet computed; calling it
+    computes it, into ``out`` if given."""
+
+    __slots__ = ("recipe", "x", "y")
+
+    def __init__(self, recipe: tuple, x: np.ndarray, y: np.ndarray):
+        self.recipe, self.x, self.y = recipe, x, y
+
+    def __call__(self, out: np.ndarray | None = None) -> np.ndarray:
+        return _product(self.recipe, self.x, self.y, out)
+
+
+class _Helper:
+    """This process's helper thread, which runs gradient products first in
+    first out; it is made on first use, in each process id, and only when
+    the process may run on two CPUs or more (``pool`` is None otherwise)."""
+
+    pid: int | None = None
+    pool: ThreadPoolExecutor | None = None
+    last: Future | None = None     # the task submitted last
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on; 1 where the platform cannot
+    say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    if _Helper.pid != os.getpid():
+        _Helper.pid = os.getpid()
+        _Helper.pool = _Helper.last = None
+        if _usable_cpus() >= 2:
+            # imported here: a process that never trains does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+            _Helper.pool = ThreadPoolExecutor(1, thread_name_prefix="hrt-grad")
+    return _Helper.pool
+
+
+def _accumulate_on_helper(leaf: Tensor, product: _Deferred) -> None:
+    """Run ``product`` on the helper thread into an array allocated here:
+    ``leaf`` adopts it as its gradient, or the same task adds it to the
+    gradient the leaf has.  ``leaf.grad`` waits for the task."""
+    grad = leaf.grad    # waits for the leaf's last product: one in flight
+    out = np.empty(leaf.data.shape)
+    if grad is None:
+        leaf._grad = out
+    leaf._pending = _Helper.last = _helper().submit(_add_product, product,
+                                                    out, grad)
+
+
+def _add_product(product: _Deferred, out: np.ndarray,
+                 grad: np.ndarray | None) -> None:
+    product(out)
+    if grad is not None:
+        grad += out
+
+
+def _drain() -> None:
+    """Wait for the helper's tasks before the process forks.  Else the
+    child would copy a gradient half computed and wait for a task that no
+    thread of its own runs, and OpenBLAS, which stops its threads at a
+    fork, could stall a product running on the helper."""
+    if _Helper.pid == os.getpid() and _Helper.last is not None:
+        _Helper.last.exception()    # waits; the exception is .grad's to raise
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_drain)
 
 
 # -- composite primitives ---------------------------------------------------

@@ -1,6 +1,9 @@
 """Helpers shared by the test modules."""
 
+import contextlib
 import tracemalloc
+
+from hrt import tensor as T
 
 # the synthetic recipe of bench/run.py's train_wide_grid workload
 WIDE_GRID = dict(r_patches=36, d_feat=128, samples_per_class=20)
@@ -15,3 +18,24 @@ def peak_traced_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def gradient_helper(on: bool):
+    """Inside the block, hrt.tensor's helper thread runs every parameter
+    gradient on BLAS (threshold 0, whatever the CPU count) if ``on``, and
+    none otherwise.  The block gets a pool of its own, shut down at its
+    end; the process's pool and settings are restored."""
+    helper = T._Helper
+    saved = (T._HELPER_MIN_SIZE, T._usable_cpus, helper.pid, helper.pool,
+             helper.last)
+    T._HELPER_MIN_SIZE = 0 if on else saved[0]
+    T._usable_cpus = lambda: 2 if on else 1
+    helper.pid = helper.pool = helper.last = None
+    try:
+        yield
+    finally:
+        if helper.pool is not None:
+            helper.pool.shutdown()
+        (T._HELPER_MIN_SIZE, T._usable_cpus, helper.pid, helper.pool,
+         helper.last) = saved

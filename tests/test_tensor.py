@@ -1,5 +1,7 @@
 import inspect
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrt import (DimensionError, HrtModel, ModelConfig, NumericError,
-                 SeededRng, SyntheticSpec, Tensor, attribute_regression_loss,
-                 generate_synthetic, grad_check)
+from hrt import (DimensionError, HrtModel, LossConfig, ModelConfig,
+                 NumericError, OptimizerConfig, SeededRng, SyntheticSpec,
+                 Tensor, attribute_regression_loss, generate_synthetic,
+                 grad_check, train)
 from hrt import tensor as T
 from hrt.config import dataset_dims, load_config, loss_config_for
+from hrt.gradcheck import tiny_problem
 from hrt.train import total_loss
 
+from helpers import gradient_helper
 from oracles import naive_matmul
 
 
@@ -42,15 +47,19 @@ class TestMatmul:
     def test_equals_einsum_bitwise_at_pose_shapes(self, r, f, n):
         # the primary-capsule pose projection [R, D_feat] x [D_feat, 2048]:
         # matmul and its einsum spelling are one BLAS product, forward and
-        # backward, bit for bit
+        # backward, bit for bit.  b's gradient is large enough to run on the
+        # helper thread, so the gradients are read from the leaves, and
+        # ``ij,ij->`` against g hands out the gradient g bit for bit
         rng = SeededRng(9)
         a_data, b_data = rng.normal((r, f)), rng.normal((f, n))
         g = rng.normal((r, n))
         blas = (a_data @ b_data, g @ b_data.T, a_data.T @ g)
         for op in (T.matmul, lambda a, b: T.einsum("ik,kj->ij", a, b)):
-            out = op(Tensor(a_data, requires_grad=True),
-                     Tensor(b_data, requires_grad=True))
-            for got, want in zip((out.data, *out._backward(g)), blas):
+            a = Tensor(a_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = op(a, b)
+            T.einsum("ij,ij->", out, Tensor(g)).backward()
+            for got, want in zip((out.data, a.grad, b.grad), blas):
                 assert np.array_equal(got, want)
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -106,19 +115,26 @@ def test_each_contraction_of_a_step_is_blas_or_the_fixed_order_einsum(
     model = HrtModel.build(
         ModelConfig(**dataset_dims(dataset), **model_settings),
         dataset.semantics.attr_vectors, dataset.semantics.class_attr)
-    calls = []
+    calls, threads = [], []
     product = T._product
 
-    def recording(recipe, x, y):
-        calls.append((recipe, x, y, product(recipe, x, y)))
+    def recording(recipe, x, y, out=None):
+        calls.append((recipe, x, y, product(recipe, x, y, out)))
+        threads.append((recipe[0], threading.current_thread().name))
         return calls[-1][-1]
 
-    # every product of a contraction, forward or backward, runs here
+    # every product of a contraction, forward or backward, runs here, on
+    # this thread or the helper
     monkeypatch.setattr(T, "_product", recording)
     i = dataset.splits["train"][0]
     total, _ = total_loss(model, dataset.features[i], int(dataset.labels[i]),
                           loss_config_for(load_config(), dataset))
     total.backward()
+    for p in model.params.values():
+        p.grad    # waits for the products still running on the helper
+    # at these shapes only enc.proj's gradient is large enough for it
+    assert {s for s, thread in threads if thread != "MainThread"} == (
+        {"rnh,rf->fnh"} if T._helper() else set())
     planned = {s for (s, blas), *_ in calls if blas is not None}
     assert planned == BLAS_CONTRACTIONS
     assert {s for (s, _), *_ in calls} - planned == EINSUM_CONTRACTIONS
@@ -140,6 +156,101 @@ def test_contractions_that_are_no_matrix_product_stay_on_einsum(subscripts):
     (_, blas), *_ = T._plan(subscripts, (2,) * len(a_sub), (2,) * len(b_sub),
                             "einsum")
     assert blas is None
+
+
+class TestGradientHelper:
+    """A large parameter gradient on BLAS runs on the helper thread, and
+    reading ``.grad`` gives the bytes the calling thread would have made."""
+
+    @staticmethod
+    def pose_backward(steps):
+        """A [128, 2048] leaf after ``steps`` backward passes of enc.proj's
+        gradient at the train_wide_grid shape: the first gradient is
+        adopted, the second added."""
+        rng = SeededRng(12)
+        a, g = Tensor(rng.normal((36, 128))), Tensor(rng.normal((36, 2048)))
+        b = Tensor(rng.normal((128, 2048)), requires_grad=True)
+        for _ in range(steps):
+            T.einsum("ij,ij->", T.matmul(a, b), g).backward()
+        return b
+
+    @pytest.mark.parametrize("steps", [1, 2], ids=["adopted", "added"])
+    def test_grad_read_after_backward_equals_the_synchronous_array(
+            self, monkeypatch, steps):
+        add = T._add_product
+
+        def slow(*args):
+            time.sleep(0.05)    # still running when .grad is read
+            add(*args)
+
+        monkeypatch.setattr(T, "_add_product", slow)
+        grads = []
+        for on in (True, False):
+            with gradient_helper(on):
+                b = self.pose_backward(steps)
+                # the task is left pending until .grad is read
+                assert (b._pending is not None) == on
+                # copied before the block's end waits for the helper
+                grads.append(b.grad.copy())
+        assert np.array_equal(*grads)
+
+    @pytest.mark.parametrize("access", [lambda b: b.grad,
+                                        lambda b: b.zero_grad()],
+                             ids=["read", "zero_grad"])
+    def test_helper_exception_is_raised_by_the_grad_access(self, monkeypatch,
+                                                           access):
+        product = T._product
+
+        def failing(recipe, x, y, out=None):
+            if out is not None:    # only the helper writes into an array
+                raise MemoryError("no room for the gradient")
+            return product(recipe, x, y, out)
+
+        monkeypatch.setattr(T, "_product", failing)
+        with gradient_helper(True):
+            b = self.pose_backward(1)      # backward returns
+            with pytest.raises(MemoryError, match="no room"):
+                access(b)
+
+    def test_a_parameter_used_twice_sums_on_the_calling_thread(self):
+        rng = SeededRng(13)
+        x, w_data = Tensor(rng.normal((6, 4))), rng.normal((4, 3))
+        grads = []
+        for on in (True, False):
+            w = Tensor(w_data, requires_grad=True)
+            with gradient_helper(on):
+                T.einsum("ij,ij->", T.matmul(x, w), T.matmul(x, w)).backward()
+                assert w._pending is None
+                grads.append(w.grad)
+        assert np.array_equal(*grads)
+
+    def test_no_parameter_has_two_products_in_flight(self, monkeypatch):
+        # each task sleeps, so that a second product of one parameter
+        # would be submitted before the first ends
+        dataset, model = tiny_problem(5)
+        tasks = {}      # a parameter's gradient array -> its tasks
+        most = []       # the tasks in flight at each submit
+        with gradient_helper(True):
+            pool = T._helper()
+            submit = pool.submit
+
+            def slow(fn, *args):
+                time.sleep(0.002)
+                fn(*args)
+
+            def checking_submit(fn, product, out, grad):
+                mine = tasks.setdefault(id(out if grad is None else grad), [])
+                assert all(task.done() for task in mine)
+                most.append(sum(not t.done() for ts in tasks.values()
+                                for t in ts))
+                mine.append(submit(slow, fn, product, out, grad))
+                return mine[-1]
+
+            monkeypatch.setattr(pool, "submit", checking_submit)
+            train(dataset, model, LossConfig(), OptimizerConfig(), epochs=1,
+                  batch_size=4)
+        assert len(most) == 5 * dataset.splits["train"].size
+        assert max(most) >= 2    # other parameters' products were in flight
 
 
 class TestSoftmax:

@@ -1,8 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import threading
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +16,17 @@ from hypothesis import strategies as st
 
 from hrt import (ConfigError, DataFormatError, DimensionError, HrtModel,
                  LossConfig, ModelConfig, OptimizerConfig, SyntheticSpec,
-                 Tensor, config_hash, gamma_profile, generate_synthetic,
-                 load_checkpoint, no_grad, save_checkpoint, total_loss, train,
-                 write_history)
+                 Tensor, config_hash, evaluate, gamma_profile,
+                 generate_synthetic, load_checkpoint, no_grad,
+                 save_checkpoint, total_loss, train, write_history)
+from hrt import tensor as T
 from hrt.config import (dataset_dims, load_config, loss_config_for,
                         model_config_for, synthetic_spec_for)
 from hrt.gradcheck import tiny_problem
 from hrt.model import array_layout
 from hrt.rng import SeededRng
-from hrt.train import HISTORY_HEADER
-from helpers import WIDE_GRID, peak_traced_bytes
+from hrt.train import HISTORY_HEADER, train_from_config
+from helpers import WIDE_GRID, gradient_helper, peak_traced_bytes
 
 # sha256 of a 2-epoch run at the default config, seed 0: the history rows
 # joined by newlines, and the parameters' bytes in name order
@@ -142,6 +148,117 @@ class TestTrain:
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         train(ds, model, LossConfig(), OptimizerConfig(), epochs=1)
         assert len(constructed) == ds.splits["train"].size
+
+
+# the gradient suite's tiny problem, and the default and train_wide_grid
+# configs of bench/run.py
+SHAPES = {"tiny": None, "default": {},
+          "wide_grid": {"synthetic": WIDE_GRID,
+                        "model": {"k_em": 1, "k_td": 3}}}
+
+
+def two_epoch_run(shape: str) -> tuple[bytes, bytes]:
+    """The history rows and the parameters' bytes, in name order, of a
+    2-epoch run at ``shape``, seed 0."""
+    if SHAPES[shape] is None:
+        ds, model = tiny_problem(0)
+        history = train(ds, model, LossConfig(), OptimizerConfig(), epochs=2)
+    else:
+        config = load_config(overrides={**SHAPES[shape],
+                                        "train": {"epochs": 2}})
+        ds = generate_synthetic(*synthetic_spec_for(config))
+        model, history = train_from_config(config, ds)
+    return ("\n".join(h.csv_row() for h in history).encode("utf-8"),
+            b"".join(model.params[n].data.tobytes()
+                     for n in sorted(model.params)))
+
+
+# A process forks while its helper thread still computes a gradient
+# product (each task sleeps first), and the child reads that gradient and
+# trains the tiny problem for 2 epochs with a helper of its own.  The
+# parent does the same after the fork, and the script exits 0 if both
+# give the same bytes.  Without the wait at the fork, the child would wait
+# for a task no thread of its own runs, and the parent's helper could stall
+# in a BLAS call whose threads the fork shut down; the alarms end either.
+FORK_CHECK = """
+import hashlib, os, pickle, signal, time
+from hrt import LossConfig, OptimizerConfig, SeededRng, Tensor, train
+from hrt import tensor as T
+from hrt.gradcheck import tiny_problem
+from helpers import gradient_helper
+
+def run(pending):
+    ds, model = tiny_problem(0)
+    history = train(ds, model, LossConfig(), OptimizerConfig(), epochs=2)
+    return (hashlib.sha256(pending.grad).hexdigest(),
+            [h.csv_row() for h in history],
+            hashlib.sha256(b"".join(p.data.tobytes()
+                                    for p in model.params.values())).digest(),
+            T._Helper.pid == os.getpid())
+
+signal.alarm(100)
+add = T._add_product
+T._add_product = lambda *args: (time.sleep(0.2), add(*args))
+rng = SeededRng(3)
+a, g = Tensor(rng.normal((36, 128))), Tensor(rng.normal((36, 2048)))
+b = Tensor(rng.normal((128, 2048)), requires_grad=True)
+with gradient_helper(True):
+    T.einsum("ij,ij->", T.matmul(a, b), g).backward()
+    T._add_product = add
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(60)
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as out:
+            out.write(pickle.dumps(run(b)))
+        os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as child:
+        child = child.read()
+    _, status = os.waitpid(pid, 0)
+    parent = run(b)
+assert os.waitstatus_to_exitcode(status) == 0, status
+assert pickle.loads(child) == parent, (pickle.loads(child), parent)
+"""
+
+
+class TestGradientHelper:
+    """Parameter gradients computed on the helper thread leave every byte
+    of training as the calling thread alone makes it."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_helper_on_and_off_train_to_the_same_bytes(self, shape):
+        runs = []
+        interval = sys.getswitchinterval()
+        # switch threads often, so that a race would show
+        sys.setswitchinterval(1e-5)
+        try:
+            for on in (True, False):
+                with gradient_helper(on):
+                    runs.append(two_epoch_run(shape))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+
+    def test_forked_child_trains_to_the_same_bytes(self):
+        # in a fresh interpreter, so that a hang ends at the timeout
+        tests = Path(__file__).resolve().parent
+        proc = subprocess.run(
+            [sys.executable, "-c", FORK_CHECK],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(tests.parent / "src"), str(tests)])),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_evaluate_starts_no_thread(self):
+        ds, model = tiny_problem(0)
+        with gradient_helper(True):
+            before = threading.active_count()
+            evaluate(model, ds, mode="gzsl")
+            evaluate(model, ds, mode="zsl")
+            assert threading.active_count() == before
+            assert T._Helper.pid is None
 
 
 class TestConfigHash:
