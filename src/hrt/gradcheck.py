@@ -67,12 +67,15 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor], *,
     if out.data.size != 1:
         raise NumericError("grad_check target must be scalar-valued")
     out.backward()
+    # every gradient is read before any parameter is perturbed: a gradient
+    # still running on tensor's helper thread reads the other operands' data
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                for name, p in params.items()}
 
     per_group: dict[str, float] = {}
     for name, p in params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         flat = p.data.reshape(-1)
-        aflat = np.asarray(analytic, dtype=np.float64).reshape(-1)
+        aflat = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]

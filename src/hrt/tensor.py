@@ -26,25 +26,28 @@ Design notes:
   * a contraction resolves its plan once per subscripts and operand shapes
     (``_plan``, cached): the extent check, then for its forward product and
     both gradients the einsum or the BLAS transposes and reshapes.
-  * a parameter's gradient that runs on BLAS and has at least 2**16
-    elements (at the benchmark's shapes only ``enc.proj``'s) is computed on
-    one helper thread, which also adds it to ``.grad``, while the calling
-    thread goes on to the next sample's forward.  The calling thread
-    allocates the array each product is written into.  The one worker runs
-    its tasks first in first out, and a parameter has at most one task in
-    flight, so every product and every sum is the one the calling thread
-    would make, in the same order, and the bytes do not move.  Reading or
-    setting ``.grad`` waits for the parameter's task and raises what it
-    raised.  A parameter used twice in one graph sums its contributions on
-    the calling thread, out of place, as any shared node does.  Until
-    ``.grad`` is read, the task reads the upstream gradient and the other
-    operand's data, so neither may be written in place before then; the
-    optimizer writes the parameters only after reading every gradient.  The
-    helper starts on first use in each process id (a forked child makes its
-    own, and a fork waits for the helper's tasks), and only when the
-    process may run on two CPUs or more.  A tracer's time for
-    ``Tensor.backward`` no longer holds these products: they overlap the
-    next forward.
+  * a parameter's gradient that runs on BLAS and has at least 2**18
+    elements (``enc.proj``'s from d_feat 128 on, as in the benchmark's
+    train_wide_grid, and not at the default shape) is computed on one
+    helper thread, which also adds it to ``.grad``, while the calling thread
+    goes on to the next sample's forward.  The calling thread allocates the
+    arrays the products are written into: the first becomes ``.grad``, and
+    each later one goes into one spare array the parameter keeps.  The one
+    worker runs its tasks first in first out, and a parameter has at most
+    one task in flight, so every product and every sum is the one the
+    calling thread would make, in the same order, and the bytes do not
+    move.  Reading ``.grad`` waits for the parameter's task and raises what
+    it raised, at every read; setting it waits and drops a task that
+    failed.  A parameter used twice in one graph
+    sums its contributions on the calling thread, out of place, as any
+    shared node does.  Until ``.grad`` is read, the task reads the upstream
+    gradient and the other operand's data, so neither may be written in
+    place before then: the optimizer and ``grad_check`` read every gradient
+    before they write a parameter.  The helper starts on first use in each
+    process id (a forked child makes its own, and a fork waits for the
+    helper's tasks), and only when the process may run on two CPUs or more.
+    A tracer's time for ``Tensor.backward`` no longer holds these products:
+    they overlap the next forward.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
@@ -108,8 +111,9 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 class Tensor:
     """A numpy-backed value node in a reverse-mode computation graph."""
 
-    __slots__ = ("data", "_grad", "_pending", "requires_grad", "_parents",
-                 "_backward")
+    # _spare is set only on a parameter whose gradient runs on the helper
+    __slots__ = ("data", "_grad", "_pending", "_spare", "requires_grad",
+                 "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -219,21 +223,20 @@ class Tensor:
     @property
     def grad(self) -> np.ndarray | None:
         """The gradient accumulated into this leaf.  It waits for the
-        leaf's gradient product still running on the helper thread, and
-        raises what that raised."""
+        leaf's gradient product still running on the helper thread; if that
+        raised, every read raises it until the gradient is set."""
         if self._pending is not None:
-            self._wait()
+            self._pending.result()
+            self._pending = None
         return self._grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
+        # waits for the task; one that failed is dropped with what it left
         if self._pending is not None:
-            self._wait()
+            self._pending.exception()
+            self._pending = None
         self._grad = value
-
-    def _wait(self) -> None:
-        task, self._pending = self._pending, None
-        task.result()
 
     def item(self) -> float:
         return float(self.data)
@@ -371,9 +374,16 @@ def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
 #
 # A parameter's gradient product that runs on BLAS and has at least
 # _HELPER_MIN_SIZE elements is left to ``Tensor.backward``, which runs it on
-# one helper thread (see the design notes).
+# one helper thread (see the design notes).  A task costs the calling thread
+# about five thread switches, so it pays only for a large enough product.
+# enc.proj's product sums over only R rows, so its cost follows its size,
+# not its multiply-adds: in wall-clock training on a 2-vCPU VM at R 9 to 36,
+# the helper won 8-28 % in every series at d_feat 128 (2**18 elements) and
+# read -5 to +10 %, with no consistent sign, at d_feat 64 (2**17, the
+# default shape), R 36 included, whose 4.7 M multiply-adds are twice those
+# of R 9 at d_feat 128.
 
-_HELPER_MIN_SIZE = 1 << 16
+_HELPER_MIN_SIZE = 1 << 18
 
 
 def _gradient(recipe: tuple, g: np.ndarray, other: np.ndarray,
@@ -432,12 +442,19 @@ def _helper() -> ThreadPoolExecutor | None:
 
 def _accumulate_on_helper(leaf: Tensor, product: _Deferred) -> None:
     """Run ``product`` on the helper thread into an array allocated here:
-    ``leaf`` adopts it as its gradient, or the same task adds it to the
-    gradient the leaf has.  ``leaf.grad`` waits for the task."""
+    ``leaf`` adopts it as its gradient, or the same task writes it into the
+    leaf's spare array and adds that to the gradient the leaf has.
+    ``leaf.grad`` waits for the task."""
     grad = leaf.grad    # waits for the leaf's last product: one in flight
-    out = np.empty(leaf.data.shape)
     if grad is None:
-        leaf._grad = out
+        out = leaf._grad = np.empty(leaf.data.shape)
+    else:
+        # one spare array per parameter, not a new array per sample freed
+        # on the helper thread: that raised train_wide_grid's peak_rss_mb
+        # by about 4 MB
+        out = getattr(leaf, "_spare", None)
+        if out is None:
+            out = leaf._spare = np.empty(leaf.data.shape)
     leaf._pending = _Helper.last = _helper().submit(_add_product, product,
                                                     out, grad)
 

@@ -21,15 +21,15 @@ def peak_traced_bytes(fn, *args):
 
 
 @contextlib.contextmanager
-def gradient_helper(on: bool):
+def gradient_helper(on: bool, min_size: int = 0):
     """Inside the block, hrt.tensor's helper thread runs every parameter
-    gradient on BLAS (threshold 0, whatever the CPU count) if ``on``, and
-    none otherwise.  The block gets a pool of its own, shut down at its
-    end; the process's pool and settings are restored."""
+    gradient on BLAS with at least ``min_size`` elements (whatever the CPU
+    count) if ``on``, and none otherwise.  The block gets a pool of its own,
+    shut down at its end; the process's pool and settings are restored."""
     helper = T._Helper
     saved = (T._HELPER_MIN_SIZE, T._usable_cpus, helper.pid, helper.pool,
              helper.last)
-    T._HELPER_MIN_SIZE = 0 if on else saved[0]
+    T._HELPER_MIN_SIZE = min_size if on else saved[0]
     T._usable_cpus = lambda: 2 if on else 1
     helper.pid = helper.pool = helper.last = None
     try:

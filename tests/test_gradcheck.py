@@ -1,8 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
-from hrt import NumericError, Tensor, grad_check
+from hrt import NumericError, SeededRng, Tensor, grad_check
 from hrt import tensor as T
+
+from helpers import gradient_helper
 
 
 def square(t):
@@ -80,3 +84,40 @@ def test_wrong_gradient_detected():
 
     report = grad_check(inconsistent, {"theta": theta2}, tol=1e-4)
     assert not report.passed
+
+
+def test_every_gradient_is_read_before_a_parameter_is_perturbed(monkeypatch):
+    # b's gradient, a^T . g, runs on the helper thread and reads a's data.
+    # The task is held until a's first probe, which then waits for it: if a
+    # were perturbed before b's gradient is read, the task would see a + h
+    rng = SeededRng(14)
+    a_data, b_data = rng.normal((4, 3)), rng.normal((3, 5))
+    g = Tensor(rng.normal((4, 5)))
+    add = T._add_product
+
+    def held(*args):
+        go.wait(0.5)
+        add(*args)
+        done.set()
+
+    monkeypatch.setattr(T, "_add_product", held)
+    grads = []
+    for on in (True, False):
+        a = Tensor(a_data.copy(), requires_grad=True)
+        b = Tensor(b_data.copy(), requires_grad=True)
+        go, done = threading.Event(), threading.Event()
+        calls = []
+
+        def f():
+            calls.append(None)
+            if on and len(calls) == 2:    # a's first probe
+                go.set()
+                done.wait(5)
+            return T.einsum("ij,ij->", T.matmul(a, b), g)
+
+        # b, and not a, is large enough for the helper
+        with gradient_helper(on, min_size=b_data.size):
+            assert grad_check(f, {"a": a, "b": b}).passed
+            grads.append(b.grad)
+        assert done.is_set() == on    # b's gradient ran on the helper
+    assert np.array_equal(*grads)

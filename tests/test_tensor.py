@@ -132,9 +132,10 @@ def test_each_contraction_of_a_step_is_blas_or_the_fixed_order_einsum(
     total.backward()
     for p in model.params.values():
         p.grad    # waits for the products still running on the helper
-    # at these shapes only enc.proj's gradient is large enough for it
+    # only enc.proj's gradient is ever large enough for it, and only at the
+    # train_wide_grid shape: the default shape stays on the calling thread
     assert {s for s, thread in threads if thread != "MainThread"} == (
-        {"rnh,rf->fnh"} if T._helper() else set())
+        {"rnh,rf->fnh"} if synthetic and T._helper() else set())
     planned = {s for (s, blas), *_ in calls if blas is not None}
     assert planned == BLAS_CONTRACTIONS
     assert {s for (s, _), *_ in calls} - planned == EINSUM_CONTRACTIONS
@@ -194,23 +195,45 @@ class TestGradientHelper:
                 grads.append(b.grad.copy())
         assert np.array_equal(*grads)
 
-    @pytest.mark.parametrize("access", [lambda b: b.grad,
-                                        lambda b: b.zero_grad()],
-                             ids=["read", "zero_grad"])
-    def test_helper_exception_is_raised_by_the_grad_access(self, monkeypatch,
-                                                           access):
+    @pytest.mark.parametrize("steps", [1, 2], ids=["adopted", "added"])
+    def test_helper_exception_is_raised_by_every_grad_read(self, monkeypatch,
+                                                           steps):
         product = T._product
 
         def failing(recipe, x, y, out=None):
-            if out is not None:    # only the helper writes into an array
+            # only the helper writes into an array; the first task of
+            # "added" succeeds
+            if out is not None and failing.tasks == steps - 1:
                 raise MemoryError("no room for the gradient")
+            failing.tasks += out is not None
             return product(recipe, x, y, out)
 
+        failing.tasks = 0
         monkeypatch.setattr(T, "_product", failing)
         with gradient_helper(True):
-            b = self.pose_backward(1)      # backward returns
-            with pytest.raises(MemoryError, match="no room"):
-                access(b)
+            b = self.pose_backward(steps)      # backward returns
+            # a second read raises too: it would give an array the task left
+            # unwritten or missing a sample
+            for _ in range(2):
+                with pytest.raises(MemoryError, match="no room"):
+                    b.grad
+            b.zero_grad()    # drops the failed task
+            assert b.grad is None
+
+    def test_added_products_reuse_one_spare_array(self, monkeypatch):
+        outs = []
+        add = T._add_product
+
+        def recording(product, out, grad):
+            outs.append(out)
+            add(product, out, grad)
+
+        monkeypatch.setattr(T, "_add_product", recording)
+        with gradient_helper(True):
+            b = self.pose_backward(3)
+            # the first product is adopted, the next two share one array
+            assert outs[0] is b.grad
+            assert outs[1] is outs[2] is b._spare
 
     def test_a_parameter_used_twice_sums_on_the_calling_thread(self):
         rng = SeededRng(13)
