@@ -377,11 +377,11 @@ def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
 # one helper thread (see the design notes).  A task costs the calling thread
 # about five thread switches, so it pays only for a large enough product.
 # enc.proj's product sums over only R rows, so its cost follows its size,
-# not its multiply-adds: in wall-clock training on a 2-vCPU VM at R 9 to 36,
-# the helper won 8-28 % in every series at d_feat 128 (2**18 elements) and
-# read -5 to +10 %, with no consistent sign, at d_feat 64 (2**17, the
-# default shape), R 36 included, whose 4.7 M multiply-adds are twice those
-# of R 9 at d_feat 128.
+# not its multiply-adds: in wall-clock training on a 2-vCPU VM
+# (BENCH_33.json, threshold_wall_clock), the helper's median gain was +10 %
+# at R 9 and +34 % at R 36 with d_feat 128 (2**18 elements), and -12 % and
+# -1 % at d_feat 64 (2**17, the default shape), whose R 36 has twice the
+# multiply-adds of R 9 at d_feat 128.
 
 _HELPER_MIN_SIZE = 1 << 18
 

@@ -47,9 +47,10 @@ class TestMatmul:
     def test_equals_einsum_bitwise_at_pose_shapes(self, r, f, n):
         # the primary-capsule pose projection [R, D_feat] x [D_feat, 2048]:
         # matmul and its einsum spelling are one BLAS product, forward and
-        # backward, bit for bit.  b's gradient is large enough to run on the
-        # helper thread, so the gradients are read from the leaves, and
-        # ``ij,ij->`` against g hands out the gradient g bit for bit
+        # backward, bit for bit.  b's gradient at train_wide_grid's shape is
+        # large enough to run on the helper thread, so the gradients are
+        # read from the leaves, and ``ij,ij->`` against g hands out the
+        # gradient g bit for bit
         rng = SeededRng(9)
         a_data, b_data = rng.normal((r, f)), rng.normal((f, n))
         g = rng.normal((r, n))
