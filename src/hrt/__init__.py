@@ -8,7 +8,7 @@ classification on synthetic or precomputed-feature datasets.
 
 from .errors import (ConfigError, DataFormatError, DimensionError,
                      NumericError)
-from .tensor import Tensor, no_grad
+from .tensor import Parameter, Tensor, no_grad
 from .rng import SeededRng
 from .gradcheck import grad_check, GradCheckReport
 from .routing import inverted_routing
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignedFeatures", "ConfigError", "DataFormatError", "DimensionError",
     "GradCheckReport", "HrtModel", "LossConfig",
-    "Metrics", "ModelConfig", "NumericError", "OptimizerConfig",
+    "Metrics", "ModelConfig", "NumericError", "OptimizerConfig", "Parameter",
     "RmsPropState", "SeededRng", "SemanticSpace", "SyntheticSpec", "Tensor",
     "ZslDataset", "adjust_class_attributes", "attribute_regression_loss",
     "calibration_loss", "class_scores", "compact_semantics",

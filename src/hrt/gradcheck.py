@@ -20,7 +20,7 @@ from .config import dataset_dims, loss_config_for
 from .data import SyntheticSpec, ZslDataset, generate_synthetic
 from .errors import NumericError
 from .model import HrtModel, ModelConfig
-from .tensor import Tensor, no_grad
+from .tensor import Parameter, Tensor, no_grad
 from .train import total_loss
 
 # the tiny problem: small enough that a full finite-difference sweep of every
@@ -52,7 +52,7 @@ def _rel_error(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), 1.0)
 
 
-def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor], *,
+def grad_check(f: Callable[[], Tensor], params: Mapping[str, Parameter], *,
                h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Check the analytic gradient of ``f`` with respect to every scalar in
     ``params`` against central finite differences.
@@ -67,8 +67,6 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor], *,
     if out.data.size != 1:
         raise NumericError("grad_check target must be scalar-valued")
     out.backward()
-    # every gradient is read before any parameter is perturbed: a gradient
-    # still running on tensor's helper thread reads the other operands' data
     analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad
                 for name, p in params.items()}
 

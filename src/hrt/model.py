@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, allocating
-from .tensor import Tensor
+from .tensor import Parameter, Tensor
 from .rng import SeededRng
 from .encoder import AlignedFeatures, encode
 from .decoder import (adjust_class_attributes, class_scores,
@@ -89,10 +89,11 @@ class HrtModel:
 
     Weights are drawn uniformly in +-1/sqrt(fan_in) (``param_shapes``), or
     taken as they are from ``arrays`` by parameter name (other entries are
-    ignored), which must be writeable, finite float64 arrays.  ``semantics``
-    must carry the compacted attribute vectors (``build`` computes them); the
-    model wraps them, the attribute vectors and the class attribute rows as
-    constant tensors once, and every forward reads those.
+    ignored), which must be writeable float64 arrays; one that is not finite
+    raises a NumericError.  ``semantics`` must carry the compacted attribute
+    vectors (``build`` computes them); the model wraps them, the attribute
+    vectors and the class attribute rows as constant tensors once, and every
+    forward reads those.
     """
 
     def __init__(self, config: ModelConfig, semantics: SemanticSpace,
@@ -117,8 +118,8 @@ class HrtModel:
                                 + " and " + keys[-1]):
                     arrays[name] = rng.uniform(shape, -1.0 / np.sqrt(fan_in),
                                                1.0 / np.sqrt(fan_in))
-        self.params: dict[str, Tensor] = {
-            name: Tensor.parameter(arrays[name]) for name in shapes}
+        self.params: dict[str, Parameter] = {
+            name: Parameter(arrays[name]) for name in shapes}
         # the semantic constants; lam is a view whose columns are the v_a
         self.compact = Tensor(semantics.compact_vectors)   # [A, d_cap]
         self.lam = Tensor(semantics.attr_vectors.T)        # [tau, A]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensor import Tensor
+from .tensor import Parameter
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ class RmsPropState:
 
 # an overflow is reported by the finiteness checks, as a NumericError
 @np.errstate(over="ignore", invalid="ignore")
-def optimizer_step(state: RmsPropState, params: dict[str, Tensor],
-                   grads: dict[str, np.ndarray]) -> None:
-    """Apply one RMSprop update in place; ``grads`` holds one gradient per
-    parameter and is only read.
+def optimizer_step(state: RmsPropState,
+                   params: dict[str, Parameter]) -> None:
+    """Apply one RMSprop update in place, from each parameter's ``.grad``,
+    which is only read.
 
     ``acc``, ``buf`` and the weights are updated in place through one scratch
     array, with the same float64 operations in the same order as the
@@ -64,7 +64,7 @@ def optimizer_step(state: RmsPropState, params: dict[str, Tensor],
     """
     cfg = state.config
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = np.asarray(p.grad, dtype=np.float64)
         w = p.data
         # acc += (1 - rho) * g * g, formed first: a non-finite gradient, or
         # one whose square overflows, makes its maximum NaN or inf, and the

@@ -26,6 +26,11 @@ Design notes:
   * a contraction resolves its plan once per subscripts and operand shapes
     (``_plan``, cached): the extent check, then for its forward product and
     both gradients the einsum or the BLAS transposes and reshapes.
+  * a constant is a ``Tensor``, and a ``Parameter`` is the one leaf that
+    requires a gradient: it holds ``.grad`` and decides how each backward
+    pass's gradient reaches it (``Parameter._accumulate``).  Every tensor
+    is checked finite when built; a parameter by its minimum and maximum,
+    which builds no mask the size of the array.
   * a parameter's gradient that runs on BLAS and has at least 2**18
     elements (``enc.proj``'s from d_feat 128 on, as in the benchmark's
     train_wide_grid, and not at the default shape) is computed on one
@@ -36,17 +41,18 @@ Design notes:
     worker runs its tasks first in first out, and a parameter has at most
     one task in flight, so every product and every sum is the one the
     calling thread would make, in the same order, and the bytes do not
-    move.  Reading ``.grad`` waits for the parameter's task and raises what
-    it raised, at every read; setting it waits and drops a task that
-    failed.  A parameter used twice in one graph
-    sums its contributions on the calling thread, out of place, as any
-    shared node does.  Until ``.grad`` is read, the task reads the upstream
-    gradient and the other operand's data, so neither may be written in
-    place before then: the optimizer and ``grad_check`` read every gradient
-    before they write a parameter.  The helper starts on first use in each
-    process id (a forked child makes its own, and a fork waits for the
-    helper's tasks), and only when the process may run on two CPUs or more.
-    A tracer's time for ``Tensor.backward`` no longer holds these products:
+    move.  The task reads only arrays it owns: the upstream gradient, which
+    backward hands over, and a copy of the other operand's data with the
+    same strides, so the same BLAS call.  A product whose other operand is
+    neither C- nor F-contiguous stays on the calling thread, as a compact
+    copy would change its strides.  Reading ``.grad`` waits for the
+    parameter's task and raises what it raised, at every read; setting it
+    waits and drops a task that failed.  A parameter used twice in one
+    graph sums its contributions on the calling thread, out of place, as
+    any shared node does.  The helper starts on first use in each process
+    id (a forked child makes its own, and a fork waits for the helper's
+    tasks), and only when the process may run on two CPUs or more.  A
+    tracer's time for ``Tensor.backward`` no longer holds these products:
     they overlap the next forward.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
@@ -57,8 +63,8 @@ Design notes:
     gradient to sum back down.
   * every array an op's backward returns is one it allocated: it shares
     memory with no input, output, operand or other returned array, and the
-    closure holds on to none of them.  So a leaf adopts its first gradient
-    as its ``.grad``, which training then scales in place.
+    closure holds on to none of them.  So a parameter adopts its first
+    gradient as its ``.grad``, which training then scales in place.
   * backward visits the graph in one fixed order (a depth-first topological
     sort over the parents in argument order), and that order fixes the order
     in which the contributions to a shared node's gradient are summed.  Float
@@ -109,36 +115,17 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 class Tensor:
-    """A numpy-backed value node in a reverse-mode computation graph."""
+    """A numpy-backed value node in a reverse-mode computation graph:
+    built from ``data`` it is a constant, and an op builds the others."""
 
-    # _spare is set only on a parameter whose gradient runs on the helper
-    __slots__ = ("data", "_grad", "_pending", "_spare", "requires_grad",
-                 "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         self.data = _check_finite(arr, "tensor construction")
-        self._grad: np.ndarray | None = None
-        self._pending: Future | None = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-
-    @classmethod
-    def parameter(cls, data: np.ndarray) -> "Tensor":
-        """A leaf that requires a gradient and holds ``data``, a finite
-        float64 array, as it is.  Unlike the constructor it does not check
-        ``data`` again: that check builds a boolean mask the size of the
-        array, and a model's parameters are drawn finite or checked as a
-        checkpoint is read."""
-        out = cls.__new__(cls)
-        out.data = data
-        out._grad = None
-        out._pending = None
-        out.requires_grad = True
-        out._parents = ()
-        out._backward = None
-        return out
 
     # -- graph construction -------------------------------------------------
 
@@ -149,8 +136,6 @@ class Tensor:
         if type(data) is not np.ndarray or data.dtype is not _F64:
             data = np.asarray(data, dtype=np.float64)
         out.data = _check_finite(data, what)
-        out._grad = None
-        out._pending = None
         out._parents = ()
         out._backward = None
         out.requires_grad = False
@@ -164,7 +149,8 @@ class Tensor:
         return out
 
     def backward(self) -> None:
-        """Accumulate gradients of this (scalar) tensor into leaf .grad fields."""
+        """Accumulate gradients of this (scalar) tensor into the .grad of
+        each parameter it depends on."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -187,13 +173,8 @@ class Tensor:
         for node in reversed(topo):
             g = grads.pop(node)
             if node._backward is None:
-                # g is this node's alone (see the design notes)
-                if type(g) is _Deferred:
-                    _accumulate_on_helper(node, g)
-                elif node.grad is None:
-                    node.grad = g
-                else:
-                    node.grad += g
+                # a leaf that requires a gradient is a parameter
+                node._accumulate(g)
                 continue
             # an op's closure returns None for each parent that needs no
             # gradient
@@ -220,11 +201,40 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    def item(self) -> float:
+        return self.data.item()
+
+    def __repr__(self) -> str:
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class Parameter(Tensor):
+    """A leaf that requires a gradient, holding ``data``, a finite float64
+    array, as it is (a float64 array is not copied: the optimizer and
+    ``load_checkpoint`` rely on that).  Each backward pass adds its
+    gradient to ``.grad`` (see ``_accumulate``)."""
+
+    __slots__ = ("_grad", "_pending", "_spare")
+
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=np.float64)
+        # a NaN carries through min and max, and an infinity is one of them,
+        # so no mask the size of the array is built
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise NumericError("non-finite value in parameter construction")
+        self.data = arr
+        self.requires_grad = True
+        self._parents = ()
+        self._backward = None
+        self._grad: np.ndarray | None = None
+        self._pending: Future | None = None     # the task on the helper
+        self._spare: np.ndarray | None = None   # what added products go into
+
     @property
     def grad(self) -> np.ndarray | None:
-        """The gradient accumulated into this leaf.  It waits for the
-        leaf's gradient product still running on the helper thread; if that
-        raised, every read raises it until the gradient is set."""
+        """The gradient accumulated into this parameter.  It waits for the
+        parameter's gradient product still running on the helper thread; if
+        that raised, every read raises it until the gradient is set."""
         if self._pending is not None:
             self._pending.result()
             self._pending = None
@@ -238,14 +248,33 @@ class Tensor:
             self._pending = None
         self._grad = value
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+    def _accumulate(self, g) -> None:
+        """Add ``g``, this parameter's gradient from one backward pass, to
+        ``.grad``, adopting it if there is none.  A ``_Deferred`` product
+        runs on the helper thread, into an array allocated here: the
+        parameter adopts it as its gradient, or the same task writes it into
+        the spare array and adds that to the gradient."""
+        grad = self.grad    # waits for the last task: one in flight
+        if type(g) is _Deferred:
+            if grad is None:
+                out = self._grad = np.empty(self.data.shape)
+            else:
+                # one spare array per parameter, not a new array per sample
+                # freed on the helper thread: that raised train_wide_grid's
+                # peak_rss_mb by about 4 MB
+                out = self._spare
+                if out is None:
+                    out = self._spare = np.empty(self.data.shape)
+            self._pending = _Helper.last = _helper().submit(_add_product, g,
+                                                            out, grad)
+        elif grad is None:
+            # g is this parameter's alone (see the design notes)
+            self._grad = g
+        else:
+            grad += g
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -373,9 +402,10 @@ def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
 # -- the helper thread -------------------------------------------------------
 #
 # A parameter's gradient product that runs on BLAS and has at least
-# _HELPER_MIN_SIZE elements is left to ``Tensor.backward``, which runs it on
-# one helper thread (see the design notes).  A task costs the calling thread
-# about five thread switches, so it pays only for a large enough product.
+# _HELPER_MIN_SIZE elements is left to ``Parameter._accumulate``, which runs
+# it on one helper thread (see the design notes).  A task costs the calling
+# thread about five thread switches, so it pays only for a large enough
+# product.
 # enc.proj's product sums over only R rows, so its cost follows its size,
 # not its multiply-adds: in wall-clock training on a 2-vCPU VM
 # (BENCH_33.json, threshold_wall_clock), the helper's median gain was +10 %
@@ -390,11 +420,14 @@ def _gradient(recipe: tuple, g: np.ndarray, other: np.ndarray,
               operand: Tensor):
     """The gradient of a contraction's ``operand``, the product of the
     upstream ``g`` and the ``other`` operand's data: deferred when it is a
-    large parameter gradient on BLAS and this process has a helper."""
-    if (operand._backward is None and recipe[1] is not None
+    large parameter gradient on BLAS, ``other`` is C- or F-contiguous and
+    this process has a helper."""
+    if (isinstance(operand, Parameter) and recipe[1] is not None
             and operand.data.size >= _HELPER_MIN_SIZE
+            and (other.flags.c_contiguous or other.flags.f_contiguous)
             and _helper() is not None):
-        return _Deferred(recipe, g, other)
+        # a copy with other's strides, which the caller may then write
+        return _Deferred(recipe, g, other.copy(order="K"))
     return _product(recipe, g, other)
 
 
@@ -438,25 +471,6 @@ def _helper() -> ThreadPoolExecutor | None:
             from concurrent.futures import ThreadPoolExecutor
             _Helper.pool = ThreadPoolExecutor(1, thread_name_prefix="hrt-grad")
     return _Helper.pool
-
-
-def _accumulate_on_helper(leaf: Tensor, product: _Deferred) -> None:
-    """Run ``product`` on the helper thread into an array allocated here:
-    ``leaf`` adopts it as its gradient, or the same task writes it into the
-    leaf's spare array and adds that to the gradient the leaf has.
-    ``leaf.grad`` waits for the task."""
-    grad = leaf.grad    # waits for the leaf's last product: one in flight
-    if grad is None:
-        out = leaf._grad = np.empty(leaf.data.shape)
-    else:
-        # one spare array per parameter, not a new array per sample freed
-        # on the helper thread: that raised train_wide_grid's peak_rss_mb
-        # by about 4 MB
-        out = getattr(leaf, "_spare", None)
-        if out is None:
-            out = leaf._spare = np.empty(leaf.data.shape)
-    leaf._pending = _Helper.last = _helper().submit(_add_product, product,
-                                                    out, grad)
 
 
 def _add_product(product: _Deferred, out: np.ndarray,

@@ -105,8 +105,7 @@ def train(dataset, model: HrtModel, loss_config: LossConfig,
             # each leaf owns its gradient array, so the mean is formed in place
             for p in model.params.values():
                 p.grad /= batch.size
-            optimizer_step(state, model.params,
-                           {name: p.grad for name, p in model.params.items()})
+            optimizer_step(state, model.params)
         history.append(EpochStats(epoch=epoch,
                                   ce=float(sums[0] / n),
                                   cal=float(sums[1] / n),

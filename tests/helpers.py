@@ -23,8 +23,9 @@ def peak_traced_bytes(fn, *args):
 @contextlib.contextmanager
 def gradient_helper(on: bool, min_size: int = 0):
     """Inside the block, hrt.tensor's helper thread runs every parameter
-    gradient on BLAS with at least ``min_size`` elements (whatever the CPU
-    count) if ``on``, and none otherwise.  The block gets a pool of its own,
+    gradient on BLAS with at least ``min_size`` elements and a C- or
+    F-contiguous other operand (whatever the CPU count) if ``on``, and none
+    otherwise.  The block gets a pool of its own,
     shut down at its end; the process's pool and settings are restored."""
     helper = T._Helper
     saved = (T._HELPER_MIN_SIZE, T._usable_cpus, helper.pid, helper.pool,

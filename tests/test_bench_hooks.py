@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrt import ModelConfig, OptimizerConfig, RmsPropState, Tensor
+from hrt import ModelConfig, OptimizerConfig, Parameter, RmsPropState
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 HOOKS_FILE = BENCH_DIR / "hooks.py"
@@ -67,12 +67,12 @@ def test_step_clock_targets_resolve(hooks):
         with hooks.StepClock(module, *paths):
             pass
     with hooks.StepClock() as steps:
-        p = Tensor(np.zeros(2))
+        p = Parameter(np.zeros(2))
+        p.grad = np.ones(2)
         # looked up on the module, as the training loop does (the package
         # attribute hrt.train is the train function)
         importlib.import_module("hrt.train").optimizer_step(
-            RmsPropState(config=OptimizerConfig()), {"p": p},
-            {"p": np.ones(2)})
+            RmsPropState(config=OptimizerConfig()), {"p": p})
     assert len(steps.stamps) == 1
     with hooks.StepClock("hrt.rng", *RNG_DRAWS) as draws:
         rng = importlib.import_module("hrt.rng").SeededRng(0)

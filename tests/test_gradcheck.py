@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from hrt import NumericError, SeededRng, Tensor, grad_check
+from hrt import NumericError, Parameter, SeededRng, Tensor, grad_check
 from hrt import tensor as T
 
 from helpers import gradient_helper
@@ -14,7 +14,7 @@ def square(t):
 
 
 def test_quadratic():
-    theta = Tensor(3.0, requires_grad=True)
+    theta = Parameter(3.0)
     report = grad_check(lambda: square(theta), {"theta": theta}, h=1e-5)
     assert report.passed
     assert report.max_rel_error <= 1e-9
@@ -22,7 +22,7 @@ def test_quadratic():
 
 
 def test_constant_function():
-    theta = Tensor([1.0, -2.0], requires_grad=True)
+    theta = Parameter([1.0, -2.0])
     ones = Tensor(np.ones(2))
     report = grad_check(
         lambda: T.weighted_sum((T.einsum("i,i->", theta, ones),), (0.0,)),
@@ -32,8 +32,8 @@ def test_constant_function():
 
 
 def test_multi_group_report():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(0.5, requires_grad=True)
+    a = Parameter(np.array([1.0, 2.0]))
+    b = Parameter(0.5)
     report = grad_check(lambda: T.einsum(",->", T.einsum("i,i->", a, a), b),
                         {"a": a, "b": b})
     assert set(report.per_group) == {"a", "b"}
@@ -43,7 +43,7 @@ def test_multi_group_report():
 
 def test_nonfinite_probe_errors():
     # finite at theta = 1, and past the largest float once a probe steps up
-    theta = Tensor(1.0, requires_grad=True)
+    theta = Parameter(1.0)
 
     def f():
         return T.weighted_sum((theta,), (np.finfo(np.float64).max,))
@@ -54,7 +54,7 @@ def test_nonfinite_probe_errors():
 
 def test_probe_restored_when_the_objective_raises():
     # the probe past the largest float raises, and the entry is put back
-    theta = Tensor([1.0], requires_grad=True)
+    theta = Parameter([1.0])
 
     def f():
         return T.weighted_sum((theta,), (np.finfo(np.float64).max,))
@@ -64,9 +64,18 @@ def test_probe_restored_when_the_objective_raises():
     assert theta.data[0] == 1.0
 
 
+def test_size_one_output_of_any_shape():
+    # backward takes a [1, 1] output, and so do the probes' .item()
+    rng = SeededRng(15)
+    a, b = Parameter(rng.normal((1, 3))), Tensor(rng.normal((3, 1)))
+    report = grad_check(lambda: T.matmul(a, b), {"a": a})
+    assert report.passed, report.summary()
+    assert np.array_equal(a.grad, b.data.T)
+
+
 def test_wrong_gradient_detected():
     # exercise the checker itself: a deliberately wrong backward must fail
-    theta = Tensor(2.0, requires_grad=True)
+    theta = Parameter(2.0)
 
     def f():
         return square(theta)
@@ -74,7 +83,7 @@ def test_wrong_gradient_detected():
     report = grad_check(f, {"theta": theta}, tol=1e-4)
     assert report.passed
     # now corrupt the analytic side by checking against a different function
-    theta2 = Tensor(2.0, requires_grad=True)
+    theta2 = Parameter(2.0)
     calls = {"n": 0}
 
     def inconsistent():
@@ -87,9 +96,9 @@ def test_wrong_gradient_detected():
 
 
 def test_every_gradient_is_read_before_a_parameter_is_perturbed(monkeypatch):
-    # b's gradient, a^T . g, runs on the helper thread and reads a's data.
-    # The task is held until a's first probe, which then waits for it: if a
-    # were perturbed before b's gradient is read, the task would see a + h
+    # b's gradient, a^T . g, runs on the helper thread.  The task is held
+    # until a's first probe, which then waits for it: b's gradient is still
+    # the one at the unperturbed a
     rng = SeededRng(14)
     a_data, b_data = rng.normal((4, 3)), rng.normal((3, 5))
     g = Tensor(rng.normal((4, 5)))
@@ -103,8 +112,8 @@ def test_every_gradient_is_read_before_a_parameter_is_perturbed(monkeypatch):
     monkeypatch.setattr(T, "_add_product", held)
     grads = []
     for on in (True, False):
-        a = Tensor(a_data.copy(), requires_grad=True)
-        b = Tensor(b_data.copy(), requires_grad=True)
+        a = Parameter(a_data.copy())
+        b = Parameter(b_data.copy())
         go, done = threading.Event(), threading.Event()
         calls = []
 

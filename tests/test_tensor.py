@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrt import (DimensionError, HrtModel, LossConfig, ModelConfig,
-                 NumericError, OptimizerConfig, SeededRng, SyntheticSpec,
-                 Tensor, attribute_regression_loss, generate_synthetic,
-                 grad_check, train)
+                 NumericError, OptimizerConfig, Parameter, SeededRng,
+                 SyntheticSpec, Tensor, attribute_regression_loss,
+                 generate_synthetic, grad_check, train)
 from hrt import tensor as T
 from hrt.config import dataset_dims, load_config, loss_config_for
 from hrt.gradcheck import tiny_problem
 from hrt.train import total_loss
 
-from helpers import gradient_helper
+from helpers import gradient_helper, peak_traced_bytes
 from oracles import naive_matmul
 
 
@@ -56,8 +56,8 @@ class TestMatmul:
         g = rng.normal((r, n))
         blas = (a_data @ b_data, g @ b_data.T, a_data.T @ g)
         for op in (T.matmul, lambda a, b: T.einsum("ik,kj->ij", a, b)):
-            a = Tensor(a_data, requires_grad=True)
-            b = Tensor(b_data, requires_grad=True)
+            a = Parameter(a_data)
+            b = Parameter(b_data)
             out = op(a, b)
             T.einsum("ij,ij->", out, Tensor(g)).backward()
             for got, want in zip((out.data, a.grad, b.grad), blas):
@@ -171,7 +171,7 @@ class TestGradientHelper:
         adopted, the second added."""
         rng = SeededRng(12)
         a, g = Tensor(rng.normal((36, 128))), Tensor(rng.normal((36, 2048)))
-        b = Tensor(rng.normal((128, 2048)), requires_grad=True)
+        b = Parameter(rng.normal((128, 2048)))
         for _ in range(steps):
             T.einsum("ij,ij->", T.matmul(a, b), g).backward()
         return b
@@ -241,12 +241,50 @@ class TestGradientHelper:
         x, w_data = Tensor(rng.normal((6, 4))), rng.normal((4, 3))
         grads = []
         for on in (True, False):
-            w = Tensor(w_data, requires_grad=True)
+            w = Parameter(w_data)
             with gradient_helper(on):
                 T.einsum("ij,ij->", T.matmul(x, w), T.matmul(x, w)).backward()
                 assert w._pending is None
                 grads.append(w.grad)
         assert np.array_equal(*grads)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_writing_the_other_operand_after_backward_leaves_grad(
+            self, monkeypatch, layout):
+        # in-place augmentation of the features while b's product is still
+        # held on the helper: the task reads a copy of them with their
+        # strides (a transposed view is F-contiguous), and a view that is
+        # neither C- nor F-contiguous is multiplied on the calling thread
+        rng = SeededRng(15)
+        data, g = rng.normal((128, 256)), Tensor(rng.normal((36, 2048)))
+        b_data = rng.normal((128, 2048))
+
+        def features():
+            x = data.copy()
+            return {"C": x[:36, :128].copy(), "F": x[:, :36].copy().T,
+                    "strided": x[:36, ::2]}[layout]
+
+        def pose_backward():
+            a, b = Tensor(features()), Parameter(b_data)
+            T.einsum("ij,ij->", T.matmul(a, b), g).backward()
+            return a, b
+
+        with gradient_helper(False):
+            want = pose_backward()[1].grad
+        add = T._add_product
+        go = threading.Event()
+
+        def held(*args):
+            go.wait(5)
+            add(*args)
+
+        monkeypatch.setattr(T, "_add_product", held)
+        with gradient_helper(True):
+            a, b = pose_backward()
+            assert (b._pending is not None) == (layout != "strided")
+            a.data += 1.0
+            go.set()
+            assert np.array_equal(b.grad, want)
 
     def test_no_parameter_has_two_products_in_flight(self, monkeypatch):
         # each task sleeps, so that a second product of one parameter
@@ -378,6 +416,28 @@ class TestFiniteness:
             T.matmul(big, Tensor(np.full((3, 2), 1e200)))
 
 
+class TestParameter:
+    """The leaf that holds a gradient: its data as given, checked finite
+    without a mask the size of the array."""
+
+    def test_holds_a_float64_array_as_it_is(self):
+        # the optimizer and load_checkpoint write into the array they pass
+        x = SeededRng(16).normal((4, 3))
+        assert Parameter(x).data is x
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_raises_and_builds_no_mask(self, bad):
+        x = np.zeros(1 << 18)
+        x[-1] = bad
+
+        def build():
+            with pytest.raises(NumericError, match="non-finite"):
+                Parameter(x)
+
+        # a boolean mask would be x.size bytes
+        assert peak_traced_bytes(build) < x.size // 8
+
+
 class TestRng:
     def test_reproducible_stream(self):
         a = SeededRng(42).normal((10_000,))
@@ -391,15 +451,15 @@ class TestRng:
 
 class TestBackwardBasics:
     def test_mul_chain(self):
-        x = Tensor(3.0, requires_grad=True)
+        x = Parameter(3.0)
         y = T.weighted_sum((T.einsum(",->", x, x), x), (2.0, 1.0))
         y.backward()
         assert x.grad == pytest.approx(13.0)
 
     def test_einsum_gradient(self):
         rng = SeededRng(5)
-        a = Tensor(rng.normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.normal((4, 2)), requires_grad=True)
+        a = Parameter(rng.normal((3, 4)))
+        b = Parameter(rng.normal((4, 2)))
         out = T.einsum("ij,ij->", T.einsum("ik,kj->ij", a, b),
                        Tensor(np.ones((3, 2))))
         out.backward()
@@ -409,8 +469,8 @@ class TestBackwardBasics:
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_matmul_backward_skips_constant_operand(self, a_grad):
         rng = SeededRng(6)
-        a = Tensor(rng.normal((3, 4)), requires_grad=a_grad)
-        b = Tensor(rng.normal((4, 2)), requires_grad=not a_grad)
+        a = (Parameter if a_grad else Tensor)(rng.normal((3, 4)))
+        b = (Tensor if a_grad else Parameter)(rng.normal((4, 2)))
         g = rng.normal((3, 2))
         ga, gb = T.matmul(a, b)._backward(g)
         if a_grad:
@@ -423,8 +483,8 @@ class TestBackwardBasics:
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_einsum_backward_skips_constant_operand(self, a_grad):
         rng = SeededRng(7)
-        a = Tensor(rng.normal((3, 5)), requires_grad=a_grad)
-        b = Tensor(rng.normal((3, 5, 4)), requires_grad=not a_grad)
+        a = (Parameter if a_grad else Tensor)(rng.normal((3, 5)))
+        b = (Tensor if a_grad else Parameter)(rng.normal((3, 5, 4)))
         g = rng.normal((3, 4))
         ga, gb = T.einsum("rn,rnh->rh", a, b)._backward(g)
         if a_grad:
@@ -438,8 +498,8 @@ class TestBackwardBasics:
 
     def test_second_backward_adds_bitwise(self):
         rng = SeededRng(8)
-        w = Tensor(rng.normal((4, 3)), requires_grad=True)
-        v = Tensor(rng.normal((3,)), requires_grad=True)
+        w = Parameter(rng.normal((4, 3)))
+        v = Parameter(rng.normal((3,)))
         xs = [Tensor(rng.normal((2, 4))) for _ in range(2)]
 
         def loss(x):
@@ -463,7 +523,7 @@ class TestBackwardBasics:
     def test_leaf_grad_owns_its_data_and_a_second_backward_adds(self):
         # a leaf adopts the first gradient it is handed, and training scales
         # .grad in place, so that array must be the leaf's alone
-        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        a = Parameter(np.arange(6.0).reshape(2, 3))
         c = Tensor(np.linspace(1.0, 2.0, 3))
         loss = T.einsum("ij,ij->", T.einsum("ij,j->ij", a, c),
                         Tensor(np.ones((2, 3))))
@@ -507,8 +567,7 @@ class TestBackwardOwnership:
         assert name in OWNERSHIP_CASES, f"no ownership case for op {name}"
         rng = SeededRng(21)
         out = OWNERSHIP_CASES[name](
-            lambda *shape: Tensor(rng.uniform(shape, 0.5, 1.5),
-                                  requires_grad=True))
+            lambda *shape: Parameter(rng.uniform(shape, 0.5, 1.5)))
         g = np.asarray(rng.normal(out.data.shape))
         held = [g, out.data, *(p.data for p in out._parents)]
         first = list(out._backward(g))
@@ -567,7 +626,7 @@ class TestShapeChecks:
         assert name in SHAPE_CASES, f"no shape case for op {name}"
         for error, case in SHAPE_CASES[name]:
             with pytest.raises(error):
-                case(lambda *shape: Tensor(np.ones(shape), requires_grad=True))
+                case(lambda *shape: Parameter(np.ones(shape)))
 
 
 class TestWeightedMean:
@@ -599,8 +658,8 @@ class TestWeightedMean:
         x_data = rng.normal((9, 128, 16))
         w_data = rng.uniform((9, 128), 0.01, 1.0)
         g = rng.normal((9, 16))
-        x = Tensor(x_data, requires_grad=x_grad)
-        w = Tensor(w_data, requires_grad=w_grad)
+        x = (Parameter if x_grad else Tensor)(x_data)
+        w = (Parameter if w_grad else Tensor)(w_data)
         out = T.weighted_mean(x, w)
         gx, gw = out._backward(g)
         want, want_gx, want_gw = self.composition(x_data, w_data, g)
@@ -611,8 +670,8 @@ class TestWeightedMean:
 
     def test_gradient(self):
         rng = SeededRng(32)
-        x = Tensor(rng.normal((3, 4, 5)), requires_grad=True)
-        w = Tensor(rng.uniform((3, 4), 0.5, 1.5), requires_grad=True)
+        x = Parameter(rng.normal((3, 4, 5)))
+        w = Parameter(rng.uniform((3, 4), 0.5, 1.5))
         c = Tensor(rng.normal((3, 5)))
         report = grad_check(
             lambda: T.einsum("rh,rh->", T.weighted_mean(x, w), c),
@@ -627,12 +686,12 @@ class TestLossOps:
     @pytest.mark.parametrize("label", [0, 5], ids=["first", "last"])
     def test_log_softmax_nll_gradient(self, scale, label):
         # spread by 1e3, softmax saturates to 0 and 1
-        s = Tensor(SeededRng(11).normal((6,), scale=scale), requires_grad=True)
+        s = Parameter(SeededRng(11).normal((6,), scale=scale))
         report = grad_check(lambda: T.log_softmax_nll(s, label), {"s": s})
         assert report.passed, report.summary()
 
     def test_log_softmax_nll_saturates(self):
-        s = Tensor(SeededRng(11).normal((6,), scale=1e3), requires_grad=True)
+        s = Parameter(SeededRng(11).normal((6,), scale=1e3))
         label = int(np.argmin(s.data))
         T.log_softmax_nll(s, label).backward()
         expected = np.zeros(6)
@@ -643,7 +702,7 @@ class TestLossOps:
     def test_squared_distance_gradient(self):
         # the target is a constant array: the node's one parent is ``a``
         rng = SeededRng(12)
-        a = Tensor(rng.normal((6,)), requires_grad=True)
+        a = Parameter(rng.normal((6,)))
         target = rng.normal((6,))
         assert attribute_regression_loss(a, target)._parents == (a,)
         report = grad_check(lambda: attribute_regression_loss(a, target),

@@ -182,7 +182,8 @@ def two_epoch_run(shape: str) -> tuple[bytes, bytes]:
 # in a BLAS call whose threads the fork shut down; the alarms end either.
 FORK_CHECK = """
 import hashlib, os, pickle, signal, time
-from hrt import LossConfig, OptimizerConfig, SeededRng, Tensor, train
+from hrt import (LossConfig, OptimizerConfig, Parameter, SeededRng, Tensor,
+                 train)
 from hrt import tensor as T
 from hrt.gradcheck import tiny_problem
 from helpers import gradient_helper
@@ -201,7 +202,7 @@ add = T._add_product
 T._add_product = lambda *args: (time.sleep(0.2), add(*args))
 rng = SeededRng(3)
 a, g = Tensor(rng.normal((36, 128))), Tensor(rng.normal((36, 2048)))
-b = Tensor(rng.normal((128, 2048)), requires_grad=True)
+b = Parameter(rng.normal((128, 2048)))
 with gradient_helper(True):
     T.einsum("ij,ij->", T.matmul(a, b), g).backward()
     T._add_product = add
