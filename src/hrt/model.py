@@ -65,14 +65,17 @@ def array_layout(c: ModelConfig) -> dict[str, tuple[int, ...]]:
             **{name: params[name][0] for name in sorted(params)}}
 
 
-def _check_semantic_shapes(config: ModelConfig,
-                           arrays: dict[str, np.ndarray]) -> None:
-    """Raise a ConfigError naming the first of the semantic ``arrays``
-    (keyed as in ``array_layout``) whose shape ``config`` does not give."""
+def _check_shapes(config: ModelConfig,
+                  arrays: dict[str, np.ndarray | None]) -> None:
+    """Raise a ConfigError naming the first of ``arrays`` (keyed as in
+    ``array_layout``) that is missing (None) or whose shape ``config`` does
+    not give."""
     layout = array_layout(config)
     for name, array in arrays.items():
+        if array is None:
+            raise ConfigError(f"array {name!r} is missing")
         if np.shape(array) != layout[name]:
-            raise ConfigError(f"semantic array {name!r} has shape "
+            raise ConfigError(f"array {name!r} has shape "
                               f"{np.shape(array)}, config needs "
                               f"{layout[name]}")
 
@@ -89,11 +92,12 @@ class HrtModel:
 
     Weights are drawn uniformly in +-1/sqrt(fan_in) (``param_shapes``), or
     taken as they are from ``arrays`` by parameter name (other entries are
-    ignored), which must be writeable float64 arrays; one that is not finite
-    raises a NumericError.  ``semantics`` must carry the compacted attribute
-    vectors (``build`` computes them); the model wraps them, the attribute
-    vectors and the class attribute rows as constant tensors once, and every
-    forward reads those.
+    ignored), which must be writeable float64 arrays.  One that is missing
+    or misshapen raises a ConfigError naming it before any is wrapped, and
+    one that is not finite a NumericError.  ``semantics`` must carry the
+    compacted attribute vectors (``build`` computes them); the model wraps
+    them, the attribute vectors and the class attribute rows as constant
+    tensors once, and every forward reads those.
     """
 
     def __init__(self, config: ModelConfig, semantics: SemanticSpace,
@@ -102,14 +106,16 @@ class HrtModel:
             raise ConfigError("semantic array 'sem.compact_vectors' is "
                               "missing: the attribute vectors are not "
                               "compacted (HrtModel.build compacts them)")
-        _check_semantic_shapes(config, {
+        shapes = param_shapes(config)
+        _check_shapes(config, {
             "sem.attr_vectors": semantics.attr_vectors,
             "sem.compact_vectors": semantics.compact_vectors,
-            "sem.class_attr": semantics.class_attr})
+            "sem.class_attr": semantics.class_attr,
+            **({} if arrays is None
+               else {name: arrays.get(name) for name in shapes})})
         self.config = config
         self.semantics = semantics
         self.seed = seed
-        shapes = param_shapes(config)
         if arrays is None:
             rng = SeededRng(seed)
             arrays = {}
@@ -130,8 +136,8 @@ class HrtModel:
               class_attr: np.ndarray, seed: int = 0) -> "HrtModel":
         """Check the semantic arrays, compact the attribute vectors and
         build the model over semantics that carry them."""
-        _check_semantic_shapes(config, {"sem.attr_vectors": attr_vectors,
-                                        "sem.class_attr": class_attr})
+        _check_shapes(config, {"sem.attr_vectors": attr_vectors,
+                               "sem.class_attr": class_attr})
         semantics = SemanticSpace(attr_vectors=attr_vectors,
                                   class_attr=class_attr)
         compact = compact_semantics(semantics.attr_vectors, config.d_cap)

@@ -49,11 +49,11 @@ Design notes:
     parameter's task and raises what it raised, at every read; setting it
     waits and drops a task that failed.  A parameter used twice in one
     graph sums its contributions on the calling thread, out of place, as
-    any shared node does.  The helper starts on first use in each process
-    id (a forked child makes its own, and a fork waits for the helper's
-    tasks), and only when the process may run on two CPUs or more.  A
-    tracer's time for ``Tensor.backward`` no longer holds these products:
-    they overlap the next forward.
+    any shared node does.  The helper lives from its first task to the next
+    fork: the fork waits for its tasks and ends its thread, and parent and
+    child each start a new one on next use.  A tracer's time for
+    ``Tensor.backward`` no longer holds these products: they overlap the
+    next forward.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
@@ -268,8 +268,7 @@ class Parameter(Tensor):
                 out = self._spare
                 if out is None:
                     out = self._spare = np.empty(self.data.shape)
-            self._pending = _Helper.last = _helper().submit(_add_product, g,
-                                                            out, grad)
+            self._pending = _helper().submit(_add_product, g, out, grad)
         elif grad is None:
             # g is this parameter's alone (see the design notes)
             self._grad = g
@@ -419,13 +418,12 @@ _HELPER_MIN_SIZE = 1 << 18
 def _gradient(recipe: tuple, g: np.ndarray, other: np.ndarray,
               operand: Tensor):
     """The gradient of a contraction's ``operand``, the product of the
-    upstream ``g`` and the ``other`` operand's data: deferred when it is a
-    large parameter gradient on BLAS, ``other`` is C- or F-contiguous and
-    this process has a helper."""
+    upstream ``g`` and the ``other`` operand's data: deferred to the helper
+    when it is a parameter gradient on BLAS with at least _HELPER_MIN_SIZE
+    elements and ``other`` is C- or F-contiguous."""
     if (isinstance(operand, Parameter) and recipe[1] is not None
             and operand.data.size >= _HELPER_MIN_SIZE
-            and (other.flags.c_contiguous or other.flags.f_contiguous)
-            and _helper() is not None):
+            and (other.flags.c_contiguous or other.flags.f_contiguous)):
         # a copy with other's strides, which the caller may then write
         return _Deferred(recipe, g, other.copy(order="K"))
     return _product(recipe, g, other)
@@ -445,31 +443,17 @@ class _Deferred:
 
 
 class _Helper:
-    """This process's helper thread, which runs gradient products first in
-    first out; it is made on first use, in each process id, and only when
-    the process may run on two CPUs or more (``pool`` is None otherwise)."""
+    """The helper thread, which runs gradient products first in first out.
+    Its pool lives from its first task to the next fork (``_drain``)."""
 
-    pid: int | None = None
     pool: ThreadPoolExecutor | None = None
-    last: Future | None = None     # the task submitted last
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on; 1 where the platform cannot
-    say."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _helper() -> ThreadPoolExecutor | None:
-    if _Helper.pid != os.getpid():
-        _Helper.pid = os.getpid()
-        _Helper.pool = _Helper.last = None
-        if _usable_cpus() >= 2:
-            # imported here: a process that never trains does not pay for it
-            from concurrent.futures import ThreadPoolExecutor
-            _Helper.pool = ThreadPoolExecutor(1, thread_name_prefix="hrt-grad")
+def _helper() -> ThreadPoolExecutor:
+    if _Helper.pool is None:
+        # imported here: a process that never trains does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+        _Helper.pool = ThreadPoolExecutor(1, thread_name_prefix="hrt-grad")
     return _Helper.pool
 
 
@@ -481,12 +465,14 @@ def _add_product(product: _Deferred, out: np.ndarray,
 
 
 def _drain() -> None:
-    """Wait for the helper's tasks before the process forks.  Else the
+    """Finish the helper's tasks and end its thread before the process
+    forks; parent and child each make a new one on next use.  Else the
     child would copy a gradient half computed and wait for a task that no
     thread of its own runs, and OpenBLAS, which stops its threads at a
     fork, could stall a product running on the helper."""
-    if _Helper.pid == os.getpid() and _Helper.last is not None:
-        _Helper.last.exception()    # waits; the exception is .grad's to raise
+    if _Helper.pool is not None:
+        _Helper.pool.shutdown()    # a task's exception is .grad's to raise
+        _Helper.pool = None
 
 
 if hasattr(os, "register_at_fork"):

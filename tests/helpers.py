@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import contextlib
+import math
 import tracemalloc
 
 from hrt import tensor as T
@@ -24,19 +25,15 @@ def peak_traced_bytes(fn, *args):
 def gradient_helper(on: bool, min_size: int = 0):
     """Inside the block, hrt.tensor's helper thread runs every parameter
     gradient on BLAS with at least ``min_size`` elements and a C- or
-    F-contiguous other operand (whatever the CPU count) if ``on``, and none
-    otherwise.  The block gets a pool of its own,
-    shut down at its end; the process's pool and settings are restored."""
-    helper = T._Helper
-    saved = (T._HELPER_MIN_SIZE, T._usable_cpus, helper.pid, helper.pool,
-             helper.last)
-    T._HELPER_MIN_SIZE = min_size if on else saved[0]
-    T._usable_cpus = lambda: 2 if on else 1
-    helper.pid = helper.pool = helper.last = None
+    F-contiguous other operand if ``on``, and none otherwise.  The block
+    gets a pool of its own, shut down at its end; the process's pool and
+    threshold are restored."""
+    saved = T._HELPER_MIN_SIZE, T._Helper.pool
+    T._HELPER_MIN_SIZE = min_size if on else math.inf
+    T._Helper.pool = None
     try:
         yield
     finally:
-        if helper.pool is not None:
-            helper.pool.shutdown()
-        (T._HELPER_MIN_SIZE, T._usable_cpus, helper.pid, helper.pool,
-         helper.last) = saved
+        if T._Helper.pool is not None:
+            T._Helper.pool.shutdown()
+        T._HELPER_MIN_SIZE, T._Helper.pool = saved

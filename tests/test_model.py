@@ -82,6 +82,24 @@ def test_build_checks_semantic_shapes_before_compaction(monkeypatch, field,
         HrtModel.build(config, semantics.attr_vectors, semantics.class_attr)
 
 
+@pytest.mark.parametrize("fault,message", [
+    ("misshapen", "has shape \\(3, 3\\), config needs"),
+    ("missing", "is missing")], ids=["misshapen", "missing"])
+@pytest.mark.parametrize("name", sorted(param_shapes(TINY_CONFIG)))
+def test_parameter_array_rejected_by_name_before_wrapping(monkeypatch, name,
+                                                          fault, message):
+    arrays = {n: p.data.copy() for n, p in tiny_problem(0)[1].params.items()}
+    if fault == "missing":
+        del arrays[name]
+    else:
+        arrays[name] = np.zeros((3, 3))
+    for draw in ("normal", "uniform", "integers", "permutation", "choice"):
+        monkeypatch.setattr(SeededRng, draw, fail("a parameter was drawn"))
+    monkeypatch.setattr("hrt.model.Parameter", fail("a parameter was wrapped"))
+    with pytest.raises(ConfigError, match=f"array '{name}' {message}"):
+        HrtModel(TINY_CONFIG, tiny_semantics(), arrays=arrays)
+
+
 @pytest.mark.parametrize("name", ["attr_vectors", "class_attr"])
 def test_build_rejects_nonfinite_semantics_before_compaction(monkeypatch,
                                                              name):

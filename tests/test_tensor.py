@@ -136,7 +136,7 @@ def test_each_contraction_of_a_step_is_blas_or_the_fixed_order_einsum(
     # only enc.proj's gradient is ever large enough for it, and only at the
     # train_wide_grid shape: the default shape stays on the calling thread
     assert {s for s, thread in threads if thread != "MainThread"} == (
-        {"rnh,rf->fnh"} if synthetic and T._helper() else set())
+        {"rnh,rf->fnh"} if synthetic else set())
     planned = {s for (s, blas), *_ in calls if blas is not None}
     assert planned == BLAS_CONTRACTIONS
     assert {s for (s, _), *_ in calls} - planned == EINSUM_CONTRACTIONS

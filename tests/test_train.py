@@ -177,9 +177,10 @@ def two_epoch_run(shape: str) -> tuple[bytes, bytes]:
 # product (each task sleeps first), and the child reads that gradient and
 # trains the tiny problem for 2 epochs with a helper of its own.  The
 # parent does the same after the fork, and the script exits 0 if both
-# give the same bytes.  Without the wait at the fork, the child would wait
-# for a task no thread of its own runs, and the parent's helper could stall
-# in a BLAS call whose threads the fork shut down; the alarms end either.
+# give the same bytes and each made a new helper after the fork.  Without
+# the wait at the fork, the child would wait for a task no thread of its
+# own runs, and the parent's helper could stall in a BLAS call whose
+# threads the fork shut down; the alarms end either.
 FORK_CHECK = """
 import hashlib, os, pickle, signal, time
 from hrt import (LossConfig, OptimizerConfig, Parameter, SeededRng, Tensor,
@@ -195,7 +196,8 @@ def run(pending):
             [h.csv_row() for h in history],
             hashlib.sha256(b"".join(p.data.tobytes()
                                     for p in model.params.values())).digest(),
-            T._Helper.pid == os.getpid())
+            # a pool of this process's own, not the one that forked
+            T._Helper.pool not in (None, forked))
 
 signal.alarm(100)
 add = T._add_product
@@ -206,6 +208,7 @@ b = Parameter(rng.normal((128, 2048)))
 with gradient_helper(True):
     T.einsum("ij,ij->", T.matmul(a, b), g).backward()
     T._add_product = add
+    forked = T._Helper.pool
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -215,6 +218,7 @@ with gradient_helper(True):
             out.write(pickle.dumps(run(b)))
         os._exit(0)
     os.close(write_end)
+    assert T._Helper.pool is None    # the fork ended the helper
     with os.fdopen(read_end, "rb") as child:
         child = child.read()
     _, status = os.waitpid(pid, 0)
@@ -222,6 +226,51 @@ with gradient_helper(True):
 assert os.waitstatus_to_exitcode(status) == 0, status
 assert pickle.loads(child) == parent, (pickle.loads(child), parent)
 """
+
+# A process pinned to one CPU trains the tiny problem for 2 epochs with
+# every parameter gradient on BLAS run by the helper thread, then without
+# the helper, and the script exits 0 if the helper ran and both runs give
+# the same bytes.
+ONE_CPU_CHECK = """
+import math, os, threading
+from hrt import LossConfig, OptimizerConfig, train
+from hrt import tensor as T
+from hrt.gradcheck import tiny_problem
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+threads = set()
+add = T._add_product
+
+def recording(*args):
+    threads.add(threading.current_thread().name)
+    add(*args)
+
+def run(min_size):
+    T._HELPER_MIN_SIZE = min_size
+    ds, model = tiny_problem(0)
+    history = train(ds, model, LossConfig(), OptimizerConfig(), epochs=2)
+    return ([h.csv_row() for h in history],
+            [p.data.tobytes() for p in model.params.values()])
+
+T._add_product = recording
+on = run(0)
+assert threads and all(t.startswith("hrt-grad") for t in threads), threads
+threads.clear()
+assert run(math.inf) == on
+assert not threads, threads
+"""
+
+
+def run_script(script: str) -> None:
+    """Run ``script`` in a fresh interpreter, so that a hang ends at the
+    timeout, and require that it exits 0."""
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)])),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestGradientHelper:
@@ -243,14 +292,12 @@ class TestGradientHelper:
         assert runs[0] == runs[1]
 
     def test_forked_child_trains_to_the_same_bytes(self):
-        # in a fresh interpreter, so that a hang ends at the timeout
-        tests = Path(__file__).resolve().parent
-        proc = subprocess.run(
-            [sys.executable, "-c", FORK_CHECK],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [str(tests.parent / "src"), str(tests)])),
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+        run_script(FORK_CHECK)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform cannot pin a process to a CPU")
+    def test_helper_runs_on_one_cpu_to_the_same_bytes(self):
+        run_script(ONE_CPU_CHECK)
 
     def test_evaluate_starts_no_thread(self):
         ds, model = tiny_problem(0)
@@ -259,7 +306,7 @@ class TestGradientHelper:
             evaluate(model, ds, mode="gzsl")
             evaluate(model, ds, mode="zsl")
             assert threading.active_count() == before
-            assert T._Helper.pid is None
+            assert T._Helper.pool is None
 
 
 class TestConfigHash:
