@@ -28,36 +28,32 @@ Design notes:
     both gradients the einsum or the BLAS transposes and reshapes.
   * a constant is a ``Tensor``, and a ``Parameter`` is the one leaf that
     requires a gradient: it holds ``.grad`` and decides how each backward
-    pass's gradient reaches it (``Parameter._accumulate``).  Every tensor
+    pass's gradient reaches it (``Parameter._stack`` and
+    ``Parameter._accumulate``).  Every tensor
     is checked finite when built; a parameter by its minimum and maximum,
     which builds no mask the size of the array.
-  * a parameter's gradient that runs on BLAS and has at least 2**18
-    elements (``enc.proj``'s from d_feat 128 on, as in the benchmark's
-    train_wide_grid, and not at the default shape) is computed on one
-    helper thread, which also adds it to ``.grad``, while the calling thread
-    goes on to the next sample's forward.  The calling thread allocates the
-    arrays the products are written into: the first becomes ``.grad``, and
-    each later one goes into one spare array the parameter keeps.  The one
-    worker runs its tasks first in first out, and a parameter has at most
-    one task in flight, so every product and every sum is the one the
-    calling thread would make, in the same order, and the bytes do not
-    move.  The task reads only arrays it owns: the upstream gradient, which
-    backward hands over, and a copy of the other operand's data with the
-    same strides, so the same BLAS call.  A product whose other operand is
-    neither C- nor F-contiguous stays on the calling thread, as a compact
-    copy would change its strides.  Reading ``.grad`` waits for the
-    parameter's task and raises what it raised, at every read; setting it
-    waits and drops a task that failed.  A parameter used twice in one
-    graph sums its contributions on the calling thread, out of place, as
-    any shared node does.  The helper lives from its first task to the next
-    fork: the fork waits for its tasks and ends its thread, and parent and
-    child each start a new one on next use.  A tracer's time for
-    ``Tensor.backward`` no longer holds these products: they overlap the
-    next forward.
+  * a parameter's gradient that runs on BLAS is stacked, not multiplied,
+    per sample.  After its recipe's swap, transposes and reshapes it is
+    ``x @ y``, x [m, k] and y [k, p]; the op's backward copies x's
+    transpose and y into two row buffers the parameter owns, k more rows
+    each, in the order backward visits them, and returns None for it.  Once
+    the buffers hold at least m rows (k * ceil(m / k), whole samples, so the
+    stack is about the size of the gradient) they are multiplied as one
+    [m, K] x [K, p] product, which is added to ``.grad``; reading ``.grad``
+    multiplies the rows left, and setting it drops them.  A product of
+    another m, or whose rows do not fit, first multiplies the rows stacked
+    so far, and new buffers are made for its shape.  A gradient that
+    reaches the parameter as an array (``Parameter._accumulate``) is added
+    after the stacked rows are multiplied in.  The sum is the per-sample
+    products' to about 1e-15 relative, not bit for bit: the block
+    boundaries and the row order are part of the byte contract.  The
+    buffers hold copies, so a caller may write any array once backward
+    returns.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
-    returns None for an operand that does not require a gradient.
+    returns None for an operand that does not require a gradient, and for
+    a parameter whose gradient it stacked.
   * every array an op's backward returns has its operand's shape, so
     backward adds it as it is: no op broadcasts an operand, and none has a
     gradient to sum back down.
@@ -82,15 +78,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
 
 _GRAD_ENABLED = [True]
 _F64 = np.dtype(np.float64)
@@ -171,7 +163,10 @@ class Tensor:
                     stack.append((p, False))
         grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(node)
+            g = grads.pop(node, None)
+            if g is None:
+                # a parameter whose every gradient was stacked
+                continue
             if node._backward is None:
                 # a leaf that requires a gradient is a parameter
                 node._accumulate(g)
@@ -182,16 +177,9 @@ class Tensor:
                 if contrib is None:
                     continue
                 if parent in grads:
-                    # a parameter used twice sums its products here, not
-                    # on the helper thread
-                    first = grads[parent]
-                    if type(first) is _Deferred:
-                        first = first()
-                    if type(contrib) is _Deferred:
-                        contrib = contrib()
                     # not +=, which keeps the first array's memory layout:
                     # einsum's summation order follows its operands' layouts
-                    grads[parent] = first + contrib
+                    grads[parent] = grads[parent] + contrib
                 else:
                     grads[parent] = contrib
 
@@ -212,9 +200,10 @@ class Parameter(Tensor):
     """A leaf that requires a gradient, holding ``data``, a finite float64
     array, as it is (a float64 array is not copied: the optimizer and
     ``load_checkpoint`` rely on that).  Each backward pass adds its
-    gradient to ``.grad`` (see ``_accumulate``)."""
+    gradient to ``.grad``: stacked as rows if it runs on BLAS (``_stack``),
+    else as an array (``_accumulate``)."""
 
-    __slots__ = ("_grad", "_pending", "_spare")
+    __slots__ = ("_grad", "_x_rows", "_y_rows", "_stacked")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
@@ -227,53 +216,60 @@ class Parameter(Tensor):
         self._parents = ()
         self._backward = None
         self._grad: np.ndarray | None = None
-        self._pending: Future | None = None     # the task on the helper
-        self._spare: np.ndarray | None = None   # what added products go into
+        # the row buffers of the stacked gradient and how many rows they hold
+        self._x_rows: np.ndarray | None = None
+        self._y_rows: np.ndarray | None = None
+        self._stacked = 0
 
     @property
     def grad(self) -> np.ndarray | None:
-        """The gradient accumulated into this parameter.  It waits for the
-        parameter's gradient product still running on the helper thread; if
-        that raised, every read raises it until the gradient is set."""
-        if self._pending is not None:
-            self._pending.result()
-            self._pending = None
+        """The gradient accumulated into this parameter, with the rows
+        still stacked multiplied in."""
+        if self._stacked:
+            self._multiply_stacked()
         return self._grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
-        # waits for the task; one that failed is dropped with what it left
-        if self._pending is not None:
-            self._pending.exception()
-            self._pending = None
+        self._stacked = 0    # drops the stacked rows
         self._grad = value
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g) -> None:
-        """Add ``g``, this parameter's gradient from one backward pass, to
-        ``.grad``, adopting it if there is none.  A ``_Deferred`` product
-        runs on the helper thread, into an array allocated here: the
-        parameter adopts it as its gradient, or the same task writes it into
-        the spare array and adds that to the gradient."""
-        grad = self.grad    # waits for the last task: one in flight
-        if type(g) is _Deferred:
-            if grad is None:
-                out = self._grad = np.empty(self.data.shape)
-            else:
-                # one spare array per parameter, not a new array per sample
-                # freed on the helper thread: that raised train_wide_grid's
-                # peak_rss_mb by about 4 MB
-                out = self._spare
-                if out is None:
-                    out = self._spare = np.empty(self.data.shape)
-            self._pending = _helper().submit(_add_product, g, out, grad)
-        elif grad is None:
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g``, a gradient array, to ``.grad`` after the stacked rows,
+        adopting it if there is none."""
+        grad = self.grad
+        if grad is None:
             # g is this parameter's alone (see the design notes)
             self._grad = g
         else:
             grad += g
+
+    def _stack(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Stack the gradient ``x @ y``, x [m, k] and y [k, p], as k rows of
+        x's transpose and of y, and multiply the rows once there are at
+        least m."""
+        m, k = x.shape
+        rows = self._x_rows
+        if rows is None or rows.shape[1] != m or self._stacked + k > len(rows):
+            if self._stacked:
+                self._multiply_stacked()
+            n = k * -(-m // k)
+            rows = self._x_rows = np.empty((n, m))
+            self._y_rows = np.empty((n, y.shape[1]))
+        s = self._stacked
+        rows[s:s + k] = x.T
+        self._y_rows[s:s + k] = y
+        self._stacked = s + k
+        if self._stacked >= m:
+            self._multiply_stacked()
+
+    def _multiply_stacked(self) -> None:
+        n, self._stacked = self._stacked, 0
+        self._accumulate(_blas_matmul(self._x_rows[:n].T, self._y_rows[:n])
+                         .reshape(self.data.shape))
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -357,16 +353,11 @@ def _recipe(x_sub: str, y_sub: str, out: str, extents: dict) -> tuple:
 _blas_matmul = np.errstate(over="ignore", invalid="ignore")(np.matmul)
 
 
-def _product(recipe: tuple, x: np.ndarray, y: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """One product of a ``_plan``: one BLAS matrix product on transposed,
-    reshaped views, else the fixed-order ``np.einsum``.  A BLAS product may
-    be written into ``out``, a C-contiguous array of the product's shape;
-    it has the same bytes."""
-    subscripts, blas = recipe
-    if blas is None:
-        return np.einsum(subscripts, x, y, optimize=False)
-    swap, x_axes, y_axes, x_2d, y_2d, shape = blas
+def _views(blas: tuple, x: np.ndarray,
+           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two matrices a BLAS recipe multiplies: x and y, swapped if it
+    says so, each transposed and reshaped to 2-D."""
+    swap, x_axes, y_axes, x_2d, y_2d, _ = blas
     if swap:
         x, y = y, x
     if x_axes is not None:
@@ -377,12 +368,28 @@ def _product(recipe: tuple, x: np.ndarray, y: np.ndarray,
         y = y.transpose(y_axes)
     if y_2d is not None:
         y = y.reshape(y_2d)
-    if out is not None:
-        _blas_matmul(x, y, out=out if shape is None
-                     else out.reshape(len(x), -1))
-        return out
-    xy = _blas_matmul(x, y)
-    return xy if shape is None else xy.reshape(shape)
+    return x, y
+
+
+def _product(recipe: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One product of a ``_plan``: one BLAS matrix product on transposed,
+    reshaped views, else the fixed-order ``np.einsum``."""
+    subscripts, blas = recipe
+    if blas is None:
+        return np.einsum(subscripts, x, y, optimize=False)
+    xy = _blas_matmul(*_views(blas, x, y))
+    return xy if blas[-1] is None else xy.reshape(blas[-1])
+
+
+def _gradient(recipe: tuple, g: np.ndarray, other: np.ndarray,
+              operand: Tensor) -> np.ndarray | None:
+    """The gradient of a contraction's ``operand``, the product of the
+    upstream ``g`` and the ``other`` operand's data; a parameter's on BLAS
+    is stacked into the parameter, and None returned."""
+    if recipe[1] is None or not isinstance(operand, Parameter):
+        return _product(recipe, g, other)
+    operand._stack(*_views(recipe[1], g, other))
+    return None
 
 
 def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
@@ -396,87 +403,6 @@ def _contract(subscripts: str, a: Tensor, b: Tensor, what: str) -> Tensor:
                 _gradient(grad_b, g, a.data, b) if b.requires_grad else None)
 
     return Tensor._from_op(out_data, (a, b), backward, what)
-
-
-# -- the helper thread -------------------------------------------------------
-#
-# A parameter's gradient product that runs on BLAS and has at least
-# _HELPER_MIN_SIZE elements is left to ``Parameter._accumulate``, which runs
-# it on one helper thread (see the design notes).  A task costs the calling
-# thread about five thread switches, so it pays only for a large enough
-# product.
-# enc.proj's product sums over only R rows, so its cost follows its size,
-# not its multiply-adds: in wall-clock training on a 2-vCPU VM
-# (BENCH_33.json, threshold_wall_clock), the helper's median gain was +10 %
-# at R 9 and +34 % at R 36 with d_feat 128 (2**18 elements), and -12 % and
-# -1 % at d_feat 64 (2**17, the default shape), whose R 36 has twice the
-# multiply-adds of R 9 at d_feat 128.
-
-_HELPER_MIN_SIZE = 1 << 18
-
-
-def _gradient(recipe: tuple, g: np.ndarray, other: np.ndarray,
-              operand: Tensor):
-    """The gradient of a contraction's ``operand``, the product of the
-    upstream ``g`` and the ``other`` operand's data: deferred to the helper
-    when it is a parameter gradient on BLAS with at least _HELPER_MIN_SIZE
-    elements and ``other`` is C- or F-contiguous."""
-    if (isinstance(operand, Parameter) and recipe[1] is not None
-            and operand.data.size >= _HELPER_MIN_SIZE
-            and (other.flags.c_contiguous or other.flags.f_contiguous)):
-        # a copy with other's strides, which the caller may then write
-        return _Deferred(recipe, g, other.copy(order="K"))
-    return _product(recipe, g, other)
-
-
-class _Deferred:
-    """A parameter's gradient product, not yet computed; calling it
-    computes it, into ``out`` if given."""
-
-    __slots__ = ("recipe", "x", "y")
-
-    def __init__(self, recipe: tuple, x: np.ndarray, y: np.ndarray):
-        self.recipe, self.x, self.y = recipe, x, y
-
-    def __call__(self, out: np.ndarray | None = None) -> np.ndarray:
-        return _product(self.recipe, self.x, self.y, out)
-
-
-class _Helper:
-    """The helper thread, which runs gradient products first in first out.
-    Its pool lives from its first task to the next fork (``_drain``)."""
-
-    pool: ThreadPoolExecutor | None = None
-
-
-def _helper() -> ThreadPoolExecutor:
-    if _Helper.pool is None:
-        # imported here: a process that never trains does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
-        _Helper.pool = ThreadPoolExecutor(1, thread_name_prefix="hrt-grad")
-    return _Helper.pool
-
-
-def _add_product(product: _Deferred, out: np.ndarray,
-                 grad: np.ndarray | None) -> None:
-    product(out)
-    if grad is not None:
-        grad += out
-
-
-def _drain() -> None:
-    """Finish the helper's tasks and end its thread before the process
-    forks; parent and child each make a new one on next use.  Else the
-    child would copy a gradient half computed and wait for a task that no
-    thread of its own runs, and OpenBLAS, which stops its threads at a
-    fork, could stall a product running on the helper."""
-    if _Helper.pool is not None:
-        _Helper.pool.shutdown()    # a task's exception is .grad's to raise
-        _Helper.pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_drain)
 
 
 # -- composite primitives ---------------------------------------------------

@@ -18,6 +18,8 @@ from hrt.cli import build_parser, main
 from hrt.config import DEFAULTS
 from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 
+from helpers import WIDE_GRID
+
 ROOT = Path(__file__).resolve().parent.parent
 
 NOT_UTF8 = b"a0,a1\n\xff\xfe,1\n"
@@ -45,7 +47,7 @@ LEARNING_CONFIG = {
 # the numerics of training or evaluation do
 LEARNING_SHA256 = {
     "run/history.csv":
-        "67764437bae384c85c59d08342365614fac589d40a1b979a5aa1be8a9b479a91",
+        "3ccb62fa4d89a96831a85a66f3cbfbeb7011be562071e214de892305a860bef3",
     "eval/metrics.json":
         "e7a3734a3d58606b95c40b2b8390150e5b48c1db3db8e985edbc5bea5a1d47af",
     "ablation.csv":
@@ -163,15 +165,12 @@ class TestPipeline:
             assert hashlib.sha256(
                 (learning / name).read_bytes()).hexdigest() == digest, name
 
-    # OpenBLAS splits a product over threads only above a size threshold,
-    # so the model is widened until TINY_SPEC's pose projection (R * D_feat
-    # * n_primary * d_cap, about a million multiply-adds) is split
-    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+    @staticmethod
+    def training_bytes_at_blas_threads(tmp_path, config):
+        """``hrt gen`` once, then ``hrt train``'s history and checkpoint
+        bytes with OpenBLAS on 1 and on 2 threads."""
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "synthetic": asdict(TINY_SPEC),
-            "model": {**TINY_MODEL, "n_primary": 2048},
-            "train": {"epochs": 2, "batch_size": 8, "seed": 0}}))
+        cfg.write_text(json.dumps(config))
         data = tmp_path / "data"
         assert main(["gen", "--out", str(data), "--config", str(cfg)]) == 0
         outputs = []
@@ -186,6 +185,25 @@ class TestPipeline:
             assert proc.returncode == 0, proc.stderr
             outputs.append([(run / name).read_bytes()
                             for name in ("history.csv", "model.ckpt")])
+        return outputs
+
+    # OpenBLAS splits a product over threads only above a size threshold,
+    # so the model is widened until TINY_SPEC's pose projection (R * D_feat
+    # * n_primary * d_cap, about a million multiply-adds) is split
+    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        outputs = self.training_bytes_at_blas_threads(tmp_path, {
+            "synthetic": asdict(TINY_SPEC),
+            "model": {**TINY_MODEL, "n_primary": 2048},
+            "train": {"epochs": 2, "batch_size": 8, "seed": 0}})
+        assert outputs[0] == outputs[1]
+
+    # bench/run.py's train_wide_grid recipe, where enc.proj's stacked
+    # gradient is one [128, 144] x [144, 2048] product per 4 samples
+    def test_wide_grid_training_bytes_do_not_depend_on_blas_threads(
+            self, tmp_path):
+        outputs = self.training_bytes_at_blas_threads(tmp_path, {
+            "synthetic": WIDE_GRID, "model": {"k_em": 1, "k_td": 3},
+            "train": {"epochs": 2}})
         assert outputs[0] == outputs[1]
 
     def test_configured_offset_changes_eval_metrics(self, learning, tmp_path):

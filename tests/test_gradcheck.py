@@ -1,12 +1,8 @@
-import threading
-
 import numpy as np
 import pytest
 
 from hrt import NumericError, Parameter, SeededRng, Tensor, grad_check
 from hrt import tensor as T
-
-from helpers import gradient_helper
 
 
 def square(t):
@@ -96,37 +92,28 @@ def test_wrong_gradient_detected():
 
 
 def test_every_gradient_is_read_before_a_parameter_is_perturbed(monkeypatch):
-    # b's gradient, a^T . g, runs on the helper thread.  The task is held
-    # until a's first probe, which then waits for it: b's gradient is still
-    # the one at the unperturbed a
+    # b's gradient, a^T . g, is stacked as a's 2 rows, fewer than b's 3, so
+    # they are not multiplied until .grad is read.  They are copies, but
+    # the read must still come before a's first probe writes into a
     rng = SeededRng(14)
-    a_data, b_data = rng.normal((4, 3)), rng.normal((3, 5))
-    g = Tensor(rng.normal((4, 5)))
-    add = T._add_product
+    a_data, b_data = rng.normal((2, 3)), rng.normal((3, 5))
+    g = Tensor(rng.normal((2, 5)))
+    a, b = Parameter(a_data.copy()), Parameter(b_data.copy())
+    multiply = Parameter._multiply_stacked
+    unperturbed = []
 
-    def held(*args):
-        go.wait(0.5)
-        add(*args)
-        done.set()
+    def recording(self):
+        if self is b:
+            unperturbed.append(np.array_equal(a.data, a_data))
+        multiply(self)
 
-    monkeypatch.setattr(T, "_add_product", held)
-    grads = []
-    for on in (True, False):
-        a = Parameter(a_data.copy())
-        b = Parameter(b_data.copy())
-        go, done = threading.Event(), threading.Event()
-        calls = []
+    def f():
+        return T.einsum("ij,ij->", T.matmul(a, b), g)
 
-        def f():
-            calls.append(None)
-            if on and len(calls) == 2:    # a's first probe
-                go.set()
-                done.wait(5)
-            return T.einsum("ij,ij->", T.matmul(a, b), g)
-
-        # b, and not a, is large enough for the helper
-        with gradient_helper(on, min_size=b_data.size):
-            assert grad_check(f, {"a": a, "b": b}).passed
-            grads.append(b.grad)
-        assert done.is_set() == on    # b's gradient ran on the helper
-    assert np.array_equal(*grads)
+    monkeypatch.setattr(Parameter, "_multiply_stacked", recording)
+    assert grad_check(f, {"a": a, "b": b}).passed
+    assert unperturbed == [True]
+    monkeypatch.undo()
+    want = Parameter(b_data.copy())
+    T.einsum("ij,ij->", T.matmul(Tensor(a_data), want), g).backward()
+    assert np.array_equal(b.grad, want.grad)

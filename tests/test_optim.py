@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -7,8 +6,6 @@ import pytest
 from hrt import NumericError, OptimizerConfig, Parameter, RmsPropState, \
     Tensor, optimizer_step
 from hrt import tensor as T
-
-from helpers import gradient_helper
 
 
 def test_zero_grad_zero_decay_is_fixed_point():
@@ -104,16 +101,13 @@ def reference_step(cfg, w, acc, buf, g):
     return w - cfg.lr * buf - cfg.lr * cfg.weight_decay * w, acc, buf
 
 
-# "pending": each gradient is the product 1 . g of a backward pass, still
-# running on the helper thread when the step reads .grad
+# "pending": each gradient is the product g . 1 of a backward pass, its
+# rows stacked in the parameter and not yet multiplied when the step reads
+# .grad
 @pytest.mark.parametrize("shape,pending", [((7,), False), ((3, 5), False),
                                            ((2, 3, 4), False), ((3, 5), True)],
                          ids=["shape0", "shape1", "shape2", "pending"])
-def test_in_place_update_equals_out_of_place_bitwise(monkeypatch, shape,
-                                                     pending):
-    add = T._add_product
-    monkeypatch.setattr(T, "_add_product",
-                        lambda *args: (time.sleep(0.002), add(*args)))
+def test_in_place_update_equals_out_of_place_bitwise(shape, pending):
     cfg = OptimizerConfig(lr=3e-2, momentum=0.8, rho=0.95, eps=1e-6,
                           weight_decay=1e-2)
     rng = np.random.default_rng(1)
@@ -122,28 +116,31 @@ def test_in_place_update_equals_out_of_place_bitwise(monkeypatch, shape,
     state = RmsPropState(cfg)
     ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
            for n, p in params.items()}
-    with gradient_helper(pending):
-        for _ in range(25):
-            # gradients spanning many magnitudes, with exact zeros
-            grads = {n: rng.normal(size=p.data.shape)
-                     * 10.0 ** rng.integers(-6, 4, size=p.data.shape)
-                     * (rng.random(p.data.shape) > 0.2)
-                     for n, p in params.items()}
-            for n, p in params.items():
-                if pending:
-                    p.zero_grad()
-                    sub = "ijk"[:p.data.ndim]
-                    T.einsum(f"{sub},{sub}->", p, Tensor(grads[n])).backward()
-                    assert p._pending is not None
-                else:
-                    p.grad = grads[n]
-            optimizer_step(state, params)
-            ref = {n: reference_step(cfg, *ref[n], grads[n]) for n in params}
-            for n, p in params.items():
-                w, acc, buf = ref[n]
-                assert np.array_equal(p.data, w)
-                assert np.array_equal(state.square_avg[n], acc)
-                assert np.array_equal(state.momentum_buf[n], buf)
+    for _ in range(25):
+        # gradients spanning many magnitudes, with exact zeros
+        grads = {n: rng.normal(size=p.data.shape)
+                 * 10.0 ** rng.integers(-6, 4, size=p.data.shape)
+                 * (rng.random(p.data.shape) > 0.2)
+                 for n, p in params.items()}
+        for n, p in params.items():
+            if pending:
+                p.zero_grad()
+                # the gradient of p in p[..., z] * 1 is one product with
+                # k = 1, so one row, stacked until p.size rows are
+                sub = "ijk"[:p.data.ndim]
+                spread = T.einsum(f"{sub},z->{sub}z", p, Tensor(np.ones(1)))
+                T.einsum(f"{sub}z,{sub}z->", spread,
+                         Tensor(grads[n][..., None])).backward()
+                assert p._stacked == 1
+            else:
+                p.grad = grads[n]
+        optimizer_step(state, params)
+        ref = {n: reference_step(cfg, *ref[n], grads[n]) for n in params}
+        for n, p in params.items():
+            w, acc, buf = ref[n]
+            assert np.array_equal(p.data, w)
+            assert np.array_equal(state.square_avg[n], acc)
+            assert np.array_equal(state.momentum_buf[n], buf)
 
 
 def test_step_leaves_callers_gradients_unmodified():

@@ -1,7 +1,5 @@
 import inspect
 import math
-import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrt import (DimensionError, HrtModel, LossConfig, ModelConfig,
-                 NumericError, OptimizerConfig, Parameter, SeededRng,
-                 SyntheticSpec, Tensor, attribute_regression_loss,
-                 generate_synthetic, grad_check, train)
+from hrt import (DimensionError, HrtModel, ModelConfig, NumericError,
+                 Parameter, SeededRng, SyntheticSpec, Tensor,
+                 attribute_regression_loss, generate_synthetic, grad_check)
 from hrt import tensor as T
 from hrt.config import dataset_dims, load_config, loss_config_for
-from hrt.gradcheck import tiny_problem
+from hrt.gradcheck import TINY_MODEL, TINY_SPEC
 from hrt.train import total_loss
 
-from helpers import gradient_helper, peak_traced_bytes
+from helpers import WIDE_GRID, peak_traced_bytes
 from oracles import naive_matmul
 
 
@@ -47,10 +44,9 @@ class TestMatmul:
     def test_equals_einsum_bitwise_at_pose_shapes(self, r, f, n):
         # the primary-capsule pose projection [R, D_feat] x [D_feat, 2048]:
         # matmul and its einsum spelling are one BLAS product, forward and
-        # backward, bit for bit.  b's gradient at train_wide_grid's shape is
-        # large enough to run on the helper thread, so the gradients are
-        # read from the leaves, and ``ij,ij->`` against g hands out the
-        # gradient g bit for bit
+        # backward, bit for bit.  Both gradients are stacked into the
+        # leaves, so they are read from .grad, and ``ij,ij->`` against g
+        # hands out the gradient g bit for bit
         rng = SeededRng(9)
         a_data, b_data = rng.normal((r, f)), rng.normal((f, n))
         g = rng.normal((r, n))
@@ -116,27 +112,34 @@ def test_each_contraction_of_a_step_is_blas_or_the_fixed_order_einsum(
     model = HrtModel.build(
         ModelConfig(**dataset_dims(dataset), **model_settings),
         dataset.semantics.attr_vectors, dataset.semantics.class_attr)
-    calls, threads = [], []
-    product = T._product
+    calls, stacked = [], []
+    product, gradient = T._product, T._gradient
 
-    def recording(recipe, x, y, out=None):
-        calls.append((recipe, x, y, product(recipe, x, y, out)))
-        threads.append((recipe[0], threading.current_thread().name))
+    def recording(recipe, x, y):
+        calls.append((recipe, x, y, product(recipe, x, y)))
         return calls[-1][-1]
 
-    # every product of a contraction, forward or backward, runs here, on
-    # this thread or the helper
+    def stacking(recipe, g, other, operand):
+        out = gradient(recipe, g, other, operand)
+        if out is None:
+            stacked.append((recipe, g, other, operand))
+        return out
+
+    # every product of a contraction, forward or backward, runs here, but a
+    # parameter's gradient on BLAS, which the closure stacks into the
+    # parameter and returns None for
     monkeypatch.setattr(T, "_product", recording)
+    monkeypatch.setattr(T, "_gradient", stacking)
     i = dataset.splits["train"][0]
     total, _ = total_loss(model, dataset.features[i], int(dataset.labels[i]),
                           loss_config_for(load_config(), dataset))
     total.backward()
-    for p in model.params.values():
-        p.grad    # waits for the products still running on the helper
-    # only enc.proj's gradient is ever large enough for it, and only at the
-    # train_wide_grid shape: the default shape stays on the calling thread
-    assert {s for s, thread in threads if thread != "MainThread"} == (
-        {"rnh,rf->fnh"} if synthetic else set())
+    # each parameter is one contraction's operand, so its gradient is
+    # stacked once and .grad multiplies that one sample's rows
+    assert sorted(id(p) for *_, p in stacked) == sorted(
+        id(p) for p in model.params.values())
+    assert not any(s in (c[0][0] for c in calls) for (s, _), *_ in stacked)
+    calls += [(recipe, g, other, p.grad) for recipe, g, other, p in stacked]
     planned = {s for (s, blas), *_ in calls if blas is not None}
     assert planned == BLAS_CONTRACTIONS
     assert {s for (s, _), *_ in calls} - planned == EINSUM_CONTRACTIONS
@@ -160,101 +163,127 @@ def test_contractions_that_are_no_matrix_product_stay_on_einsum(subscripts):
     assert blas is None
 
 
-class TestGradientHelper:
-    """A large parameter gradient on BLAS runs on the helper thread, and
-    reading ``.grad`` gives the bytes the calling thread would have made."""
+# enc.proj's contraction "rf,fnh->rnh" at three shapes (R, D_feat, N,
+# d_cap): the gradient suite's tiny problem, the default and bench/run.py's
+# train_wide_grid, the last two at the model's default N and d_cap
+POSE_SHAPES = {
+    "tiny": (TINY_SPEC.r_patches, TINY_SPEC.d_feat, TINY_MODEL["n_primary"],
+             TINY_MODEL["d_cap"]),
+    "default": (SyntheticSpec().r_patches, SyntheticSpec().d_feat, 128, 16),
+    "wide_grid": (WIDE_GRID["r_patches"], WIDE_GRID["d_feat"], 128, 16),
+}
+
+
+def block_schedule(x_rows, y_rows, m):
+    """A stacked gradient written out by hand: the products ``x.T @ y`` of
+    ``x_rows`` [k, m] and ``y_rows`` [k, p], in stacking order, ceil(m / k)
+    of them at a time as one product of their stacked rows, summed in
+    order, the last block holding what is left."""
+    per = -(-m // len(x_rows[0]))
+    grad = None
+    for i in range(0, len(x_rows), per):
+        block = (np.concatenate(x_rows[i:i + per]).T
+                 @ np.concatenate(y_rows[i:i + per]))
+        grad = block if grad is None else grad + block
+    return grad
+
+
+class TestStackedGradient:
+    """A parameter's gradient on BLAS is stacked as rows, multiplied once
+    per block of whole samples and at the read of ``.grad``."""
 
     @staticmethod
-    def pose_backward(steps):
-        """A [128, 2048] leaf after ``steps`` backward passes of enc.proj's
-        gradient at the train_wide_grid shape: the first gradient is
-        adopted, the second added."""
+    def pose_backward(shape, batch, uses=1):
+        """enc.proj [D_feat, N, d_cap] after ``batch`` backward passes, each
+        through ``uses`` pose projections of its own patch grid against an
+        upstream gradient of its own; the grids and gradients in the order
+        the passes stack them."""
+        r, f, n, h = POSE_SHAPES[shape]
         rng = SeededRng(12)
-        a, g = Tensor(rng.normal((36, 128))), Tensor(rng.normal((36, 2048)))
-        b = Parameter(rng.normal((128, 2048)))
-        for _ in range(steps):
-            T.einsum("ij,ij->", T.matmul(a, b), g).backward()
-        return b
+        proj = Parameter(rng.normal((f, n, h)))
+        xs, gs = [], []
+        for _ in range(batch):
+            terms = []
+            for _ in range(uses):
+                xs.append(rng.normal((r, f)))
+                gs.append(rng.normal((r, n, h)))
+                terms.append(T.einsum("rnh,rnh->", T.einsum(
+                    "rf,fnh->rnh", Tensor(xs[-1]), proj), Tensor(gs[-1])))
+            T.weighted_sum(terms, (1.0,) * uses).backward()
+        return proj, xs, gs
 
-    @pytest.mark.parametrize("steps", [1, 2], ids=["adopted", "added"])
-    def test_grad_read_after_backward_equals_the_synchronous_array(
-            self, monkeypatch, steps):
-        add = T._add_product
+    @pytest.mark.parametrize("batch", [16, 5], ids=["full", "partial"])
+    @pytest.mark.parametrize("shape", sorted(POSE_SHAPES))
+    @pytest.mark.parametrize("uses", [1, 2], ids=["once", "twice"])
+    def test_grad_is_the_block_schedule(self, shape, batch, uses):
+        # with the parameter used twice in one graph, backward stacks the
+        # first operand's rows first
+        proj, xs, gs = self.pose_backward(shape, batch, uses)
+        r, f, n, h = POSE_SHAPES[shape]
+        got = proj.grad
+        recipe = T._plan("rf,fnh->rnh", (r, f), (f, n, h), "einsum")[2]
+        per_sample = T._product(recipe, gs[0], xs[0])
+        for x, g in zip(xs[1:], gs[1:]):
+            per_sample = per_sample + T._product(recipe, g, x)
+        assert (np.abs(got - per_sample).max()
+                <= 1e-12 * np.abs(per_sample).max())
+        want = block_schedule(xs, [g.reshape(r, -1) for g in gs], f)
+        assert np.array_equal(got, want.reshape(f, n, h))
 
-        def slow(*args):
-            time.sleep(0.05)    # still running when .grad is read
-            add(*args)
-
-        monkeypatch.setattr(T, "_add_product", slow)
-        grads = []
-        for on in (True, False):
-            with gradient_helper(on):
-                b = self.pose_backward(steps)
-                # the task is left pending until .grad is read
-                assert (b._pending is not None) == on
-                # copied before the block's end waits for the helper
-                grads.append(b.grad.copy())
-        assert np.array_equal(*grads)
-
-    @pytest.mark.parametrize("steps", [1, 2], ids=["adopted", "added"])
-    def test_helper_exception_is_raised_by_every_grad_read(self, monkeypatch,
-                                                           steps):
-        product = T._product
-
-        def failing(recipe, x, y, out=None):
-            # only the helper writes into an array; the first task of
-            # "added" succeeds
-            if out is not None and failing.tasks == steps - 1:
-                raise MemoryError("no room for the gradient")
-            failing.tasks += out is not None
-            return product(recipe, x, y, out)
-
-        failing.tasks = 0
-        monkeypatch.setattr(T, "_product", failing)
-        with gradient_helper(True):
-            b = self.pose_backward(steps)      # backward returns
-            # a second read raises too: it would give an array the task left
-            # unwritten or missing a sample
-            for _ in range(2):
-                with pytest.raises(MemoryError, match="no room"):
-                    b.grad
-            b.zero_grad()    # drops the failed task
-            assert b.grad is None
-
-    def test_added_products_reuse_one_spare_array(self, monkeypatch):
-        outs = []
-        add = T._add_product
-
-        def recording(product, out, grad):
-            outs.append(out)
-            add(product, out, grad)
-
-        monkeypatch.setattr(T, "_add_product", recording)
-        with gradient_helper(True):
-            b = self.pose_backward(3)
-            # the first product is adopted, the next two share one array
-            assert outs[0] is b.grad
-            assert outs[1] is outs[2] is b._spare
-
-    def test_a_parameter_used_twice_sums_on_the_calling_thread(self):
+    @pytest.mark.parametrize("batch", [16, 5], ids=["full", "partial"])
+    def test_an_array_gradient_is_added_after_the_stacked_rows(self, batch):
+        # enc.act_proj's shape [D_feat, N] at the default R: the sigmoid's
+        # gradient reaches the leaf as an array, after the matmul's rows
+        # are stacked, so each sample's rows are multiplied before it
         rng = SeededRng(13)
-        x, w_data = Tensor(rng.normal((6, 4))), rng.normal((4, 3))
-        grads = []
-        for on in (True, False):
-            w = Parameter(w_data)
-            with gradient_helper(on):
-                T.einsum("ij,ij->", T.matmul(x, w), T.matmul(x, w)).backward()
-                assert w._pending is None
-                grads.append(w.grad)
-        assert np.array_equal(*grads)
+        w = Parameter(rng.normal((64, 128)))
+        want = None
+        for _ in range(batch):
+            x, g, u = (rng.normal((9, 64)), rng.normal((9, 128)),
+                       rng.normal((64, 128)))
+            T.weighted_sum((
+                T.einsum("ij,ij->", T.matmul(Tensor(x), w), Tensor(g)),
+                T.einsum("ij,ij->", T.sigmoid(w), Tensor(u))),
+                (1.0, 1.0)).backward()
+            s = T.sigmoid(Tensor(w.data)).data
+            for term in (block_schedule([x], [g], 64), u * s * (1.0 - s)):
+                want = term if want is None else want + term
+        assert np.array_equal(w.grad, want)
+
+    def test_setting_grad_drops_the_stacked_rows(self):
+        proj, xs, gs = self.pose_backward("default", 3)
+        proj.grad = None
+        r, f, n, h = POSE_SHAPES["default"]
+        g = gs[0]
+        T.einsum("rnh,rnh->", T.einsum("rf,fnh->rnh", Tensor(xs[0]), proj),
+                 Tensor(g)).backward()
+        assert np.array_equal(proj.grad, block_schedule(
+            xs[:1], [g.reshape(r, -1)], f).reshape(f, n, h))
+
+    def test_a_minibatch_stacks_about_one_gradient_of_rows(self):
+        # train_wide_grid's enc.proj: 36 rows a sample and m = 128, so 4
+        # samples (144 rows) to a block.  Its two buffers hold less than
+        # 1.2 gradients' bytes plus one sample's rows (3.1 MB); a stack of
+        # all 16 samples of the minibatch would be 7.5 MB more, and fail
+        dataset = generate_synthetic(replace(SyntheticSpec(), **WIDE_GRID), 0)
+        model = HrtModel.build(
+            ModelConfig(**dataset_dims(dataset), k_em=1, k_td=3),
+            dataset.semantics.attr_vectors, dataset.semantics.class_attr)
+        loss_config = loss_config_for(load_config(), dataset)
+        for i in dataset.splits["train"][:16]:
+            total_loss(model, dataset.features[i], int(dataset.labels[i]),
+                       loss_config)[0].backward()
+        proj = model.params["enc.proj"]
+        r, (f, n, h) = WIDE_GRID["r_patches"], proj.data.shape
+        assert len(proj._x_rows) == len(proj._y_rows) == r * -(-f // r)
+        stack = proj._x_rows.nbytes + proj._y_rows.nbytes
+        assert stack <= 1.2 * proj.data.nbytes + 8 * r * (f + n * h)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_writing_the_other_operand_after_backward_leaves_grad(
-            self, monkeypatch, layout):
-        # in-place augmentation of the features while b's product is still
-        # held on the helper: the task reads a copy of them with their
-        # strides (a transposed view is F-contiguous), and a view that is
-        # neither C- nor F-contiguous is multiplied on the calling thread
+            self, layout):
+        # in-place augmentation of the features while b's rows are stacked
+        # and not yet multiplied: the rows are copies, whatever the strides
         rng = SeededRng(15)
         data, g = rng.normal((128, 256)), Tensor(rng.normal((36, 2048)))
         b_data = rng.normal((128, 2048))
@@ -269,50 +298,11 @@ class TestGradientHelper:
             T.einsum("ij,ij->", T.matmul(a, b), g).backward()
             return a, b
 
-        with gradient_helper(False):
-            want = pose_backward()[1].grad
-        add = T._add_product
-        go = threading.Event()
-
-        def held(*args):
-            go.wait(5)
-            add(*args)
-
-        monkeypatch.setattr(T, "_add_product", held)
-        with gradient_helper(True):
-            a, b = pose_backward()
-            assert (b._pending is not None) == (layout != "strided")
-            a.data += 1.0
-            go.set()
-            assert np.array_equal(b.grad, want)
-
-    def test_no_parameter_has_two_products_in_flight(self, monkeypatch):
-        # each task sleeps, so that a second product of one parameter
-        # would be submitted before the first ends
-        dataset, model = tiny_problem(5)
-        tasks = {}      # a parameter's gradient array -> its tasks
-        most = []       # the tasks in flight at each submit
-        with gradient_helper(True):
-            pool = T._helper()
-            submit = pool.submit
-
-            def slow(fn, *args):
-                time.sleep(0.002)
-                fn(*args)
-
-            def checking_submit(fn, product, out, grad):
-                mine = tasks.setdefault(id(out if grad is None else grad), [])
-                assert all(task.done() for task in mine)
-                most.append(sum(not t.done() for ts in tasks.values()
-                                for t in ts))
-                mine.append(submit(slow, fn, product, out, grad))
-                return mine[-1]
-
-            monkeypatch.setattr(pool, "submit", checking_submit)
-            train(dataset, model, LossConfig(), OptimizerConfig(), epochs=1,
-                  batch_size=4)
-        assert len(most) == 5 * dataset.splits["train"].size
-        assert max(most) >= 2    # other parameters' products were in flight
+        want = pose_backward()[1].grad
+        a, b = pose_backward()
+        assert b._stacked == 36
+        a.data += 1.0
+        assert np.array_equal(b.grad, want)
 
 
 class TestSoftmax:
@@ -468,17 +458,17 @@ class TestBackwardBasics:
 
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_matmul_backward_skips_constant_operand(self, a_grad):
+        # the parameter's gradient is stacked into it, and the closure
+        # returns None for it as for the constant
         rng = SeededRng(6)
         a = (Parameter if a_grad else Tensor)(rng.normal((3, 4)))
         b = (Tensor if a_grad else Parameter)(rng.normal((4, 2)))
         g = rng.normal((3, 2))
-        ga, gb = T.matmul(a, b)._backward(g)
+        assert T.matmul(a, b)._backward(g) == (None, None)
         if a_grad:
-            assert gb is None
-            assert np.array_equal(ga, g @ b.data.T)
+            assert np.array_equal(a.grad, block_schedule([g.T], [b.data.T], 3))
         else:
-            assert ga is None
-            assert np.array_equal(gb, a.data.T @ g)
+            assert np.array_equal(b.grad, block_schedule([a.data], [g], 4))
 
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_einsum_backward_skips_constant_operand(self, a_grad):
@@ -496,28 +486,55 @@ class TestBackwardBasics:
             assert np.array_equal(
                 gb, np.einsum("rh,rn->rnh", g, a.data, optimize=False))
 
-    def test_second_backward_adds_bitwise(self):
+    def test_second_backward_adds_bitwise(self, monkeypatch):
+        # v's gradient reaches it as an array and w's are stacked: the
+        # matmul's [2, 4] x [4, 3] product, then w . w's two [1, 1] x
+        # [1, 12] ones; as the products differ in m, each is multiplied
+        # when the next is stacked, or at the read
         rng = SeededRng(8)
         w = Parameter(rng.normal((4, 3)))
         v = Parameter(rng.normal((3,)))
         xs = [Tensor(rng.normal((2, 4))) for _ in range(2)]
+        stacked = []
+        stack = Parameter._stack
+
+        def recording(self, x, y):
+            if self is w:
+                stacked.append((x.T.copy(), y.copy()))
+            stack(self, x, y)
+
+        monkeypatch.setattr(Parameter, "_stack", recording)
 
         def loss(x):
             h = T.einsum("ij,j->ij", T.sigmoid(T.matmul(x, w)), v)
             return T.weighted_sum((T.einsum("ij,ij->", h, h),
                                    T.einsum("ij,ij->", w, w)), (1.0, 1.0))
 
+        def products():
+            want = None
+            for x_rows, y_rows in stacked:
+                block = block_schedule([x_rows], [y_rows], len(x_rows[0]))
+                want = (block.reshape(4, 3) if want is None
+                        else want + block.reshape(4, 3))
+            return want
+
         single = []
         for x in xs:
             w.zero_grad()
             v.zero_grad()
+            stacked.clear()
             loss(x).backward()
             single.append((w.grad, v.grad))
+            assert len(stacked) == 3
+            assert np.array_equal(w.grad, products())
         w.zero_grad()
         v.zero_grad()
+        stacked.clear()
         for x in xs:
             loss(x).backward()
-        assert np.array_equal(w.grad, single[0][0] + single[1][0])
+        assert np.array_equal(w.grad, products())
+        assert (np.abs(w.grad - (single[0][0] + single[1][0])).max()
+                <= 1e-12 * np.abs(w.grad).max())
         assert np.array_equal(v.grad, single[0][1] + single[1][1])
 
     def test_leaf_grad_owns_its_data_and_a_second_backward_adds(self):
@@ -560,7 +577,8 @@ OWNERSHIP_CASES = {
 class TestBackwardOwnership:
     """The rules a leaf's adoption of its gradient relies on: an op's
     backward returns arrays it allocated, shared with nothing else, each
-    shaped like its operand, so that backward adds it as it is."""
+    shaped like its operand, so that backward adds it as it is; what it
+    stacks into a parameter goes into buffers the parameter owns."""
 
     @pytest.mark.parametrize("name", PUBLIC_OPS)
     def test_backward_returns_arrays_it_owns(self, name):
@@ -574,12 +592,25 @@ class TestBackwardOwnership:
         second = list(out._backward(g))
         assert len(first) == len(out._parents)
         for arr, parent in zip(first, out._parents):
+            if arr is None:
+                # a parameter's gradient on BLAS: stacked into two row
+                # buffers the parameter owns, which .grad multiplies
+                assert name in ("einsum", "matmul")
+                rows = [parent._x_rows, parent._y_rows]
+                assert all(r.flags.owndata for r in rows)
+                for r in rows + [parent.grad]:
+                    assert not any(np.shares_memory(r, o) for o in held)
+                assert not any(np.shares_memory(parent.grad, r) for r in rows)
+                continue
             assert arr.shape == parent.data.shape, \
                 f"{name}'s gradient {arr.shape} is not shaped like its " \
                 f"operand {parent.data.shape}"
         for returned, before in ((first, []), (second, first)):
             for i, arr in enumerate(returned):
-                others = held + returned[:i] + returned[i + 1:] + before
+                if arr is None:
+                    continue
+                others = [o for o in held + returned[:i] + returned[i + 1:]
+                          + before if o is not None]
                 assert not any(np.shares_memory(arr, o) for o in others), \
                     f"{name}'s gradient {i} shares memory"
 
