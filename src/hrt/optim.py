@@ -54,7 +54,8 @@ class RmsPropState:
 def optimizer_step(state: RmsPropState,
                    params: dict[str, Parameter]) -> None:
     """Apply one RMSprop update in place, from each parameter's ``.grad``,
-    which is only read.
+    which is only read.  A parameter whose ``.grad`` is None (it received no
+    gradient) raises a NumericError naming it before any state changes.
 
     ``acc``, ``buf`` and the weights are updated in place through one scratch
     array, with the same float64 operations in the same order as the
@@ -64,7 +65,10 @@ def optimizer_step(state: RmsPropState,
     """
     cfg = state.config
     for name, p in params.items():
-        g = np.asarray(p.grad, dtype=np.float64)
+        if p.grad is None:
+            raise NumericError(f"parameter {name!r} received no gradient")
+    for name, p in params.items():
+        g = p.grad
         w = p.data
         # acc += (1 - rho) * g * g, formed first: a non-finite gradient, or
         # one whose square overflows, makes its maximum NaN or inf, and the

@@ -37,18 +37,21 @@ Design notes:
     ``x @ y``, x [m, k] and y [k, p]; the op's backward copies x's
     transpose and y into two row buffers the parameter owns, k more rows
     each, in the order backward visits them, and returns None for it.  Once
-    the buffers hold at least m rows (k * ceil(m / k), whole samples, so the
-    stack is about the size of the gradient) they are multiplied as one
-    [m, K] x [K, p] product, which is added to ``.grad``; reading ``.grad``
-    multiplies the rows left, and setting it drops them.  A product of
-    another m, or whose rows do not fit, first multiplies the rows stacked
-    so far, and new buffers are made for its shape.  A gradient that
-    reaches the parameter as an array (``Parameter._accumulate``) is added
-    after the stacked rows are multiplied in.  The sum is the per-sample
-    products' to about 1e-15 relative, not bit for bit: the block
-    boundaries and the row order are part of the byte contract.  The
-    buffers hold copies, so a caller may write any array once backward
-    returns.
+    the buffers hold at least min(m, p) rows, the gradient's rank bound,
+    they are multiplied as one [m, K] x [K, p] product, which is added to
+    ``.grad``; so a per-sample product that is already full rank (k >=
+    min(m, p)) is multiplied at once.  The buffers are k * ceil(min(m, p) /
+    k) rows, whole samples, so the two hold at most two gradients' bytes
+    plus one sample's rows whatever the axis order, as min(m, p) * (m + p)
+    <= 2 * m * p.  Reading ``.grad`` multiplies the rows left, and setting
+    it drops them.  A product of another m, or whose rows do not fit, first
+    multiplies the rows stacked so far, and new buffers are made for its
+    shape.  A gradient that reaches the parameter as an array
+    (``Parameter._accumulate``) is added after the stacked rows are
+    multiplied in.  The sum is the per-sample products' to about 1e-15
+    relative, not bit for bit: the block boundaries, which follow min(m,
+    p), and the row order are part of the byte contract.  The buffers hold
+    copies, so a caller may write any array once backward returns.
   * every op validates finiteness of its result; NaN/Inf raises NumericError
     instead of propagating silently.
   * backward computes only the gradients something reads: an op's closure
@@ -201,7 +204,8 @@ class Parameter(Tensor):
     array, as it is (a float64 array is not copied: the optimizer and
     ``load_checkpoint`` rely on that).  Each backward pass adds its
     gradient to ``.grad``: stacked as rows if it runs on BLAS (``_stack``),
-    else as an array (``_accumulate``)."""
+    into two buffers that hold at most two gradients' bytes plus one
+    sample's rows, else as an array (``_accumulate``)."""
 
     __slots__ = ("_grad", "_x_rows", "_y_rows", "_stacked")
 
@@ -217,8 +221,7 @@ class Parameter(Tensor):
         self._backward = None
         self._grad: np.ndarray | None = None
         # the row buffers of the stacked gradient and how many rows they hold
-        self._x_rows: np.ndarray | None = None
-        self._y_rows: np.ndarray | None = None
+        self._x_rows = self._y_rows = None
         self._stacked = 0
 
     @property
@@ -250,20 +253,18 @@ class Parameter(Tensor):
     def _stack(self, x: np.ndarray, y: np.ndarray) -> None:
         """Stack the gradient ``x @ y``, x [m, k] and y [k, p], as k rows of
         x's transpose and of y, and multiply the rows once there are at
-        least m."""
-        m, k = x.shape
+        least min(m, p), the gradient's rank bound."""
+        (m, k), p = x.shape, y.shape[1]
         rows = self._x_rows
         if rows is None or rows.shape[1] != m or self._stacked + k > len(rows):
             if self._stacked:
                 self._multiply_stacked()
-            n = k * -(-m // k)
-            rows = self._x_rows = np.empty((n, m))
-            self._y_rows = np.empty((n, y.shape[1]))
-        s = self._stacked
+            rows = self._x_rows = np.empty((k * -(-min(m, p) // k), m))
+            self._y_rows = np.empty((len(rows), p))
+        s, self._stacked = self._stacked, self._stacked + k
         rows[s:s + k] = x.T
         self._y_rows[s:s + k] = y
-        self._stacked = s + k
-        if self._stacked >= m:
+        if self._stacked >= min(m, p):
             self._multiply_stacked()
 
     def _multiply_stacked(self) -> None:

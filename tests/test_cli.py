@@ -47,7 +47,7 @@ LEARNING_CONFIG = {
 # the numerics of training or evaluation do
 LEARNING_SHA256 = {
     "run/history.csv":
-        "3ccb62fa4d89a96831a85a66f3cbfbeb7011be562071e214de892305a860bef3",
+        "5e06c50bd4d9e8074ddd4053e364d8b73f1f9564a89588fe0742a20a61829864",
     "eval/metrics.json":
         "e7a3734a3d58606b95c40b2b8390150e5b48c1db3db8e985edbc5bea5a1d47af",
     "ablation.csv":
@@ -366,6 +366,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    # each edit rewrites the workspace dataset (20 samples, 5 classes, 6
+    # attributes) into one with a single fault, which the message names
+    @pytest.mark.parametrize("edit,named", [
+        ({"splits.csv": lambda t: t.replace("\n0,0,", "\n20,0,", 1)},
+         "splits.csv line 2: sample index 20 out of range"),
+        ({"splits.csv": lambda t: t.replace("\n0,0,", "\n0,5,", 1)},
+         "splits.csv line 2: class index 5 out of range"),
+        ({"splits.csv": lambda t: t.replace("\n0,0,train", "\n0,0,val", 1)},
+         "splits.csv line 2: unknown split 'val'"),
+        ({"splits.csv": lambda t: t + "0,0,train\n"},
+         "splits.csv line 22: sample 0 listed twice"),
+        ({"meta.json": lambda t: t.replace('"C": 5', '"C": 1'),
+          "attributes.csv": lambda t: "\n".join(t.splitlines()[:2]) + "\n",
+          "splits.csv": lambda t: re.sub(r",\d+,", ",0,", t)},
+         "class attribute matrix with C >= 2"),
+        ({"meta.json": lambda t: t.replace('"A": 6', '"A": 1'),
+          "attributes.csv": lambda t: re.sub(r"(?m),.*$", "", t),
+          "semantics.csv": lambda t: t.splitlines()[0] + "\n"},
+         "compaction needs at least two attribute vectors"),
+    ], ids=["sample-out-of-range", "class-out-of-range", "unknown-split",
+            "sample-twice", "one-class", "one-attribute"])
+    def test_dataset_fault_is_named(self, workspace, tmp_path, capsys, edit,
+                                    named):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        for name, change in edit.items():
+            text = (data / name).read_text()
+            assert change(text) != text, name
+            (data / name).write_text(change(text))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   "--config", str(workspace / "config.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert named in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
     # the workspace checkpoint has 5 classes, 6 attributes, d_feat 12, tau 8

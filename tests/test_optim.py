@@ -56,6 +56,19 @@ def test_nonfinite_gradient_aborts():
         optimizer_step(state, {"p": p})
 
 
+def test_parameter_without_gradient_is_named_before_any_change():
+    # v, stepped first, has a gradient and keeps its weights and state too
+    v, w = Parameter(np.ones(2)), Parameter(np.ones(3))
+    v.grad = np.ones(2)
+    state = RmsPropState(OptimizerConfig())
+    with pytest.raises(NumericError,
+                       match="parameter 'w' received no gradient"):
+        optimizer_step(state, {"v": v, "w": w})
+    assert np.array_equal(v.data, np.ones(2))
+    assert np.array_equal(w.data, np.ones(3))
+    assert state.square_avg == {} and state.momentum_buf == {}
+
+
 # 1e200 is finite but its square is not; a refused step changes no state
 def test_gradient_whose_square_overflows_aborts():
     p = Parameter(np.array([1.0, -2.0]))
@@ -101,9 +114,8 @@ def reference_step(cfg, w, acc, buf, g):
     return w - cfg.lr * buf - cfg.lr * cfg.weight_decay * w, acc, buf
 
 
-# "pending": each gradient is the product g . 1 of a backward pass, its
-# rows stacked in the parameter and not yet multiplied when the step reads
-# .grad
+# "pending": a's gradient is the rank-1 product u v^T of a backward pass,
+# its one row stacked in a and not yet multiplied when the step reads .grad
 @pytest.mark.parametrize("shape,pending", [((7,), False), ((3, 5), False),
                                            ((2, 3, 4), False), ((3, 5), True)],
                          ids=["shape0", "shape1", "shape2", "pending"])
@@ -123,17 +135,19 @@ def test_in_place_update_equals_out_of_place_bitwise(shape, pending):
                  * (rng.random(p.data.shape) > 0.2)
                  for n, p in params.items()}
         for n, p in params.items():
-            if pending:
-                p.zero_grad()
-                # the gradient of p in p[..., z] * 1 is one product with
-                # k = 1, so one row, stacked until p.size rows are
-                sub = "ijk"[:p.data.ndim]
-                spread = T.einsum(f"{sub},z->{sub}z", p, Tensor(np.ones(1)))
-                T.einsum(f"{sub}z,{sub}z->", spread,
-                         Tensor(grads[n][..., None])).backward()
-                assert p._stacked == 1
-            else:
-                p.grad = grads[n]
+            p.grad = grads[n]
+        if pending:
+            u, v = (rng.normal(size=size)
+                    * 10.0 ** rng.integers(-3, 2, size=size)
+                    * (rng.random(size) > 0.2) for size in shape)
+            grads["a"] = np.outer(u, v)
+            a = params["a"]
+            a.zero_grad()
+            # the gradient of a in u . a . v is u v^T, a product with
+            # k = 1: one row, fewer than min(3, 5), so it stays stacked
+            T.einsum("j,j->", T.einsum("i,ij->j", Tensor(u), a),
+                     Tensor(v)).backward()
+            assert a._stacked == 1
         optimizer_step(state, params)
         ref = {n: reference_step(cfg, *ref[n], grads[n]) for n in params}
         for n, p in params.items():

@@ -12,7 +12,7 @@ from hrt import (DimensionError, HrtModel, ModelConfig, NumericError,
                  attribute_regression_loss, generate_synthetic, grad_check)
 from hrt import tensor as T
 from hrt.config import dataset_dims, load_config, loss_config_for
-from hrt.gradcheck import TINY_MODEL, TINY_SPEC
+from hrt.gradcheck import TINY_MODEL, TINY_SPEC, tiny_problem
 from hrt.train import total_loss
 
 from helpers import WIDE_GRID, peak_traced_bytes
@@ -174,18 +174,93 @@ POSE_SHAPES = {
 }
 
 
-def block_schedule(x_rows, y_rows, m):
+def block_schedule(x_rows, y_rows):
     """A stacked gradient written out by hand: the products ``x.T @ y`` of
-    ``x_rows`` [k, m] and ``y_rows`` [k, p], in stacking order, ceil(m / k)
-    of them at a time as one product of their stacked rows, summed in
-    order, the last block holding what is left."""
-    per = -(-m // len(x_rows[0]))
+    ``x_rows`` [k, m] and ``y_rows`` [k, p], one k for all, in stacking
+    order, ceil(min(m, p) / k) of them at a time as one product of their
+    stacked rows, summed in order, the last block holding what is left."""
+    k, m = x_rows[0].shape
+    per = -(-min(m, y_rows[0].shape[1]) // k)
     grad = None
     for i in range(0, len(x_rows), per):
         block = (np.concatenate(x_rows[i:i + per]).T
                  @ np.concatenate(y_rows[i:i + per]))
         grad = block if grad is None else grad + block
     return grad
+
+
+# the shapes a model stacks its gradients at: the gradient suite's tiny
+# problem, the default and bench/run.py's train_wide_grid (R 36, D_feat
+# 128, k_em 1, k_td 3)
+MINIBATCH_SHAPES = ("tiny", "default", "wide_grid")
+
+
+def record_stacks(model, monkeypatch):
+    """Until ``monkeypatch`` is undone, record the rows each parameter of
+    ``model`` stacks, as ``(x.T, y)`` pairs in stacking order, in the
+    returned dict by parameter name."""
+    stacked = {name: [] for name in model.params}
+    names = {id(p): name for name, p in model.params.items()}
+    stack = Parameter._stack
+
+    def recording(self, x, y):
+        stacked[names[id(self)]].append((x.T.copy(), y.copy()))
+        stack(self, x, y)
+
+    monkeypatch.setattr(Parameter, "_stack", recording)
+    return stacked
+
+
+def stacked_minibatch(shape, monkeypatch):
+    """A model at ``shape`` after the backward passes of a 16-sample
+    minibatch (the tiny problem has 5 training samples, taken in turn),
+    and the rows its parameters stacked (``record_stacks``)."""
+    if shape == "tiny":
+        dataset, model = tiny_problem(0)
+    else:
+        wide = shape == "wide_grid"
+        dataset = generate_synthetic(
+            replace(SyntheticSpec(), **(WIDE_GRID if wide else {})), 0)
+        model = HrtModel.build(
+            ModelConfig(**dataset_dims(dataset),
+                        **(dict(k_em=1, k_td=3) if wide else {})),
+            dataset.semantics.attr_vectors, dataset.semantics.class_attr)
+    stacked = record_stacks(model, monkeypatch)
+    loss_config = loss_config_for(load_config(), dataset)
+    train = dataset.splits["train"]
+    for i in range(16):
+        j = train[i % len(train)]
+        total_loss(model, dataset.features[j], int(dataset.labels[j]),
+                   loss_config)[0].backward()
+    monkeypatch.undo()
+    return model, stacked
+
+
+def paper_backward(num_attributes, monkeypatch):
+    """A model at the ROADMAP's paper shape (R 49, D_feat 2048, tau 300,
+    n_primary 128, d_cap 16) with ``num_attributes`` attributes after one
+    backward pass of its class scores, and the rows its parameters stacked
+    (``record_stacks``)."""
+    rng = SeededRng(16)
+    a, c = num_attributes, 50
+    model = HrtModel.build(
+        ModelConfig(d_feat=2048, num_attributes=a, num_classes=c, tau=300,
+                    k_em=1),
+        rng.normal((a, 300)), rng.uniform((c, a)))
+    stacked = record_stacks(model, monkeypatch)
+    scores = model.forward(rng.normal((49, 2048))).scores
+    T.einsum("c,c->", scores, Tensor(np.ones(c))).backward()
+    monkeypatch.undo()
+    return model, stacked
+
+
+def assert_stack_bound(name, param, k):
+    """The two row buffers of ``param``, whose products stack k rows each,
+    hold at most two gradients' bytes plus one sample's rows."""
+    m, p = param._x_rows.shape[1], param._y_rows.shape[1]
+    stack = param._x_rows.nbytes + param._y_rows.nbytes
+    assert stack <= 2 * param.data.nbytes + 8 * k * (m + p), \
+        f"{name} stacks {stack} B for a {param.data.nbytes} B gradient"
 
 
 class TestStackedGradient:
@@ -227,7 +302,7 @@ class TestStackedGradient:
             per_sample = per_sample + T._product(recipe, g, x)
         assert (np.abs(got - per_sample).max()
                 <= 1e-12 * np.abs(per_sample).max())
-        want = block_schedule(xs, [g.reshape(r, -1) for g in gs], f)
+        want = block_schedule(xs, [g.reshape(r, -1) for g in gs])
         assert np.array_equal(got, want.reshape(f, n, h))
 
     @pytest.mark.parametrize("batch", [16, 5], ids=["full", "partial"])
@@ -246,7 +321,7 @@ class TestStackedGradient:
                 T.einsum("ij,ij->", T.sigmoid(w), Tensor(u))),
                 (1.0, 1.0)).backward()
             s = T.sigmoid(Tensor(w.data)).data
-            for term in (block_schedule([x], [g], 64), u * s * (1.0 - s)):
+            for term in (block_schedule([x], [g]), u * s * (1.0 - s)):
                 want = term if want is None else want + term
         assert np.array_equal(w.grad, want)
 
@@ -258,26 +333,69 @@ class TestStackedGradient:
         T.einsum("rnh,rnh->", T.einsum("rf,fnh->rnh", Tensor(xs[0]), proj),
                  Tensor(g)).backward()
         assert np.array_equal(proj.grad, block_schedule(
-            xs[:1], [g.reshape(r, -1)], f).reshape(f, n, h))
+            xs[:1], [g.reshape(r, -1)]).reshape(f, n, h))
 
-    def test_a_minibatch_stacks_about_one_gradient_of_rows(self):
-        # train_wide_grid's enc.proj: 36 rows a sample and m = 128, so 4
-        # samples (144 rows) to a block.  Its two buffers hold less than
-        # 1.2 gradients' bytes plus one sample's rows (3.1 MB); a stack of
-        # all 16 samples of the minibatch would be 7.5 MB more, and fail
-        dataset = generate_synthetic(replace(SyntheticSpec(), **WIDE_GRID), 0)
-        model = HrtModel.build(
-            ModelConfig(**dataset_dims(dataset), k_em=1, k_td=3),
-            dataset.semantics.attr_vectors, dataset.semantics.class_attr)
-        loss_config = loss_config_for(load_config(), dataset)
-        for i in dataset.splits["train"][:16]:
-            total_loss(model, dataset.features[i], int(dataset.labels[i]),
-                       loss_config)[0].backward()
-        proj = model.params["enc.proj"]
-        r, (f, n, h) = WIDE_GRID["r_patches"], proj.data.shape
-        assert len(proj._x_rows) == len(proj._y_rows) == r * -(-f // r)
-        stack = proj._x_rows.nbytes + proj._y_rows.nbytes
-        assert stack <= 1.2 * proj.data.nbytes + 8 * r * (f + n * h)
+    def test_a_minibatch_stacks_about_one_gradient_of_rows(
+            self, monkeypatch):
+        # train_wide_grid: each parameter's buffers hold k * ceil(min(m, p)
+        # / k) rows, whole samples up to the gradient's rank bound, and at
+        # most two gradients' bytes plus one sample's rows.  enc.proj (m
+        # 128, k 36) stacks 4 samples; enc.vote_transforms (m 192, k 36, p
+        # 16) multiplies each sample's product at once
+        model, stacked = stacked_minibatch("wide_grid", monkeypatch)
+        rows = {}
+        for name, param in model.params.items():
+            x_rows, y_rows = stacked[name][0]
+            (k, m), p = x_rows.shape, y_rows.shape[1]
+            rows[name] = len(param._x_rows)
+            assert rows[name] == len(param._y_rows) == k * -(-min(m, p) // k)
+            assert_stack_bound(name, param, k)
+        assert rows["enc.proj"] == 144
+        assert rows["enc.vote_transforms"] == 36
+
+    @pytest.mark.parametrize("shape", MINIBATCH_SHAPES + ("awa2", "cub"))
+    def test_buffers_hold_at_most_two_gradients_and_one_sample(
+            self, shape, monkeypatch):
+        # at the model shapes after a minibatch; at the ROADMAP's AWA2-like
+        # (A 85) and CUB-like (A 312) paper shapes after one backward pass,
+        # which sizes the buffers
+        if shape in MINIBATCH_SHAPES:
+            model, stacked = stacked_minibatch(shape, monkeypatch)
+        else:
+            model, stacked = paper_backward(
+                {"awa2": 85, "cub": 312}[shape], monkeypatch)
+        for name, param in model.params.items():
+            assert stacked[name], f"{name} stacked no rows"
+            assert_stack_bound(name, param, len(stacked[name][0][0]))
+
+    @pytest.mark.parametrize("shape", ["default", "wide_grid"])
+    def test_a_minibatch_grad_is_the_block_schedule(self, shape,
+                                                    monkeypatch):
+        # every parameter's products share one k, so each .grad is its
+        # block schedule; enc.proj and dec.w_beta have m <= p, and their
+        # blocks are the ceil(m / k) samples they were before the rule
+        # followed min(m, p)
+        model, stacked = stacked_minibatch(shape, monkeypatch)
+        for name, param in model.params.items():
+            x_rows, y_rows = zip(*stacked[name])
+            want = block_schedule(x_rows, y_rows).reshape(param.data.shape)
+            assert np.array_equal(param.grad, want), name
+
+    def test_rows_that_do_not_fit_are_multiplied_first(self):
+        # W [6, 4] under matmul: m 6, p 4, so blocks of 4 rows.  3 rows
+        # make a buffer of 6; 5 more do not fit, so the 3 are multiplied
+        # and a buffer of 5 made, which the 5 fill past 4; then 1 and 2
+        # rows fit it and are multiplied together at the read
+        rng = SeededRng(17)
+        w = Parameter(rng.normal((6, 4)))
+        xs = [rng.normal((n, 6)) for n in (3, 5, 1, 2)]
+        gs = [rng.normal((n, 4)) for n in (3, 5, 1, 2)]
+        for x, g in zip(xs, gs):
+            T.einsum("ij,ij->", T.matmul(Tensor(x), w), Tensor(g)).backward()
+        assert len(w._x_rows) == 5 and w._stacked == 3
+        want = (xs[0].T @ gs[0] + xs[1].T @ gs[1]
+                + np.concatenate(xs[2:]).T @ np.concatenate(gs[2:]))
+        assert np.array_equal(w.grad, want)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_writing_the_other_operand_after_backward_leaves_grad(
@@ -466,9 +584,9 @@ class TestBackwardBasics:
         g = rng.normal((3, 2))
         assert T.matmul(a, b)._backward(g) == (None, None)
         if a_grad:
-            assert np.array_equal(a.grad, block_schedule([g.T], [b.data.T], 3))
+            assert np.array_equal(a.grad, block_schedule([g.T], [b.data.T]))
         else:
-            assert np.array_equal(b.grad, block_schedule([a.data], [g], 4))
+            assert np.array_equal(b.grad, block_schedule([a.data], [g]))
 
     @pytest.mark.parametrize("a_grad", [True, False], ids=["a", "b"])
     def test_einsum_backward_skips_constant_operand(self, a_grad):
@@ -513,7 +631,7 @@ class TestBackwardBasics:
         def products():
             want = None
             for x_rows, y_rows in stacked:
-                block = block_schedule([x_rows], [y_rows], len(x_rows[0]))
+                block = block_schedule([x_rows], [y_rows])
                 want = (block.reshape(4, 3) if want is None
                         else want + block.reshape(4, 3))
             return want

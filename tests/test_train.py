@@ -26,9 +26,9 @@ from helpers import WIDE_GRID, peak_traced_bytes
 # joined by newlines, and the parameters' bytes in name order
 DEFAULT_RUN_SHA256 = {
     "history":
-        "bbdd58850b325a73335d8866fc71b0de43be8923754f58c4901fdf24a14179b8",
+        "da77bfc32313ea30b5714c0b9fe463d335728a1f87ff752b9031d697f7041523",
     "params":
-        "a3e6637eefadcda598d1d826c216ea712d6bd52713426846f5f48fbc5b4be42d",
+        "1edd0107066f518014e25152a6e28491d74f880a365a9b9adf6154e8d7131e18",
 }
 
 
